@@ -209,7 +209,8 @@ class DuValConfig:
     @classmethod
     def parse(cls, text: str) -> DuValConfig:
         """Parse the configuration grammar: comma-separated ``<T><n>[x<count>]``
-        terms, case-insensitive, e.g. ``A1x16`` or ``A2,D4x2,E7``."""
+        terms with a positive count, case-insensitive, e.g. ``A1x16`` or
+        ``A2,D4x2,E7``."""
         a: dict[int, int] = {}
         d: dict[int, int] = {}
         e: dict[int, int] = {}
@@ -221,6 +222,8 @@ class DuValConfig:
             if not match:
                 raise ValueError(f"cannot parse term {raw.strip()!r}")
             letter, n, count = match.group(1), int(match.group(2)), int(match.group(3) or 1)
+            if count == 0:
+                raise ValueError(f"zero count in term {raw.strip()!r}")
             target = {"A": a, "D": d, "E": e}[letter]
             target[n] = target.get(n, 0) + count
         return cls(a, d, e)

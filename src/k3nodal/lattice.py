@@ -12,9 +12,10 @@ even eight-set.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .codes import LinearCode, code_d, from_generators
 from .gf2 import Gf2Matrix
@@ -44,14 +45,10 @@ class CodeLattice:
             raise ValueError("basis must consist of n vectors of length n")
         if len(self.gram2) != self.n or any(len(r) != self.n for r in self.gram2):
             raise ValueError("gram2 must be n x n")
-        for i in range(self.n):
-            for t in range(i):
-                if self.basis[i][t]:
-                    raise ValueError("basis must be triangular by leading coordinate")
-            for j in range(self.n):
-                expected = self.sign * sum(x * y for x, y in zip(self.basis[i], self.basis[j]))
-                if self.gram2[i][j] != expected:
-                    raise ValueError("gram2 does not match the basis")
+        if any(any(row[:i]) for i, row in enumerate(self.basis)):
+            raise ValueError("basis must be triangular by leading coordinate")
+        if self.gram2 != _gram2(self.basis, self.sign):
+            raise ValueError("gram2 does not match the basis")
 
     def gram_entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.gram2[i][j], 2)
@@ -94,6 +91,13 @@ class CodeLattice:
                 list(discriminant_group(self).elementary_divisors) if is_integral(self) else None
             ),
         }
+
+
+def _gram2(basis: Sequence[Sequence[int]], sign: int) -> tuple[tuple[int, ...], ...]:
+    """Doubled Gram matrix sign * B B^T of the basis rows."""
+    return tuple(
+        tuple(sign * sum(map(operator.mul, bi, bj)) for bj in basis) for bi in basis
+    )
 
 
 @dataclass(frozen=True)
@@ -142,10 +146,7 @@ def gamma_from_code(code: LinearCode, sign: int = 1) -> CodeLattice:
         if j not in by_leading:
             by_leading[j] = tuple(2 if t == j else 0 for t in range(n))
     basis = tuple(by_leading[j] for j in range(n))
-    gram2 = tuple(
-        tuple(sign * sum(x * y for x, y in zip(bi, bj)) for bj in basis) for bi in basis
-    )
-    return CodeLattice(n, sign, basis, gram2)
+    return CodeLattice(n, sign, basis, _gram2(basis, sign))
 
 
 def kummer_lattice() -> CodeLattice:
@@ -198,9 +199,36 @@ def _det_int(mat: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _leading_minors_int(gram2: Sequence[Sequence[int]]) -> Iterator[int]:
+    """Leading principal minors of a doubled Gram matrix, in order.
+
+    One fraction-free (Bareiss) pass without row swaps: the t-th pivot is
+    the t-th leading principal minor, yielded as soon as it is reached,
+    so a caller that stops early pays only for the pivots it consumed.
+    """
+    rows = gram2
+    prev = 1
+    for t in range(len(gram2)):
+        pivot_row = rows[0]
+        piv = pivot_row[0]
+        yield piv
+        if piv == 0:
+            # gram2 = sign * B B^T is semidefinite, so a kernel vector of a
+            # leading block, padded with zeros, is one of every larger block.
+            yield from [0] * (len(gram2) - t - 1)
+            return
+        tail = pivot_row[1:]
+        rows = [
+            [(x * piv - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+            for row in rows[1:]
+        ]
+        prev = piv
+
+
 def determinant(lat: CodeLattice) -> Fraction:
     """Exact determinant of the true Gram matrix: det(gram2) / 2^n."""
-    return Fraction(_det_int(lat.gram2), 2**lat.n)
+    *_, det = _leading_minors_int(lat.gram2)
+    return Fraction(det, 2**lat.n)
 
 
 def basis_determinant(lat: CodeLattice) -> int:
@@ -211,16 +239,14 @@ def basis_determinant(lat: CodeLattice) -> int:
 def leading_principal_minors(lat: CodeLattice) -> tuple[Fraction, ...]:
     """Exact leading principal minors of the true Gram matrix."""
     return tuple(
-        Fraction(_det_int([row[:t] for row in lat.gram2[:t]]), 2**t)
-        for t in range(1, lat.n + 1)
+        Fraction(d, 2**t) for t, d in enumerate(_leading_minors_int(lat.gram2), start=1)
     )
 
 
 def is_negative_definite(lat: CodeLattice) -> bool:
     """Sylvester test: leading principal minors alternate in sign starting
     negative; any zero minor disqualifies."""
-    for t in range(1, lat.n + 1):
-        d = _det_int([row[:t] for row in lat.gram2[:t]])
+    for t, d in enumerate(_leading_minors_int(lat.gram2), start=1):
         if d == 0 or (d > 0) != (t % 2 == 0):
             return False
     return True

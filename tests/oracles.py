@@ -8,6 +8,7 @@ the package, so agreement between the two routes is meaningful.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import comb
 
 
@@ -60,6 +61,34 @@ def naive_weight_distribution(gen_rows: list[list[int]], n: int) -> dict[int, in
         w = sum(word)
         counts[w] = counts.get(w, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def naive_det(mat: list[list[Fraction]]) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals, swapping in
+    the first nonzero pivot of each column."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if a[i][c]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            a[c], a[pivot_row] = a[pivot_row], a[c]
+            det = -det
+        det *= a[c][c]
+        pivot_tail = a[c][c + 1 :]
+        for i in range(c + 1, n):
+            if a[i][c]:
+                f = a[i][c] / a[c][c]
+                a[i][c + 1 :] = [x - f * y for x, y in zip(a[i][c + 1 :], pivot_tail)]
+    return det
+
+
+def naive_leading_minors(mat: list[list[Fraction]]) -> list[Fraction]:
+    """Leading principal minors, each from its own elimination of the
+    leading t x t block."""
+    return [naive_det([row[:t] for row in mat[:t]]) for t in range(1, len(mat) + 1)]
 
 
 def qbinom_recursive(n: int, k: int, q: int = 2, _memo: dict = {}) -> int:

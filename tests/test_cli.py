@@ -177,12 +177,14 @@ def test_duval_classify(capsys):
         ["code", "weights", "--in", "/nonexistent/file.txt"],
         ["verify", "beauville", "--m", "4", "--nmax", "9"],
         ["code", "d", "--m", "1"],
+        ["duval", "check", "A1x0"],
     ],
 )
 def test_errors_exit_one(argv, capsys):
-    rc, _, err = _capture(capsys, argv)
+    rc, out, err = _capture(capsys, argv)
     assert rc == 1
-    assert err
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_help_exits_zero(capsys):

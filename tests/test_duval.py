@@ -81,7 +81,9 @@ def test_parse_grammar():
     assert DuValConfig().canonical() == "(empty)"
 
 
-@pytest.mark.parametrize("bad", ["D3", "E5", "A0", "F4", "A", "x4", "A1x", "A1,,A2"])
+@pytest.mark.parametrize(
+    "bad", ["D3", "E5", "A0", "F4", "A", "x4", "A1x", "A1,,A2", "A1x0", "A2,D4x00"]
+)
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         DuValConfig.parse(bad)

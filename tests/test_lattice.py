@@ -20,6 +20,7 @@ from k3nodal.lattice import (
     kummer_lattice,
     leading_principal_minors,
 )
+from oracles import naive_det, naive_leading_minors
 
 
 def _random_code(rng, n):
@@ -163,6 +164,70 @@ def test_leading_minors_alternate():
         assert value != 0
         assert (value > 0) == (t % 2 == 0)
     assert minors[-1] == 64
+
+
+def _true_gram(lat):
+    return [[Fraction(e, 2) for e in row] for row in lat.gram2]
+
+
+def _alternates_from_negative(minors):
+    return all(m != 0 and (m > 0) == (t % 2 == 0) for t, m in enumerate(minors, start=1))
+
+
+def _check_against_oracle(lat):
+    minors = leading_principal_minors(lat)
+    expected = tuple(naive_leading_minors(_true_gram(lat)))
+    assert minors == expected
+    assert minors[-1] == determinant(lat)
+    assert is_negative_definite(lat) == _alternates_from_negative(expected)
+    return minors
+
+
+def test_leading_minors_match_oracle_random():
+    rng = random.Random(97)
+    for _ in range(24):
+        n = rng.randint(1, 24)
+        c = _random_code(rng, n)
+        for sign in (1, -1):
+            minors = _check_against_oracle(gamma_from_code(c, sign))
+            assert all(minors)
+            assert _alternates_from_negative(minors) == (sign == -1)
+
+
+def test_leading_minors_match_oracle_rank_64():
+    # re-eliminating all 64 blocks in Fractions takes seconds; check a spread
+    rng = random.Random(101)
+    c = from_generators(Gf2Matrix.from_ints([rng.getrandbits(64) for _ in range(12)], 64))
+    for sign in (1, -1):
+        lat = gamma_from_code(c, sign)
+        minors = leading_principal_minors(lat)
+        gram = _true_gram(lat)
+        for t in (1, 2, 3, 17, 33, 64):
+            assert minors[t - 1] == naive_det([row[:t] for row in gram[:t]])
+        assert minors[-1] == determinant(lat) == 2 ** (64 - 2 * c.k)
+        assert is_negative_definite(lat) == _alternates_from_negative(minors) == (sign == -1)
+
+
+def test_leading_minors_of_singular_lattices():
+    rng = random.Random(103)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        basis = []
+        for i in range(n):
+            row = [0] * i + [rng.randint(-2, 2) for _ in range(n - i)]
+            if rng.random() < 0.3:
+                row = [0] * n
+            basis.append(tuple(row))
+        if all(any(row) for row in basis):
+            basis[rng.randrange(n)] = (0,) * n
+        sign = rng.choice([1, -1])
+        gram2 = tuple(
+            tuple(sign * sum(x * y for x, y in zip(bi, bj)) for bj in basis) for bi in basis
+        )
+        lat = CodeLattice(n, sign, tuple(basis), gram2)
+        minors = _check_against_oracle(lat)
+        assert not any(minors[minors.index(0) :])
+        assert not is_negative_definite(lat)
 
 
 def test_code_from_overlattice_examples():
