@@ -16,12 +16,13 @@ reduced echelon basis, so code equality is bitwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .gf2 import BitVector, Gf2Matrix, kernel, rref, is_rref, transpose
+from .gf2 import BitVector, Gf2Matrix, _rref_ints, kernel, rref, is_rref, transpose
 
 MAX_ENUM_DIM = 28
 MAX_PERM_SEARCH_LEN = 16
@@ -75,13 +76,7 @@ class LinearCode:
         """All 2^k codewords in message-index order."""
         gens = self.gen.row_bits()
         for u in range(1 << self.k):
-            bits = 0
-            m = u
-            while m:
-                low = m & -m
-                bits ^= gens[low.bit_length() - 1]
-                m ^= low
-            yield BitVector(self.n, bits)
+            yield BitVector(self.n, _encode(gens, u))
 
     def contains(self, word: BitVector) -> bool:
         if word.length != self.n:
@@ -94,6 +89,16 @@ class LinearCode:
 
     def __contains__(self, word: BitVector) -> bool:
         return self.contains(word)
+
+
+def _encode(gens: Sequence[int], message: int) -> int:
+    """The codeword sum of the generator rows selected by the message bits."""
+    word = 0
+    while message:
+        low = message & -message
+        word ^= gens[low.bit_length() - 1]
+        message ^= low
+    return word
 
 
 def from_generators(rows: Gf2Matrix | Sequence[BitVector]) -> LinearCode:
@@ -132,19 +137,78 @@ class WeightDistribution:
         return {w for w, c in self.counts.items() if w and c}
 
 
+# A block is the 2^_BLOCK_BITS messages sharing every bit above the lowest
+# _BLOCK_BITS; over a block each coordinate is a 2^_BLOCK_BITS-bit int.
+_BLOCK_BITS = 14
+
+
+# One entry per block size; all of them together hold under 1 MB.
+@functools.lru_cache(maxsize=_BLOCK_BITS + 1)
+def _block_characters(low: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The all-ones mask of a block of 2^low messages and two tables whose
+    entries ``below[u & (2^(low//2) - 1)] ^ above[u >> low//2]`` give, for
+    any u < 2^low, the block pattern whose bit l is the parity of l & u."""
+    full = (1 << (1 << low)) - 1
+    below, above = [0], [0]
+    for i in range(low):
+        run = 1 << i
+        pattern = full // ((1 << (2 * run)) - 1) * (((1 << run) - 1) << run)  # bit l = bit i of l
+        table = above if i >= low // 2 else below
+        table += [x ^ pattern for x in table]
+    return full, tuple(below), tuple(above)
+
+
 def weight_distribution(c: LinearCode) -> WeightDistribution:
-    """Weight counts by Gray-code enumeration: one generator XOR per codeword."""
+    """Exact weight counts by bit-sliced enumeration.
+
+    Messages are split into their lowest _BLOCK_BITS bits and a high part.
+    For a fixed high part, coordinate j over the block of low parts is one
+    int: the parity pattern of the column's low message mask, complemented
+    when the high part meets the column's high mask in an odd number of
+    bits.  The n column ints are summed into ripple-carry counter planes
+    (plane t holds bit t of every codeword's weight), and the block's
+    histogram is read by splitting its mask on each plane from the top and
+    counting each part with ``int.bit_count``.
+    """
     if c.k > MAX_ENUM_DIM:
         raise ResourceLimitError(
             f"enumerating 2^{c.k} codewords exceeds the 2^{MAX_ENUM_DIM} budget"
         )
-    gens = c.gen.row_bits()
-    counts: dict[int, int] = {0: 1}
-    word = 0
-    for u in range(1, 1 << c.k):
-        word ^= gens[(u & -u).bit_length() - 1]
-        w = word.bit_count()
-        counts[w] = counts.get(w, 0) + 1
+    low = min(c.k, _BLOCK_BITS)
+    full, below, above = _block_characters(low)
+    # one message mask per column (bit i = entry of generator row i); the
+    # weight does not depend on the order of the columns
+    width = f"0{c.n}b"
+    text = "".join([format(g, width) for g in reversed(c.gen.row_bits())])
+    masks = [int(text[p :: c.n], 2) for p in range(c.n)] if text else [0] * c.n
+    half, low_mask = low // 2, (1 << low) - 1
+    half_mask = (1 << half) - 1
+    columns = [(below[m & half_mask] ^ above[(m & low_mask) >> half], m >> low) for m in masks]
+    nplanes = c.n.bit_length()
+    counts: dict[int, int] = {}
+    for h in range(1 << (c.k - low)):
+        planes = [0] * nplanes
+        for base, high in columns:
+            carry = base ^ full if (h & high).bit_count() & 1 else base
+            t = 0
+            while carry:
+                plane = planes[t]
+                planes[t] = plane ^ carry
+                carry &= plane
+                t += 1
+        parts = [(full, 0)]
+        for t in reversed(range(nplanes)):
+            plane, bit = planes[t], 1 << t
+            split = []
+            for part, w in parts:
+                ones = part & plane
+                if ones:
+                    split.append((ones, w | bit))
+                if ones != part:
+                    split.append((part ^ ones, w))
+            parts = split
+        for part, w in parts:
+            counts[w] = counts.get(w, 0) + part.bit_count()
     return WeightDistribution(c.n, dict(sorted(counts.items())))
 
 
@@ -216,24 +280,16 @@ def project(c: LinearCode, coords: Sequence[int]) -> LinearCode:
 def shorten(c: LinearCode, coords: Sequence[int]) -> LinearCode:
     """Codewords supported inside the given coordinates, restricted to them."""
     keep = _validate_coords(c.n, coords)
-    outside = [j for j in range(c.n) if j not in set(keep)]
+    kept = set(keep)
+    outside = [j for j in range(c.n) if j not in kept]
     gens = c.gen.row_bits()
     if not outside or c.k == 0:
-        messages = Gf2Matrix.identity(c.k) if c.k else None
+        messages: Sequence[int] = [1 << i for i in range(c.k)]
     else:
         # messages u with u . G zero outside the kept coordinates
         restricted = Gf2Matrix.from_ints([_restrict_bits(g, outside) for g in gens], len(outside))
-        messages = kernel(transpose(restricted))
-    rows = []
-    if messages is not None:
-        for u in messages.row_bits():
-            word = 0
-            m = u
-            while m:
-                low = m & -m
-                word ^= gens[low.bit_length() - 1]
-                m ^= low
-            rows.append(_restrict_bits(word, keep))
+        messages = kernel(transpose(restricted)).row_bits()
+    rows = [_restrict_bits(_encode(gens, u), keep) for u in messages]
     return from_generators(Gf2Matrix.from_ints(rows, len(keep)))
 
 
@@ -500,18 +556,26 @@ def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -
     The equivalence half of (b) uses the backtracking oracle up to its
     length budget; beyond that only the weight spectrum is asserted.
     Violations are collected as counterexample strings; ``ok`` means none.
+    Both modes are bounded by SUBSPACE_BUDGET: the exhaustive scan by the
+    q-binomial count, the sampled scan by samples * (n_max - m + 1),
+    checked before any code is built.
     """
     if m < 2:
         raise ValueError("verify_beauville requires m >= 2")
     if n_max < m:
         raise ValueError("n_max must be at least m")
+    exhaustive = m <= MAX_EXHAUSTIVE_DIM
+    if not exhaustive and samples * (n_max - m + 1) > SUBSPACE_BUDGET:
+        raise ResourceLimitError(
+            f"sampling {samples} subspaces at each of {n_max - m + 1} lengths exceeds "
+            f"the budget of {SUBSPACE_BUDGET}"
+        )
     extremal_n = 1 << (m - 1)
     reference = code_d(m)
     flips = [(u & -u).bit_length() - 1 for u in range(1, 1 << m)]
     per_n: list[SubspaceCount] = []
     counterexamples: list[str] = []
     extremal_count = 0
-    exhaustive = m <= MAX_EXHAUSTIVE_DIM
     mode = "exhaustive" if exhaustive else "sampled"
 
     def handle_qualifying(rows: list[int], n: int) -> None:
@@ -561,9 +625,9 @@ def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -
             if n == extremal_n:
                 bases.append(list(reference.gen.row_bits()))
             while len(bases) < samples:
-                red = rref(Gf2Matrix.from_ints([rng.getrandbits(n) for _ in range(m)], n))
-                if red.rank == m:
-                    bases.append(list(red.matrix.row_bits()[:m]))
+                rows, pivots = _rref_ints([rng.getrandbits(n) for _ in range(m)], n)
+                if len(pivots) == m:
+                    bases.append(rows)
             qualifying = 0
             for rows in bases:
                 if _weights_reach_half(rows, n, flips):

@@ -146,74 +146,90 @@ class RrefResult:
     pivots: tuple[int, ...]
 
 
+def _rref_ints(rows: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of bit-packed rows: (rows, pivot columns).
+
+    The row count is preserved and zero rows end up at the bottom.  Each
+    pivot row is XORed into every other row holding its pivot bit, and the
+    scan stops as soon as every row holds a pivot.
+    """
+    rows = list(rows)
+    nrows = len(rows)
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        bit = 1 << c
+        for i in range(r, nrows):
+            if rows[i] & bit:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i] = rows[r]
+        rows = [x ^ prow if x & bit else x for x in rows]
+        rows[r] = prow
+        pivots.append(c)
+    return rows, pivots
+
+
 def rref(m: Gf2Matrix) -> RrefResult:
     """Reduced row echelon form, preserving the row space and row count.
 
     Pivot columns come leftmost-first and each contains a single one-bit,
     so equality of reduced matrices is a bitwise comparison.
     """
-    rows = list(m.row_bits())
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, len(rows)) if (rows[i] >> c) & 1), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> c) & 1:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    reduced = Gf2Matrix.from_ints(rows, m.cols)
-    return RrefResult(reduced, len(pivots), tuple(pivots))
+    rows, pivots = _rref_ints(m.row_bits(), m.cols)
+    return RrefResult(Gf2Matrix.from_ints(rows, m.cols), len(pivots), tuple(pivots))
 
 
 def is_rref(m: Gf2Matrix) -> bool:
     """Check the reduced-echelon shape: strictly increasing pivots, pure
     pivot columns, zero rows only at the bottom."""
-    last_pivot = -1
+    last_lead = 0
+    pivot_mask = 0
     seen_zero = False
-    leads = []
-    for row in m.rows:
-        if row.bits == 0:
+    bits = m.row_bits()
+    for row in bits:
+        if row == 0:
             seen_zero = True
             continue
-        if seen_zero:
+        lead = row & -row
+        if seen_zero or lead <= last_lead:
             return False
-        lead = (row.bits & -row.bits).bit_length() - 1
-        if lead <= last_pivot:
-            return False
-        last_pivot = lead
-        leads.append(lead)
-    nonzero = [r.bits for r in m.rows if r.bits]
-    for lead in leads:
-        if sum((b >> lead) & 1 for b in nonzero) != 1:
-            return False
-    return True
+        last_lead = lead
+        pivot_mask |= lead
+    # every row meets the pivot columns in its own lead bit only
+    return all(row & pivot_mask == row & -row for row in bits)
 
 
 def kernel(m: Gf2Matrix) -> Gf2Matrix:
     """Basis of the right null space, canonicalized to reduced echelon form.
 
     The returned matrix has cols - rank(m) independent rows v with
-    m . v^T = 0.
+    m . v^T = 0.  The rows of m are reduced with their columns reversed,
+    so every reduced row has its pivot as its highest bit; the null-space
+    vector of a free column f then has f as its lowest bit, and the
+    vectors taken in order of f are already the reduced echelon basis.
     """
-    red = rref(m)
-    pivot_set = set(red.pivots)
-    reduced_bits = red.matrix.row_bits()
+    width = f"0{m.cols}b"
+    flipped, pivots = _rref_ints([int(format(b, width)[::-1], 2) for b in m.row_bits()], m.cols)
+    pivot_rows = [
+        (int(format(row, width)[::-1], 2), 1 << (m.cols - 1 - p)) for row, p in zip(flipped, pivots)
+    ]
+    pivot_set = {m.cols - 1 - p for p in pivots}
     basis = []
     for f in range(m.cols):
         if f in pivot_set:
             continue
-        v = 1 << f
-        for i, p in enumerate(red.pivots):
-            if (reduced_bits[i] >> f) & 1:
-                v |= 1 << p
+        bit = 1 << f
+        v = bit
+        for row, pbit in pivot_rows:
+            if row & bit:
+                v |= pbit
         basis.append(v)
-    return rref(Gf2Matrix.from_ints(basis, m.cols)).matrix
+    return Gf2Matrix.from_ints(basis, m.cols)
 
 
 def transpose(m: Gf2Matrix) -> Gf2Matrix:

@@ -1,8 +1,11 @@
 """Independent reference computations used to check the library.
 
-Everything here works on plain lists of 0/1 ints (or adjacency lists),
-deliberately avoiding the bit-packed representations and algorithms of
-the package, so agreement between the two routes is meaningful.
+Almost everything here works on plain lists of 0/1 ints (or adjacency
+lists), deliberately avoiding the bit-packed representations and
+algorithms of the package, so agreement between the two routes is
+meaningful.  ``gray_weight_distribution`` and ``naive_is_rref`` take
+bit-packed int rows, but use none of the package's code: one XOR per
+codeword in Gray-code order, and a pivot-column count per lead.
 """
 
 from __future__ import annotations
@@ -61,6 +64,42 @@ def naive_weight_distribution(gen_rows: list[list[int]], n: int) -> dict[int, in
         w = sum(word)
         counts[w] = counts.get(w, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def gray_weight_distribution(rows: list[int], n: int) -> dict[int, int]:
+    """Weight counts of the span of bit-packed rows, one XOR per codeword
+    in Gray-code order; the rows need not be independent."""
+    if any(r >> n for r in rows):
+        raise ValueError("a row does not fit the length")
+    counts = {0: 1}
+    word = 0
+    for u in range(1, 1 << len(rows)):
+        word ^= rows[(u & -u).bit_length() - 1]
+        w = word.bit_count()
+        counts[w] = counts.get(w, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def naive_is_rref(rows: list[int]) -> bool:
+    """Reduced echelon shape of bit-packed rows: strictly increasing leads,
+    zero rows only at the bottom, and each lead column holding exactly one
+    one-bit among the nonzero rows."""
+    last = -1
+    seen_zero = False
+    leads = []
+    for row in rows:
+        if row == 0:
+            seen_zero = True
+            continue
+        if seen_zero:
+            return False
+        lead = (row & -row).bit_length() - 1
+        if lead <= last:
+            return False
+        last = lead
+        leads.append(lead)
+    nonzero = [b for b in rows if b]
+    return all(sum((b >> lead) & 1 for b in nonzero) == 1 for lead in leads)
 
 
 def naive_det(mat: list[list[Fraction]]) -> Fraction:

@@ -178,6 +178,7 @@ def test_duval_classify(capsys):
         ["verify", "beauville", "--m", "4", "--nmax", "9"],
         ["code", "d", "--m", "1"],
         ["duval", "check", "A1x0"],
+        ["verify", "beauville", "--m", "40"],
     ],
 )
 def test_errors_exit_one(argv, capsys):

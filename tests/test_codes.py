@@ -1,9 +1,11 @@
+import hashlib
 import json
 import random
 
 import pytest
 
 from k3nodal.codes import (
+    SUBSPACE_BUDGET,
     LinearCode,
     ResourceLimitError,
     code_d,
@@ -22,7 +24,12 @@ from k3nodal.codes import (
     weight_distribution,
 )
 from k3nodal.gf2 import BitVector, Gf2Matrix, parse_matrix_text
-from oracles import macwilliams_dual_counts, naive_weight_distribution, qbinom_recursive
+from oracles import (
+    gray_weight_distribution,
+    macwilliams_dual_counts,
+    naive_weight_distribution,
+    qbinom_recursive,
+)
 
 EQ2_ROWS = [
     "0101010101010101",
@@ -124,6 +131,27 @@ def test_weight_distribution_matches_naive():
     for _ in range(60):
         c = _random_code(rng, rng.randint(1, 10))
         assert weight_distribution(c).counts == naive_weight_distribution(_coords(c), c.n)
+
+
+@pytest.mark.parametrize("k,n", [(13, 40), (14, 64), (15, 33), (17, 64), (15, 300), (17, 300)])
+def test_weight_distribution_matches_gray_across_blocks(k, n):
+    # k > 14 spans several blocks of 2^14 messages; n = 300 needs 9 counter
+    # planes, and rows of density 7/8 put the weights of single rows above 255
+    rng = random.Random(1000 * k + n)
+    rows = [rng.getrandbits(n) | rng.getrandbits(n) | rng.getrandbits(n) for _ in range(k)]
+    c = from_generators(Gf2Matrix.from_ints(rows, n))
+    assert c.k == k
+    dist = weight_distribution(c)
+    assert dist.counts == gray_weight_distribution(list(c.gen.row_bits()), n)
+    assert dist.total() == 2**k
+
+
+def test_weight_distribution_special_codes_match_gray():
+    for c in (LinearCode.zero(5), LinearCode.full(12), LinearCode.repetition(8),
+              LinearCode.repetition(300)):
+        dist = weight_distribution(c)
+        assert dist.counts == gray_weight_distribution(list(c.gen.row_bits()), c.n)
+        assert dist.total() == 2**c.k
 
 
 def test_weight_distribution_budget():
@@ -406,6 +434,31 @@ def test_verify_beauville_sampled_beyond_permutation_budget():
     rep = verify_beauville(6, 32, samples=30, seed=5)
     assert rep.ok
     assert rep.extremal_count >= 1
+
+
+def test_verify_beauville_sampled_digests():
+    # pins the order in which the sampled scan draws from its generator and
+    # the reduced bases it keeps
+    expected = {
+        (5, 16, 500, 0): "751aa0095e58f5debed0f400bcb7b850c7cb65d44ce2d182bfc89224c6e28e71",
+        (6, 32, 30, 5): "ed764bbb2ec5f1e485b69849ff77383ed68affeb37b8cd81e5c8347f0b279072",
+    }
+    for (m, n_max, samples, seed), digest in expected.items():
+        report = verify_beauville(m, n_max, samples=samples, seed=seed)
+        text = json.dumps(report.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_verify_beauville_sampled_budget():
+    # the default length bound for m = 40 is 2^39; refused before D_40 is built
+    with pytest.raises(ResourceLimitError) as info:
+        verify_beauville(40, 1 << 39)
+    assert info.value.partial is None
+    # one length over the budget by a single sample
+    with pytest.raises(ResourceLimitError):
+        verify_beauville(5, 5, samples=SUBSPACE_BUDGET + 1)
+    with pytest.raises(ResourceLimitError):
+        verify_beauville(5, 16, samples=SUBSPACE_BUDGET // 12 + 1)
 
 
 def test_verify_beauville_budget():

@@ -13,7 +13,7 @@ from k3nodal.gf2 import (
     rref,
     transpose,
 )
-from oracles import naive_rank, naive_rref
+from oracles import naive_is_rref, naive_rank, naive_rref
 
 EQ2_ROWS = [
     "0101010101010101",
@@ -25,6 +25,16 @@ EQ2_ROWS = [
 
 def _random_matrix(rng, nrows, ncols):
     return Gf2Matrix.from_ints([rng.getrandbits(ncols) for _ in range(nrows)], ncols)
+
+
+def _assert_rref_matches_naive(m):
+    res = rref(m)
+    naive_mat, naive_r, naive_piv = naive_rref([list(r.coords()) for r in m.rows])
+    assert res.rank == naive_r
+    assert list(res.pivots) == naive_piv
+    assert [list(r.coords()) for r in res.matrix.rows] == naive_mat
+    assert res.matrix.nrows == m.nrows
+    assert is_rref(res.matrix)
 
 
 def test_dot_examples():
@@ -99,11 +109,7 @@ def test_rref_idempotent_and_matches_naive():
         res = rref(m)
         again = rref(res.matrix)
         assert again.matrix == res.matrix
-        assert is_rref(res.matrix)
-        naive_mat, naive_r, naive_piv = naive_rref([list(r.coords()) for r in m.rows])
-        assert res.rank == naive_r
-        assert list(res.pivots) == naive_piv
-        assert [list(r.coords()) for r in res.matrix.rows] == naive_mat
+        _assert_rref_matches_naive(m)
 
 
 def test_rank_nullity_random():
@@ -120,6 +126,18 @@ def test_rank_nullity_random():
             for row in m.row_bits():
                 assert (v & row).bit_count() % 2 == 0
         assert rref(ker).rank == ker.nrows
+        assert is_rref(ker)
+
+
+@pytest.mark.parametrize("nrows,ncols", [(64, 512), (3, 200), (100, 40), (40, 40)])
+def test_kernel_reduced_basis_of_null_space(nrows, ncols):
+    rng = random.Random(nrows * 1000 + ncols)
+    m = _random_matrix(rng, nrows, ncols)
+    ker = kernel(m)
+    assert ker.nrows == ncols - naive_rank([list(r.coords()) for r in m.rows])
+    assert is_rref(ker) and rref(ker).rank == ker.nrows
+    for v in ker.row_bits():
+        assert all((v & row).bit_count() % 2 == 0 for row in m.row_bits())
 
 
 def test_kernel_examples():
@@ -166,3 +184,40 @@ def test_is_rref_rejects_unreduced():
     assert is_rref(parse_matrix_text("10\n01"))
     # zero row above a nonzero row
     assert not is_rref(Gf2Matrix.from_ints([0, 1], 2))
+
+
+def test_rref_tall_matrices_match_naive():
+    rng = random.Random(17)
+    for _ in range(40):
+        ncols = rng.randint(1, 10)
+        _assert_rref_matches_naive(_random_matrix(rng, ncols + rng.randint(1, 12), ncols))
+
+
+def test_rref_wide_matrices_match_naive():
+    rng = random.Random(19)
+    for _ in range(2):
+        _assert_rref_matches_naive(_random_matrix(rng, 48, 1024))
+
+
+def test_rref_duplicate_and_zero_rows_match_naive():
+    rng = random.Random(23)
+    for _ in range(60):
+        ncols = rng.randint(1, 16)
+        rows = [rng.getrandbits(ncols) for _ in range(rng.randint(1, 6))]
+        rows += [rng.choice(rows) for _ in range(rng.randint(1, 4))] + [0] * rng.randint(1, 3)
+        rng.shuffle(rows)
+        _assert_rref_matches_naive(Gf2Matrix.from_ints(rows, ncols))
+
+
+def test_is_rref_matches_naive_on_bit_flips():
+    rng = random.Random(29)
+    reduced = [Gf2Matrix.identity(4), Gf2Matrix.from_ints([0b0110, 0], 4)]
+    for nrows, ncols in ((3, 7), (5, 9), (6, 6), (4, 12)):
+        reduced.append(rref(_random_matrix(rng, nrows, ncols)).matrix)
+    for m in reduced:
+        rows = list(m.row_bits())
+        assert is_rref(m) and naive_is_rref(rows)
+        for i in range(len(rows)):
+            for j in range(m.cols):
+                flipped = rows[:i] + [rows[i] ^ (1 << j)] + rows[i + 1 :]
+                assert is_rref(Gf2Matrix.from_ints(flipped, m.cols)) == naive_is_rref(flipped)
