@@ -1,5 +1,6 @@
 """Command-line front door: build codes and lattices, run the verification
-suite, and check du Val singularity configurations.
+suite, and check du Val singularity configurations.  This module only
+parses arguments and renders results; every check lives in the library.
 
 Exit status: 0 on success / admissible / verified, 2 on inadmissible or
 refuted, 1 on usage or I/O errors.  All output is deterministic; pass
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import codes, duval, lattice
-from .gf2 import format_matrix_text, parse_matrix_text
+from .gf2 import Gf2Matrix, parse_matrix_text
 
 
 class _UsageError(Exception):
@@ -35,30 +36,28 @@ def _read_code(path: str) -> codes.LinearCode:
     return codes.from_generators(parse_matrix_text(text))
 
 
-def _print_code_matrix(matrix) -> None:
-    print(format_matrix_text(matrix))
+def _print_generators(gens: Gf2Matrix, json_mode: bool) -> int:
+    """Independent generator rows as text or as the {n, k, rows} schema."""
+    if json_mode:
+        _emit_json({"n": gens.cols, "k": gens.nrows, "rows": [str(r) for r in gens.rows]})
+    elif gens.nrows:
+        print(gens)
+    else:
+        # the zero code has no generators; a single zero row keeps the
+        # text format round-trippable
+        print("0" * gens.cols)
+    return 0
 
 
 def _cmd_code_rm(ns: argparse.Namespace) -> int:
-    gens = codes.reed_muller_generators(ns.degree, ns.m)
-    code = codes.from_generators(gens)
-    if ns.json:
-        _emit_json({"n": code.n, "k": code.k, "rows": [str(r) for r in gens.rows]})
-    else:
-        _print_code_matrix(gens)
-    return 0
+    # the monomial rows are independent, so k is their count
+    return _print_generators(codes.reed_muller_generators(ns.degree, ns.m), ns.json)
 
 
 def _cmd_code_d(ns: argparse.Namespace) -> int:
     if ns.m < 2:
         raise _UsageError("code d requires --m >= 2")
-    gens = codes.reed_muller_generators(1, ns.m - 1)
-    code = codes.from_generators(gens)
-    if ns.json:
-        _emit_json({"n": code.n, "k": code.k, "rows": [str(r) for r in gens.rows]})
-    else:
-        _print_code_matrix(gens)
-    return 0
+    return _print_generators(codes.reed_muller_generators(1, ns.m - 1), ns.json)
 
 
 def _cmd_code_weights(ns: argparse.Namespace) -> int:
@@ -74,23 +73,7 @@ def _cmd_code_weights(ns: argparse.Namespace) -> int:
 
 
 def _cmd_code_dual(ns: argparse.Namespace) -> int:
-    dual_code = codes.dual(_read_code(ns.infile))
-    if ns.json:
-        _emit_json(
-            {
-                "n": dual_code.n,
-                "k": dual_code.k,
-                "rows": [str(r) for r in dual_code.gen.rows],
-            }
-        )
-    else:
-        if dual_code.k == 0:
-            # the zero code has no generators; a single zero row keeps the
-            # text format round-trippable
-            print("0" * dual_code.n)
-        else:
-            _print_code_matrix(dual_code.gen)
-    return 0
+    return _print_generators(codes.dual(_read_code(ns.infile)).gen, ns.json)
 
 
 def _print_lattice(lat: lattice.CodeLattice, json_mode: bool) -> None:
@@ -178,81 +161,16 @@ def _cmd_verify_no_seventeen(ns: argparse.Namespace) -> int:
     return 0 if cert.ok else 2
 
 
-def _full_suite() -> tuple[list[tuple[str, bool, dict]], duval.TheoremCertificate]:
-    results: list[tuple[str, bool, dict]] = []
-
-    for m, n_max in ((2, 4), (3, 6), (4, 8)):
-        report = codes.verify_beauville(m, n_max)
-        results.append((f"beauville m={m} n_max={n_max}", report.ok, report.to_json_dict()))
-
-    for m in (3, 4):
-        cert = codes.verify_no_extension(m)
-        half = cert.block_length // 2
-        ok = not cert.degenerate and cert.witness_weights() <= {half - 1, half + 1}
-        results.append(
-            (
-                f"no-extension m={m}",
-                ok,
-                {"m": m, "pairs": len(cert.entries), "weights": sorted(cert.witness_weights())},
-            )
-        )
-
-    for name, lat, rank in (("kummer", lattice.kummer_lattice(), 16), ("even-eight", lattice.even_eight_lattice(), 8)):
-        checks = {
-            "integral": lattice.is_integral(lat),
-            "even": lattice.is_even(lat),
-            "negative_definite": lattice.is_negative_definite(lat),
-            "determinant_64": lattice.determinant(lat) == 64,
-            "discriminant_two_elementary": lattice.discriminant_group(lat).elementary_divisors
-            == (2,) * 6,
-        }
-        if name == "kummer":
-            doubled_units = (
-                tuple(2 if t == i else 0 for t in range(rank)) for i in range(rank)
-            )
-            checks["sixteen_norm_minus_two_vectors"] = all(
-                lat.contains(v) and lat.norm_of(v) == -2 for v in doubled_units
-            )
-        results.append((f"{name} lattice", all(checks.values()), checks))
-
-    sweep_ok = True
-    for k in range(0, 101):
-        verdict = duval.classify_even_set(k).verdict
-        expected = (
-            duval.CoverVerdict.EMPTY
-            if k == 0
-            else duval.CoverVerdict.K3_COVER
-            if k == 8
-            else duval.CoverVerdict.TORUS_COVER
-            if k == 16
-            else duval.CoverVerdict.IMPOSSIBLE
-        )
-        if verdict is not expected:
-            sweep_ok = False
-    results.append(("even-set sizes 0..100", sweep_ok, {"allowed": [0, 8, 16]}))
-
-    cert = duval.verify_max_sixteen()
-    results.append(("sixteen-curve theorem", cert.ok, {"statement": cert.statement}))
-    return results, cert
-
-
 def _cmd_verify_all(ns: argparse.Namespace) -> int:
-    results, cert = _full_suite()
-    ok = all(r[1] for r in results)
+    suite = duval.verify_all()
     if ns.json:
-        _emit_json(
-            {
-                "checks": [{"name": name, "ok": good, "detail": detail} for name, good, detail in results],
-                "theorem_certificate": cert.to_json_dict(),
-                "ok": ok,
-            }
-        )
+        _emit_json(suite.to_json_dict())
     else:
-        for name, good, _ in results:
+        for name, good, _ in suite.checks:
             print(f"{'ok' if good else 'FAILED'} {name}")
-        print(f"{len(results)} checks, {'all passed' if ok else 'FAILURES PRESENT'}")
-        print(_format_theorem(cert))
-    return 0 if ok else 2
+        print(f"{len(suite.checks)} checks, {'all passed' if suite.ok else 'FAILURES PRESENT'}")
+        print(_format_theorem(suite.theorem))
+    return 0 if suite.ok else 2
 
 
 def _cmd_duval_check(ns: argparse.Namespace) -> int:
@@ -371,23 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        ns = build_parser().parse_args(argv)
+        return ns.func(ns)
     except SystemExit as exc:  # --help exits through argparse
         return 0 if exc.code in (0, None) else 1
-    try:
-        return ns.func(ns)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except codes.ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (_UsageError, codes.ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

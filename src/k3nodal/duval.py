@@ -3,8 +3,9 @@
 Covers the even-set size classification through Euler numbers, the code
 dimension bound from the second Betti number, the constraints forced on
 the code of a set of disjoint nodal curves, the assembled certificate
-that no K3 surface carries 17 of them, and the delta/mu calculator with
-admissibility verdicts for ADE singularity configurations.
+that no K3 surface carries 17 of them, the whole verification suite
+(``verify_all``), and the delta/mu calculator with admissibility verdicts
+for ADE singularity configurations.
 """
 
 from __future__ import annotations
@@ -20,8 +21,18 @@ from .codes import (
     LinearCode,
     code_d,
     is_isomorphic_to_d,
+    verify_beauville,
     verify_no_extension,
     weight_distribution,
+)
+from .lattice import (
+    determinant,
+    discriminant_group,
+    even_eight_lattice,
+    is_even,
+    is_integral,
+    is_negative_definite,
+    kummer_lattice,
 )
 
 K3_EULER = 24
@@ -158,12 +169,6 @@ def verify_max_sixteen() -> TheoremCertificate:
         and dist.counts == {0: 1, 8: 30, 16: 1}
     )
     cert = verify_no_extension(5)
-    half = cert.block_length // 2
-    seventeen_ok = (
-        not cert.degenerate
-        and len(cert.entries) == cert.block_length * (cert.block_length - 1)
-        and all(e.weight in (half - 1, half + 1) for e in cert.entries)
-    )
     return TheoremCertificate(
         statement="a complex K3 surface carries at most 16 disjoint nodal curves",
         sixteen_step=sixteen,
@@ -174,8 +179,69 @@ def verify_max_sixteen() -> TheoremCertificate:
             "witness table shows a 17th coordinate is impossible, so ruling out "
             "17 rules out every larger count"
         ),
-        ok=sixteen_ok and seventeen_ok,
+        ok=sixteen_ok and cert.ok,
     )
+
+
+@dataclass(frozen=True)
+class SuiteReport:
+    """Named (name, ok, detail) checks of the whole suite and the theorem
+    certificate they end with."""
+
+    checks: tuple[tuple[str, bool, dict], ...]
+    theorem: TheoremCertificate
+
+    @property
+    def ok(self) -> bool:
+        return all(good for _, good, _ in self.checks)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "checks": [{"name": name, "ok": good, "detail": detail} for name, good, detail in self.checks],
+            "theorem_certificate": self.theorem.to_json_dict(),
+            "ok": self.ok,
+        }
+
+
+def verify_all() -> SuiteReport:
+    """Run the verification suite, each fact of the chain once: the
+    exhaustive half-weight scans for m = 2, 3, 4, the no-extension tables
+    for m = 3, 4, the invariants of the Kummer and even-eight lattices, the
+    even-set sizes 0..100, and the sixteen-curve theorem."""
+    checks: list[tuple[str, bool, dict]] = []
+    for m, n_max in ((2, 4), (3, 6), (4, 8)):
+        report = verify_beauville(m, n_max)
+        checks.append((f"beauville m={m} n_max={n_max}", report.ok, report.to_json_dict()))
+
+    for m in (3, 4):
+        cert = verify_no_extension(m)
+        detail = {"m": m, "pairs": len(cert.entries), "weights": sorted(cert.witness_weights())}
+        checks.append((f"no-extension m={m}", cert.ok, detail))
+
+    for name, lat in (("kummer", kummer_lattice()), ("even-eight", even_eight_lattice())):
+        facts = {
+            "integral": is_integral(lat),
+            "even": is_even(lat),
+            "negative_definite": is_negative_definite(lat),
+            "determinant_64": determinant(lat) == 64,
+            "discriminant_two_elementary": discriminant_group(lat).elementary_divisors == (2,) * 6,
+        }
+        if name == "kummer":
+            doubled_units = (tuple(2 if t == i else 0 for t in range(lat.n)) for i in range(lat.n))
+            facts["sixteen_norm_minus_two_vectors"] = all(
+                lat.contains(v) and lat.norm_of(v) == -2 for v in doubled_units
+            )
+        checks.append((f"{name} lattice", all(facts.values()), facts))
+
+    expected = {0: CoverVerdict.EMPTY, 8: CoverVerdict.K3_COVER, 16: CoverVerdict.TORUS_COVER}
+    sweep_ok = all(
+        classify_even_set(k).verdict is expected.get(k, CoverVerdict.IMPOSSIBLE) for k in range(101)
+    )
+    checks.append(("even-set sizes 0..100", sweep_ok, {"allowed": [0, 8, 16]}))
+
+    theorem = verify_max_sixteen()
+    checks.append(("sixteen-curve theorem", theorem.ok, {"statement": theorem.statement}))
+    return SuiteReport(tuple(checks), theorem)
 
 
 _TERM_RE = re.compile(r"^([ADE])(\d+)(?:X(\d+))?$")

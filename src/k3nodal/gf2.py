@@ -53,11 +53,7 @@ class BitVector:
         """Parse a row of '0'/'1' characters; the first character is coordinate 0."""
         if not text or set(text) - {"0", "1"}:
             raise ValueError(f"not a 0/1 row: {text!r}")
-        bits = 0
-        for j, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << j
-        return cls(len(text), bits)
+        return cls(len(text), int(text[::-1], 2))
 
     @property
     def weight(self) -> int:
@@ -83,7 +79,7 @@ class BitVector:
         return BitVector(self.length, self.bits ^ other.bits)
 
     def __str__(self) -> str:
-        return "".join("1" if (self.bits >> j) & 1 else "0" for j in range(self.length))
+        return format(self.bits, f"0{self.length}b")[::-1]
 
 
 def dot(a: BitVector, b: BitVector) -> int:

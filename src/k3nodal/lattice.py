@@ -12,6 +12,7 @@ even eight-set.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,30 +176,6 @@ def is_even(lat: CodeLattice) -> bool:
     return all(lat.gram2[i][i] % 4 == 0 for i in range(lat.n))
 
 
-def _det_int(mat: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            swap = next((i for i in range(t + 1, n) if a[i][t]), None)
-            if swap is None:
-                return 0
-            a[t], a[swap] = a[swap], a[t]
-            sign = -sign
-        piv = a[t][t]
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * piv - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = piv
-    return sign * a[n - 1][n - 1]
-
-
 def _leading_minors_int(gram2: Sequence[Sequence[int]]) -> Iterator[int]:
     """Leading principal minors of a doubled Gram matrix, in order.
 
@@ -232,8 +209,9 @@ def determinant(lat: CodeLattice) -> Fraction:
 
 
 def basis_determinant(lat: CodeLattice) -> int:
-    """Determinant of the basis matrix; its absolute value is the index in Z^n."""
-    return _det_int(lat.basis)
+    """Determinant of the basis matrix; its absolute value is the index in Z^n.
+    The basis is triangular, so this is the product of its diagonal."""
+    return math.prod(lat.basis[i][i] for i in range(lat.n))
 
 
 def leading_principal_minors(lat: CodeLattice) -> tuple[Fraction, ...]:

@@ -102,6 +102,16 @@ def naive_is_rref(rows: list[int]) -> bool:
     return all(sum((b >> lead) & 1 for b in nonzero) == 1 for lead in leads)
 
 
+def naive_reed_muller_rows(max_degree: int, m: int) -> list[list[int]]:
+    """Evaluation rows of the monomials of degree <= max_degree on F_2^m,
+    point by point: entry j is the product of the chosen bits of j."""
+    return [
+        [int(all((j >> v) & 1 for v in variables)) for j in range(1 << m)]
+        for degree in range(max_degree + 1)
+        for variables in itertools.combinations(range(m), degree)
+    ]
+
+
 def naive_det(mat: list[list[Fraction]]) -> Fraction:
     """Determinant by Gaussian elimination over the rationals, swapping in
     the first nonzero pivot of each column."""

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from k3nodal import duval
 from k3nodal.cli import run
 
 EQ2_ROWS = [
@@ -179,13 +181,42 @@ def test_duval_classify(capsys):
         ["code", "d", "--m", "1"],
         ["duval", "check", "A1x0"],
         ["verify", "beauville", "--m", "40"],
+        ["code", "d", "--m", "22"],
+        ["code", "d", "--m", "30"],
+        ["code", "rm", "--degree", "1", "--m", "26"],
     ],
 )
 def test_errors_exit_one(argv, capsys):
+    t0 = time.perf_counter()
     rc, out, err = _capture(capsys, argv)
+    assert time.perf_counter() - t0 < 1
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_verify_all_json_is_the_library_report(capsys):
+    rc, out, _ = _capture(capsys, ["verify", "all", "--json"])
+    assert rc == 0
+    assert json.loads(out) == duval.verify_all().to_json_dict()
+
+
+def test_verify_all_reports_a_failed_check(capsys, monkeypatch):
+    def wrong(k):
+        return duval.EvenSetClass(k, duval.CoverVerdict.K3_COVER, 48 - 3 * k)
+
+    monkeypatch.setattr(duval, "classify_even_set", wrong)
+    rc, out, _ = _capture(capsys, ["verify", "all"])
+    assert rc == 2
+    lines = out.splitlines()
+    assert "FAILED even-set sizes 0..100" in lines
+    assert "9 checks, FAILURES PRESENT" in lines
+    assert lines[-1].startswith("THEOREM VERIFIED")  # the theorem does not use the sweep
+    rc, out, _ = _capture(capsys, ["verify", "all", "--json"])
+    assert rc == 2
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert [c["name"] for c in payload["checks"] if not c["ok"]] == ["even-set sizes 0..100"]
 
 
 def test_help_exits_zero(capsys):

@@ -5,7 +5,10 @@ import random
 import pytest
 
 from k3nodal.codes import (
+    MAX_GENERATOR_BITS,
     SUBSPACE_BUDGET,
+    ExtensionCertificate,
+    ExtensionWitness,
     LinearCode,
     ResourceLimitError,
     code_d,
@@ -27,6 +30,7 @@ from k3nodal.gf2 import BitVector, Gf2Matrix, parse_matrix_text
 from oracles import (
     gray_weight_distribution,
     macwilliams_dual_counts,
+    naive_reed_muller_rows,
     naive_weight_distribution,
     qbinom_recursive,
 )
@@ -188,6 +192,27 @@ def test_reed_muller_degenerate_orders():
         reed_muller(-1, 3)
     with pytest.raises(ValueError):
         reed_muller(0, 0)
+
+
+def test_reed_muller_generators_match_pointwise_oracle():
+    for m in range(1, 9):
+        for degree in range(m + 1):
+            gens = reed_muller_generators(degree, m)
+            assert [list(r.coords()) for r in gens.rows] == naive_reed_muller_rows(degree, m)
+            assert gens.cols == 1 << m
+
+
+def test_reed_muller_generator_budget():
+    # RM(1, 17) has 18 rows of 2^17 bits; RM(1, 18) has 19 rows of 2^18
+    assert 18 << 17 <= MAX_GENERATOR_BITS < 19 << 18
+    gens = reed_muller_generators(1, 17)
+    assert gens.rows[0].weight == 1 << 17
+    assert all(r.weight == 1 << 16 for r in gens.rows[1:])
+    for degree, m in ((1, 18), (1, 21), (1, 26), (3, 14), (0, 23)):
+        with pytest.raises(ResourceLimitError):
+            reed_muller_generators(degree, m)
+    with pytest.raises(ResourceLimitError):
+        code_d(22)
 
 
 def test_code_d_family():
@@ -378,6 +403,22 @@ def test_verify_no_extension_m2_degenerate():
     cert = verify_no_extension(2)
     assert cert.degenerate
     assert cert.witness_weights() <= {0, 2}
+
+
+def test_extension_certificate_ok():
+    for m in (3, 4, 5):
+        assert verify_no_extension(m).ok
+    assert not verify_no_extension(2).ok  # degenerate
+    cert = verify_no_extension(4)
+    short = ExtensionCertificate(cert.m, cert.block_length, cert.degenerate, cert.entries[:-1])
+    assert not short.ok
+
+
+def test_extension_certificate_refuses_half_weight():
+    cert = verify_no_extension(4)
+    bad = ExtensionWitness(0, 1, 0, cert.block_length // 2)
+    with pytest.raises(ValueError):
+        ExtensionCertificate(cert.m, cert.block_length, False, cert.entries[:-1] + (bad,))
 
 
 def test_verify_no_extension_range():

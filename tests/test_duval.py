@@ -1,19 +1,23 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from k3nodal.codes import code_d
+from k3nodal import duval
+from k3nodal.codes import ExtensionCertificate, code_d
 from k3nodal.duval import (
     CoverVerdict,
     DuValConfig,
+    SuiteReport,
     admissible,
     classify_even_set,
     code_dim_lower_bound,
     delta,
     milnor,
     nodal_code_constraints,
+    verify_all,
     verify_max_sixteen,
 )
 from k3nodal.codes import LinearCode
@@ -210,3 +214,43 @@ def test_verify_max_sixteen_deterministic():
     a = json.dumps(verify_max_sixteen().to_json_dict(), sort_keys=True, indent=2)
     b = json.dumps(verify_max_sixteen().to_json_dict(), sort_keys=True, indent=2)
     assert a.encode() == b.encode()
+
+
+def test_verify_all_checks_in_order():
+    suite = verify_all()
+    assert [name for name, _, _ in suite.checks] == [
+        "beauville m=2 n_max=4",
+        "beauville m=3 n_max=6",
+        "beauville m=4 n_max=8",
+        "no-extension m=3",
+        "no-extension m=4",
+        "kummer lattice",
+        "even-eight lattice",
+        "even-set sizes 0..100",
+        "sixteen-curve theorem",
+    ]
+    assert suite.ok and suite.theorem.ok
+    assert all(good for _, good, _ in suite.checks)
+    assert suite.checks[3][2] == {"m": 3, "pairs": 12, "weights": [1, 3]}
+    assert suite.checks[-1][2] == {"statement": suite.theorem.statement}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        suite.checks = ()
+
+
+def test_suite_report_ok_needs_every_check():
+    suite = verify_all()
+    broken = SuiteReport(suite.checks + (("extra", False, {}),), suite.theorem)
+    assert not broken.ok
+    assert broken.to_json_dict()["ok"] is False
+    assert broken.to_json_dict()["theorem_certificate"]["ok"] is True
+
+
+def test_theorem_refuted_by_an_incomplete_witness_table(monkeypatch):
+    full = duval.verify_no_extension
+
+    def short(m):
+        cert = full(m)
+        return ExtensionCertificate(cert.m, cert.block_length, cert.degenerate, cert.entries[:-1])
+
+    monkeypatch.setattr(duval, "verify_no_extension", short)
+    assert not verify_max_sixteen().ok

@@ -74,6 +74,17 @@ def test_bitvector_validation():
     assert str(v) == "0110"
 
 
+def test_bitvector_text_roundtrip():
+    rng = random.Random(11)
+    for n in (1, 2, 7, 64, 65, 1000, 1 << 14):
+        v = BitVector(n, rng.getrandbits(n))
+        text = str(v)
+        assert text == "".join(str(v[j]) for j in range(n))
+        assert BitVector.from_string(text) == v
+    assert str(BitVector(5, 0)) == "00000"
+    assert BitVector.from_string("00001") == BitVector.unit(5, 4)
+
+
 def test_rref_identity():
     eye = Gf2Matrix.identity(3)
     res = rref(eye)

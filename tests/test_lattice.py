@@ -116,7 +116,8 @@ def test_determinant_formula_random():
         c = _random_code(rng, n)
         assert determinant(gamma_from_code(c, 1)) == Fraction(2 ** (n - 2 * c.k))
         assert determinant(gamma_from_code(c, -1)) == (-1) ** n * Fraction(2 ** (n - 2 * c.k))
-        assert abs(basis_determinant(gamma_from_code(c, 1))) == 2 ** (n - c.k)
+        lat = gamma_from_code(c, 1)
+        assert basis_determinant(lat) == naive_det(lat.basis) == 2 ** (n - c.k)
 
 
 def test_gram_negation():
@@ -225,6 +226,7 @@ def test_leading_minors_of_singular_lattices():
             tuple(sign * sum(x * y for x, y in zip(bi, bj)) for bj in basis) for bi in basis
         )
         lat = CodeLattice(n, sign, tuple(basis), gram2)
+        assert basis_determinant(lat) == naive_det(lat.basis)
         minors = _check_against_oracle(lat)
         assert not any(minors[minors.index(0) :])
         assert not is_negative_definite(lat)
