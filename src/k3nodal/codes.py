@@ -28,6 +28,7 @@ from .gf2 import BitVector, Gf2Matrix, _rref_ints, kernel, rref, is_rref, transp
 
 MAX_ENUM_DIM = 28
 MAX_GENERATOR_BITS = 1 << 22
+MAX_LATTICE_RANK = 256
 MAX_PERM_SEARCH_LEN = 16
 MAX_EXHAUSTIVE_DIM = 4
 SUBSPACE_BUDGET = 1_000_000
@@ -112,8 +113,9 @@ def from_generators(rows: Gf2Matrix | Sequence[BitVector]) -> LinearCode:
 
 
 def dual(c: LinearCode) -> LinearCode:
-    """The orthogonal code under the coordinate dot product; dim = n - k."""
-    return from_generators(kernel(c.gen))
+    """The orthogonal code under the coordinate dot product; dim = n - k.
+    ``kernel`` already returns the reduced echelon basis."""
+    return LinearCode(c.n, c.n - c.k, kernel(c.gen))
 
 
 def is_isotropic(c: LinearCode) -> bool:

@@ -12,13 +12,14 @@ even eight-set.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .codes import LinearCode, code_d, from_generators
+from .codes import MAX_LATTICE_RANK, LinearCode, ResourceLimitError, code_d, from_generators
 from .gf2 import Gf2Matrix
 
 
@@ -29,7 +30,10 @@ class CodeLattice:
     The true Gram matrix is gram2 / 2; keeping the doubled copy as plain
     integers keeps every computation exact without a fraction type in hot
     paths.  The basis is upper triangular with respect to the leading
-    coordinate, which makes membership a back-substitution.
+    coordinate, which makes membership a back-substitution.  The leading
+    minors and the Smith diagonal are computed on first use and kept on
+    the instance; they are not fields, so equality, hashing and repr are
+    those of the four fields.
     """
 
     n: int
@@ -50,6 +54,16 @@ class CodeLattice:
             raise ValueError("basis must be triangular by leading coordinate")
         if self.gram2 != _gram2(self.basis, self.sign):
             raise ValueError("gram2 does not match the basis")
+
+    @functools.cached_property
+    def _minors2(self) -> tuple[int, ...]:
+        """Leading principal minors of gram2, from one Bareiss pass."""
+        return _leading_minors_int(self.gram2)
+
+    @functools.cached_property
+    def _smith(self) -> tuple[int, ...]:
+        """Smith diagonal of gram2 // 2, the true Gram matrix when integral."""
+        return tuple(_smith_diagonal([[e // 2 for e in row] for row in self.gram2]))
 
     def gram_entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.gram2[i][j], 2)
@@ -95,9 +109,15 @@ class CodeLattice:
 
 
 def _gram2(basis: Sequence[Sequence[int]], sign: int) -> tuple[tuple[int, ...], ...]:
-    """Doubled Gram matrix sign * B B^T of the basis rows."""
+    """Doubled Gram matrix sign * B B^T of a triangular basis (row i is
+    zero before coordinate i): the products on and right of the diagonal,
+    each summed from coordinate j on, mirrored below it."""
+    upper = [
+        [sign * sum(map(operator.mul, bi[j:], bj[j:])) for j, bj in enumerate(basis[i:], i)]
+        for i, bi in enumerate(basis)
+    ]
     return tuple(
-        tuple(sign * sum(map(operator.mul, bi, bj)) for bj in basis) for bi in basis
+        tuple([upper[j][i - j] for j in range(i)] + row) for i, row in enumerate(upper)
     )
 
 
@@ -118,10 +138,7 @@ class DiscriminantGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.elementary_divisors:
-            out *= d
-        return out
+        return math.prod(self.elementary_divisors)
 
     def __str__(self) -> str:
         if not self.elementary_divisors:
@@ -136,10 +153,15 @@ def gamma_from_code(code: LinearCode, sign: int = 1) -> CodeLattice:
     for every non-pivot coordinate j; sorted by leading coordinate it is
     upper triangular with diagonal 1 at pivots and 2 elsewhere, so the
     index in Z^n is visibly 2^(n-k) and det(gram) = sign^n * 2^(n-2k).
+    Ranks above MAX_LATTICE_RANK are refused before any basis is built.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     n = code.n
+    if n > MAX_LATTICE_RANK:
+        raise ResourceLimitError(
+            f"a lattice of rank {n} exceeds the rank budget of {MAX_LATTICE_RANK}"
+        )
     by_leading: dict[int, tuple[int, ...]] = {}
     for row in code.gen.rows:
         by_leading[row.support()[0]] = row.coords()
@@ -176,36 +198,40 @@ def is_even(lat: CodeLattice) -> bool:
     return all(lat.gram2[i][i] % 4 == 0 for i in range(lat.n))
 
 
-def _leading_minors_int(gram2: Sequence[Sequence[int]]) -> Iterator[int]:
-    """Leading principal minors of a doubled Gram matrix, in order.
+def _leading_minors_int(gram2: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Leading principal minors of a symmetric doubled Gram matrix, in order.
 
     One fraction-free (Bareiss) pass without row swaps: the t-th pivot is
-    the t-th leading principal minor, yielded as soon as it is reached,
-    so a caller that stops early pays only for the pivots it consumed.
+    the t-th leading principal minor.  Every step keeps the matrix
+    symmetric, so each row is stored from its diagonal onward and entry
+    (i, j), j >= i, becomes (a_ij * piv - a_0i * a_0j) // prev.
+    ``CodeLattice`` runs this once per lattice and keeps the result, which
+    serves the determinant, the minors and the definiteness test.
     """
-    rows = gram2
+    n = len(gram2)
+    rows = [row[i:] for i, row in enumerate(gram2)]
+    minors = []
     prev = 1
-    for t in range(len(gram2)):
+    for t in range(n):
         pivot_row = rows[0]
         piv = pivot_row[0]
-        yield piv
+        minors.append(piv)
         if piv == 0:
             # gram2 = sign * B B^T is semidefinite, so a kernel vector of a
             # leading block, padded with zeros, is one of every larger block.
-            yield from [0] * (len(gram2) - t - 1)
-            return
-        tail = pivot_row[1:]
+            minors += [0] * (n - t - 1)
+            break
         rows = [
-            [(x * piv - row[0] * y) // prev for x, y in zip(row[1:], tail)]
-            for row in rows[1:]
+            [(x * piv - a * y) // prev for x, y in zip(row, pivot_row[i:])]
+            for i, (row, a) in enumerate(zip(rows[1:], pivot_row[1:]), start=1)
         ]
         prev = piv
+    return tuple(minors)
 
 
 def determinant(lat: CodeLattice) -> Fraction:
     """Exact determinant of the true Gram matrix: det(gram2) / 2^n."""
-    *_, det = _leading_minors_int(lat.gram2)
-    return Fraction(det, 2**lat.n)
+    return Fraction(lat._minors2[-1], 2**lat.n)
 
 
 def basis_determinant(lat: CodeLattice) -> int:
@@ -216,27 +242,26 @@ def basis_determinant(lat: CodeLattice) -> int:
 
 def leading_principal_minors(lat: CodeLattice) -> tuple[Fraction, ...]:
     """Exact leading principal minors of the true Gram matrix."""
-    return tuple(
-        Fraction(d, 2**t) for t, d in enumerate(_leading_minors_int(lat.gram2), start=1)
-    )
+    return tuple(Fraction(d, 2**t) for t, d in enumerate(lat._minors2, start=1))
 
 
 def is_negative_definite(lat: CodeLattice) -> bool:
     """Sylvester test: leading principal minors alternate in sign starting
-    negative; any zero minor disqualifies."""
-    for t, d in enumerate(_leading_minors_int(lat.gram2), start=1):
-        if d == 0 or (d > 0) != (t % 2 == 0):
-            return False
-    return True
+    negative; any zero minor disqualifies.  The first minor is gram2[0][0],
+    so a lattice failing there is rejected without the elimination."""
+    if lat.gram2[0][0] >= 0:
+        return False
+    return all(d != 0 and (d > 0) == (t % 2 == 0) for t, d in enumerate(lat._minors2, start=1))
 
 
 def _smith_diagonal(mat: Sequence[Sequence[int]]) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
-    Exact integer elimination, pivoting on the entry of smallest nonzero
-    absolute value; restarts whenever a division leaves a remainder (the
-    remainder is strictly smaller, so the process terminates).  Returned
-    entries are nonnegative and each divides the next.
+    Exact integer elimination, pivoting on the first entry (row by row) of
+    smallest nonzero absolute value; restarts whenever a division leaves a
+    remainder (the remainder is strictly smaller, so the process
+    terminates).  Returned entries are nonnegative and each divides the
+    next.
     """
     a = [list(r) for r in mat]
     nr = len(a)
@@ -245,10 +270,17 @@ def _smith_diagonal(mat: Sequence[Sequence[int]]) -> list[int]:
     t = 0
     while t < min(nr, nc):
         best = None
+        least = 0
         for i in range(t, nr):
+            row = a[i]
             for j in range(t, nc):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                x = abs(row[j])
+                if x and (best is None or x < least):
+                    best, least = (i, j), x
+                    if x == 1:
+                        break
+            if least == 1:
+                break
         if best is None:
             break
         bi, bj = best
@@ -257,37 +289,33 @@ def _smith_diagonal(mat: Sequence[Sequence[int]]) -> list[int]:
         if bj != t:
             for row in a:
                 row[t], row[bj] = row[bj], row[t]
+        pivot_row = a[t]
+        p = pivot_row[t]
         restart = False
         for i in range(t + 1, nr):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
+            row = a[i]
+            if row[t]:
+                q = row[t] // p
                 if q:
-                    for j in range(nc):
-                        a[i][j] -= q * a[t][j]
-                if a[i][t]:
+                    a[i] = row = [x - q * y for x, y in zip(row, pivot_row)]
+                if row[t]:
                     restart = True
         if restart:
             continue
-        for j in range(t + 1, nc):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                if q:
-                    for i in range(nr):
-                        a[i][j] -= q * a[i][t]
-                if a[t][j]:
-                    restart = True
-        if restart:
+        # column t is now zero outside row t, so a column operation changes
+        # row t alone: x - (x // p) * p is x % p
+        tail = [x % p for x in pivot_row[t + 1 :]]
+        pivot_row[t + 1 :] = tail
+        if any(tail):
             continue
-        offender = None
-        for i in range(t + 1, nr):
-            if any(a[i][j] % a[t][t] for j in range(t + 1, nc)):
-                offender = i
-                break
-        if offender is not None:
-            for j in range(nc):
-                a[t][j] += a[offender][j]
-            continue
-        diag.append(abs(a[t][t]))
+        if least != 1:
+            offender = next(
+                (i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 :])), None
+            )
+            if offender is not None:
+                a[t] = [x + y for x, y in zip(pivot_row, a[offender])]
+                continue
+        diag.append(least)
         t += 1
     return diag
 
@@ -297,8 +325,7 @@ def discriminant_group(lat: CodeLattice) -> DiscriminantGroup:
     groups, from the Smith normal form."""
     if not is_integral(lat):
         raise ValueError("discriminant group requires an integral lattice")
-    gram = [[e // 2 for e in row] for row in lat.gram2]
-    diag = _smith_diagonal(gram)
+    diag = lat._smith
     if len(diag) < lat.n or any(d == 0 for d in diag):
         raise ValueError("degenerate Gram matrix has no finite discriminant group")
     return DiscriminantGroup(tuple(d for d in diag if d > 1))

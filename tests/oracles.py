@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 
 def naive_rref(rows: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
@@ -138,6 +138,26 @@ def naive_leading_minors(mat: list[list[Fraction]]) -> list[Fraction]:
     """Leading principal minors, each from its own elimination of the
     leading t x t block."""
     return [naive_det([row[:t] for row in mat[:t]]) for t in range(1, len(mat) + 1)]
+
+
+def naive_smith_diagonal(mat: list[list[int]]) -> list[int]:
+    """Nonzero Smith invariants from determinantal divisors: d_k is the gcd
+    of all k x k minors and s_k = d_k / d_(k-1), up to the rank.  Every
+    minor is computed on its own, so this is for small matrices only."""
+    nr = len(mat)
+    nc = len(mat[0]) if mat else 0
+    out: list[int] = []
+    prev = 1
+    for k in range(1, min(nr, nc) + 1):
+        d = 0
+        for rows in itertools.combinations(range(nr), k):
+            for cols in itertools.combinations(range(nc), k):
+                d = gcd(d, int(naive_det([[mat[i][j] for j in cols] for i in rows])))
+        if d == 0:
+            break
+        out.append(d // prev)
+        prev = d
+    return out
 
 
 def qbinom_recursive(n: int, k: int, q: int = 2, _memo: dict = {}) -> int:

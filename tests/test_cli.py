@@ -195,6 +195,21 @@ def test_errors_exit_one(argv, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("m", [9, 10])
+def test_lattice_gamma_rank_budget(m, capsys, tmp_path):
+    # RM(1, m) has length 2^m > MAX_LATTICE_RANK
+    assert run(["code", "rm", "--degree", "1", "--m", str(m)]) == 0
+    path = tmp_path / f"rm1_{m}.txt"
+    path.write_text(capsys.readouterr().out)
+    t0 = time.perf_counter()
+    rc, out, err = _capture(capsys, ["lattice", "gamma", "--in", str(path), "--json"])
+    assert time.perf_counter() - t0 < 1
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "rank budget" in err
+
+
 def test_verify_all_json_is_the_library_report(capsys):
     rc, out, _ = _capture(capsys, ["verify", "all", "--json"])
     assert rc == 0

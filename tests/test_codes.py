@@ -26,7 +26,7 @@ from k3nodal.codes import (
     verify_no_extension,
     weight_distribution,
 )
-from k3nodal.gf2 import BitVector, Gf2Matrix, parse_matrix_text
+from k3nodal.gf2 import BitVector, Gf2Matrix, kernel, parse_matrix_text
 from oracles import (
     gray_weight_distribution,
     macwilliams_dual_counts,
@@ -101,6 +101,16 @@ def test_dual_dimension_and_involution():
         c = _random_code(rng, n)
         d = dual(c)
         assert c.k + d.k == n
+        assert dual(d) == c
+
+
+def test_dual_is_the_reduced_kernel():
+    rng = random.Random(29)
+    codes = [LinearCode.zero(1), LinearCode.zero(9), LinearCode.full(1), LinearCode.full(9)]
+    codes += [_random_code(rng, rng.randint(1, 40)) for _ in range(120)]
+    for c in codes:
+        d = dual(c)
+        assert d == from_generators(kernel(c.gen))
         assert dual(d) == c
 
 

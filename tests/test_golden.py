@@ -2,9 +2,10 @@
 
 Each CLI entry is the sha256 of the exit code, stdout and stderr of one
 command run in-process through ``cli.run``; each demo entry is the sha256
-of the demo's stdout.  The digests were recorded before the verification
-suite moved from the CLI into the library, and pin every byte of the
-output that refactors of the CLI or the library must keep.
+of the demo's stdout.  Each digest was recorded before the change it
+guards (the rank-64 ``lattice gamma`` runs before the lattice invariants
+were cached), and pins every byte of the output that refactors of the CLI
+or the library must keep.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ D5_TEXT = "\n".join(
     ]
 ) + "\n"
 
-# "D5" in an argv stands for the path of a file holding D5_TEXT
+# "D5" in an argv stands for the path of a file holding D5_TEXT, and "RM26"
+# for the path of a file holding what ``code rm --degree 2 --m 6`` prints
+# (an integral code lattice of rank 64)
 GOLDEN_CLI = {
     "verify all": "61250777e1f3bea3dd60de2c8487eb4e2725d3fea450afa760f32fcb4a219485",
     "verify all --json": "ebcb6bfc5e79358fb8674689fcc36922c45a69ffafc1a0e6719cf6cd9371328b",
@@ -70,6 +73,8 @@ GOLDEN_CLI = {
     "code d --m 1": "0397fc9b4c482a7415b6858e121c36e49b601e1fe12da1a1595beb27f7b8b8b5",
     "duval check A1x0": "4b5ae2f448124ec9d31797a12fca9340b5b2f69bc453b779600c9ecdfbf4c85b",
     "verify beauville --m 40": "8961a9375a314d960d6bd1470ebe9ec0ca5e1a8fd06f73862f28af37d366c799",
+    "lattice gamma --in RM26": "a3870570388b8a2626d7b6435b308cd915dd19e88c85e6112ff33cf2be621ff2",
+    "lattice gamma --in RM26 --neg --json": "0146a3e7ba13f96ecd6c8ea61f6ba606c19e2ecd3d62881d0a81b168ae019b05",
 }
 
 GOLDEN_DEMOS = {
@@ -87,8 +92,8 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def cli_digest(command: str, d5_path: Path, capsys) -> str:
-    argv = [str(d5_path) if arg == "D5" else arg for arg in command.split()]
+def cli_digest(command: str, code_files: dict[str, Path], capsys) -> str:
+    argv = [str(code_files.get(arg, arg)) for arg in command.split()]
     capsys.readouterr()
     rc = run(argv)
     captured = capsys.readouterr()
@@ -103,15 +108,18 @@ def demo_digest(name: str) -> str:
 
 
 @pytest.fixture
-def d5_path(tmp_path):
-    path = tmp_path / "d5.txt"
-    path.write_text(D5_TEXT)
-    return path
+def code_files(tmp_path, capsys):
+    d5 = tmp_path / "d5.txt"
+    d5.write_text(D5_TEXT)
+    assert run(["code", "rm", "--degree", "2", "--m", "6"]) == 0
+    rm26 = tmp_path / "rm26.txt"
+    rm26.write_text(capsys.readouterr().out)
+    return {"D5": d5, "RM26": rm26}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_CLI))
-def test_cli_output_matches_golden(command, d5_path, capsys):
-    assert cli_digest(command, d5_path, capsys) == GOLDEN_CLI[command]
+def test_cli_output_matches_golden(command, code_files, capsys):
+    assert cli_digest(command, code_files, capsys) == GOLDEN_CLI[command]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DEMOS))

@@ -19,8 +19,9 @@ from k3nodal.lattice import (
     is_negative_definite,
     kummer_lattice,
     leading_principal_minors,
+    _smith_diagonal,
 )
-from oracles import naive_det, naive_leading_minors
+from oracles import naive_det, naive_leading_minors, naive_smith_diagonal
 
 
 def _random_code(rng, n):
@@ -230,6 +231,98 @@ def test_leading_minors_of_singular_lattices():
         minors = _check_against_oracle(lat)
         assert not any(minors[minors.index(0) :])
         assert not is_negative_definite(lat)
+
+
+def _small_isotropic_code(rng, n):
+    # random even-weight words orthogonal to every word already taken
+    rows = []
+    for _ in range(rng.randint(0, n)):
+        w = rng.getrandbits(n)
+        if w.bit_count() % 2 == 0 and all((w & r).bit_count() % 2 == 0 for r in rows):
+            rows.append(w)
+    return from_generators(Gf2Matrix.from_ints(rows, n))
+
+
+def test_smith_diagonal_matches_determinantal_divisors():
+    rng = random.Random(107)
+    assert _smith_diagonal([]) == naive_smith_diagonal([]) == []
+    for _ in range(300):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        bound = rng.choice([1, 2, 6, 40])
+        density = rng.random()
+        mat = [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        if rng.random() < 0.3:
+            mat[rng.randrange(nr)] = [0] * nc
+        if rng.random() < 0.3:
+            j = rng.randrange(nc)
+            for row in mat:
+                row[j] = 0
+        assert _smith_diagonal(mat) == naive_smith_diagonal(mat)
+
+
+def test_smith_diagonal_of_isotropic_code_grams():
+    rng = random.Random(109)
+    for _ in range(40):
+        c = _small_isotropic_code(rng, rng.randint(1, 6))
+        lat = gamma_from_code(c, rng.choice([1, -1]))
+        gram = [[e // 2 for e in row] for row in lat.gram2]
+        diag = _smith_diagonal(gram)
+        assert diag == naive_smith_diagonal(gram)
+        assert tuple(d for d in diag if d > 1) == discriminant_group(lat).elementary_divisors
+
+
+_INVARIANTS = {
+    "determinant": determinant,
+    "minors": leading_principal_minors,
+    "negative_definite": is_negative_definite,
+    "discriminant_group": discriminant_group,
+    "json": CodeLattice.to_json_dict,
+}
+
+
+def _invariants_in_order(lat, order):
+    out = {}
+    for name in order:
+        try:
+            out[name] = _INVARIANTS[name](lat)
+        except ValueError as exc:
+            out[name] = ("ValueError", str(exc))
+    return out
+
+
+def test_invariants_do_not_depend_on_call_order():
+    rng = random.Random(113)
+    degenerate = (CodeLattice, (2, 1, ((1, 1), (0, 0)), ((2, 0), (0, 0))))
+    lattices = [degenerate]
+    for _ in range(40):
+        n = rng.randint(1, 16)
+        c = _small_isotropic_code(rng, n) if rng.random() < 0.5 else _random_code(rng, n)
+        lattices.append((gamma_from_code, (c, rng.choice([1, -1]))))
+    for build, args in lattices:
+        first, second = build(*args), build(*args)
+        order = list(_INVARIANTS)  # the determinant first, the JSON document last
+        a = _invariants_in_order(first, order)
+        b = _invariants_in_order(second, order[::-1])
+        assert a == b
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(second) == repr(build(*args))
+        if (build, args) == degenerate:
+            error = ("ValueError", "degenerate Gram matrix has no finite discriminant group")
+            assert a["discriminant_group"] == error
+
+
+def test_positive_lattice_fails_definiteness_without_elimination():
+    rng = random.Random(127)
+    for _ in range(20):
+        lat = gamma_from_code(_random_code(rng, rng.randint(1, 12)), 1)
+        assert not is_negative_definite(lat)
+        assert "_minors2" not in vars(lat)
+    kummer = kummer_lattice()
+    assert is_negative_definite(kummer)
+    assert "_minors2" in vars(kummer)
 
 
 def test_code_from_overlattice_examples():
