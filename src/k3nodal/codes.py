@@ -1,6 +1,6 @@
 """Binary linear codes: Reed-Muller construction, the affine-functions
 family D_m, duality, isotropy, exact weight enumeration, coordinate
-projections and shortenings, and two exhaustively verified extremal facts:
+projections, and two exhaustively verified extremal facts:
 
 * ``verify_beauville`` checks, over every dimension-m subspace of F_2^n,
   that a code whose nonzero weights all reach half the length needs
@@ -292,22 +292,6 @@ def project(c: LinearCode, coords: Sequence[int]) -> LinearCode:
     return from_generators(Gf2Matrix.from_ints(rows, len(keep)))
 
 
-def shorten(c: LinearCode, coords: Sequence[int]) -> LinearCode:
-    """Codewords supported inside the given coordinates, restricted to them."""
-    keep = _validate_coords(c.n, coords)
-    kept = set(keep)
-    outside = [j for j in range(c.n) if j not in kept]
-    gens = c.gen.row_bits()
-    if not outside or c.k == 0:
-        messages: Sequence[int] = [1 << i for i in range(c.k)]
-    else:
-        # messages u with u . G zero outside the kept coordinates
-        restricted = Gf2Matrix.from_ints([_restrict_bits(g, outside) for g in gens], len(outside))
-        messages = kernel(transpose(restricted)).row_bits()
-    rows = [_restrict_bits(_encode(gens, u), keep) for u in messages]
-    return from_generators(Gf2Matrix.from_ints(rows, len(keep)))
-
-
 def is_isomorphic_to_d(c: LinearCode) -> bool:
     """Extremal characterization: with m = dim C, the length is exactly
     2^(m-1) and every nonzero weight reaches half the length.  Codes
@@ -316,6 +300,21 @@ def is_isomorphic_to_d(c: LinearCode) -> bool:
     if c.k < 1 or c.n != 1 << (c.k - 1):
         return False
     return all(2 * w >= c.n for w in weight_distribution(c).nonzero_weights())
+
+
+def _is_d_code(c: LinearCode) -> bool:
+    """True when c is a coordinate permutation of D_m, m = dim C >= 2.
+
+    D_m has length 2^(m-1), contains the all-ones word and has pairwise
+    distinct generator columns.  Conversely, column j of the generator
+    matrix is a vector v_j of F_2^m and the all-ones word is u.G for some
+    message u, so every v_j lies on the affine hyperplane u.v = 1, which
+    has 2^(m-1) points; 2^(m-1) distinct columns cover it once each, as
+    the columns of D_m do in a suitable basis.  O(n m) work.
+    """
+    if c.k < 2 or c.n != 1 << (c.k - 1) or BitVector.ones(c.n) not in c:
+        return False
+    return len(set(transpose(c.gen).row_bits())) == c.n
 
 
 def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
@@ -572,8 +571,8 @@ def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -
     visited once; the per-n count is cross-checked against the q-binomial).
     For larger m it samples ``samples`` random dimension-m codes per n from
     a seeded generator, always including D_m itself at the extremal length.
-    The equivalence half of (b) uses the backtracking oracle up to its
-    length budget; beyond that only the weight spectrum is asserted.
+    (b) is decided at every length by the generator columns (``_is_d_code``);
+    D_m has nonzero weights exactly {n/2, n}, so that covers the spectrum.
     Violations are collected as counterexample strings; ``ok`` means none.
     Both modes are bounded by SUBSPACE_BUDGET: the exhaustive scan by the
     q-binomial count, the sampled scan by samples * (n_max - m + 1),
@@ -590,7 +589,6 @@ def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -
             f"the budget of {SUBSPACE_BUDGET}"
         )
     extremal_n = 1 << (m - 1)
-    reference = code_d(m)
     flips = [(u & -u).bit_length() - 1 for u in range(1, 1 << m)]
     per_n: list[SubspaceCount] = []
     counterexamples: list[str] = []
@@ -606,11 +604,7 @@ def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -
             )
         elif n == extremal_n:
             extremal_count += 1
-            code = from_generators(Gf2Matrix.from_ints(list(rows), n))
-            wts = weight_distribution(code).nonzero_weights()
-            if wts != {n // 2, n}:
-                counterexamples.append(f"n={n}: extremal code [{desc}] has weights {sorted(wts)}")
-            elif n <= MAX_PERM_SEARCH_LEN and not permutation_equivalent(code, reference):
+            if not _is_d_code(from_generators(Gf2Matrix.from_ints(list(rows), n))):
                 counterexamples.append(f"n={n}: extremal code [{desc}] is not equivalent to D_{m}")
 
     if exhaustive:
@@ -642,7 +636,7 @@ def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -
         for n in range(m, n_max + 1):
             bases: list[list[int]] = []
             if n == extremal_n:
-                bases.append(list(reference.gen.row_bits()))
+                bases.append(list(code_d(m).gen.row_bits()))
             while len(bases) < samples:
                 rows, pivots = _rref_ints([rng.getrandbits(n) for _ in range(m)], n)
                 if len(pivots) == m:

@@ -307,9 +307,6 @@ class DuValConfig:
         ]
         return ",".join(parts) if parts else "(empty)"
 
-    def is_empty(self) -> bool:
-        return not (self.a or self.d or self.e)
-
 
 def _delta_per_singularity(letter: str, n: int) -> int:
     # disjoint nodal curves extracted from one singularity of the type

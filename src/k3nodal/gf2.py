@@ -9,7 +9,7 @@ a pure function, so unrestricted concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,6 @@ class BitVector:
         if not 0 <= i < length:
             raise ValueError(f"unit index {i} out of range for length {length}")
         return cls(length, 1 << i)
-
-    @classmethod
-    def from_coords(cls, coords: Sequence[int]) -> BitVector:
-        bits = 0
-        for j, c in enumerate(coords):
-            if c & 1:
-                bits |= 1 << j
-        return cls(len(coords), bits)
 
     @classmethod
     def from_string(cls, text: str) -> BitVector:
@@ -80,13 +72,6 @@ class BitVector:
 
     def __str__(self) -> str:
         return format(self.bits, f"0{self.length}b")[::-1]
-
-
-def dot(a: BitVector, b: BitVector) -> int:
-    """Coordinatewise dot product over GF(2), returned as 0 or 1."""
-    if a.length != b.length:
-        raise ValueError(f"dot of lengths {a.length} and {b.length}")
-    return (a.bits & b.bits).bit_count() & 1
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -30,16 +30,17 @@ class CodeLattice:
     The true Gram matrix is gram2 / 2; keeping the doubled copy as plain
     integers keeps every computation exact without a fraction type in hot
     paths.  The basis is upper triangular with respect to the leading
-    coordinate, which makes membership a back-substitution.  The leading
-    minors and the Smith diagonal are computed on first use and kept on
-    the instance; they are not fields, so equality, hashing and repr are
-    those of the four fields.
+    coordinate, which makes membership a back-substitution.  The
+    constructor derives gram2 from the basis and the sign, once, so it is
+    a field but not an argument.  The leading minors and the Smith
+    diagonal are computed on first use and kept on the instance; they are
+    not fields, so equality, hashing and repr are those of the four fields.
     """
 
     n: int
     sign: int
     basis: tuple[tuple[int, ...], ...]
-    gram2: tuple[tuple[int, ...], ...]
+    gram2: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -48,12 +49,9 @@ class CodeLattice:
             raise ValueError("sign must be +1 or -1")
         if len(self.basis) != self.n or any(len(v) != self.n for v in self.basis):
             raise ValueError("basis must consist of n vectors of length n")
-        if len(self.gram2) != self.n or any(len(r) != self.n for r in self.gram2):
-            raise ValueError("gram2 must be n x n")
         if any(any(row[:i]) for i, row in enumerate(self.basis)):
             raise ValueError("basis must be triangular by leading coordinate")
-        if self.gram2 != _gram2(self.basis, self.sign):
-            raise ValueError("gram2 does not match the basis")
+        object.__setattr__(self, "gram2", _gram2(self.basis, self.sign))
 
     @functools.cached_property
     def _minors2(self) -> tuple[int, ...]:
@@ -64,9 +62,6 @@ class CodeLattice:
     def _smith(self) -> tuple[int, ...]:
         """Smith diagonal of gram2 // 2, the true Gram matrix when integral."""
         return tuple(_smith_diagonal([[e // 2 for e in row] for row in self.gram2]))
-
-    def gram_entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.gram2[i][j], 2)
 
     def coordinates_of(self, vec: Sequence[int]) -> tuple[int, ...] | None:
         """Integer coordinates of vec in the basis, or None if not a member."""
@@ -96,6 +91,8 @@ class CodeLattice:
         return Fraction(self.sign * sum(x * x for x in vec), 2)
 
     def to_json_dict(self) -> dict:
+        """The lattice as a JSON document; ``elementary_divisors`` is None
+        when the lattice is not integral or is degenerate (det = 0)."""
         det = determinant(self)
         return {
             "n": self.n,
@@ -103,7 +100,9 @@ class CodeLattice:
             "gram2": [list(r) for r in self.gram2],
             "det": {"num": det.numerator, "den": det.denominator},
             "elementary_divisors": (
-                list(discriminant_group(self).elementary_divisors) if is_integral(self) else None
+                list(discriminant_group(self).elementary_divisors)
+                if det and is_integral(self)
+                else None
             ),
         }
 
@@ -168,8 +167,7 @@ def gamma_from_code(code: LinearCode, sign: int = 1) -> CodeLattice:
     for j in range(n):
         if j not in by_leading:
             by_leading[j] = tuple(2 if t == j else 0 for t in range(n))
-    basis = tuple(by_leading[j] for j in range(n))
-    return CodeLattice(n, sign, basis, _gram2(basis, sign))
+    return CodeLattice(n, sign, tuple(by_leading[j] for j in range(n)))
 
 
 def kummer_lattice() -> CodeLattice:

@@ -1,16 +1,20 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
+from k3nodal import codes
 from k3nodal.codes import (
     MAX_GENERATOR_BITS,
+    MAX_PERM_SEARCH_LEN,
     SUBSPACE_BUDGET,
     ExtensionCertificate,
     ExtensionWitness,
     LinearCode,
     ResourceLimitError,
+    _is_d_code,
     code_d,
     dual,
     from_generators,
@@ -21,7 +25,6 @@ from k3nodal.codes import (
     project,
     reed_muller,
     reed_muller_generators,
-    shorten,
     verify_beauville,
     verify_no_extension,
     weight_distribution,
@@ -285,31 +288,6 @@ def test_project_matches_bruteforce():
         assert project(c, keep) == expected
 
 
-def test_shorten_examples():
-    d5 = code_d(5)
-    assert shorten(d5, range(16)) == d5
-    support = next(w for w in d5.codewords() if w.weight == 8).support()
-    inside = shorten(d5, support)
-    assert BitVector.ones(8) in inside
-    assert shorten(LinearCode.full(2), [0]) == LinearCode.full(1)
-
-
-def test_shorten_matches_bruteforce():
-    rng = random.Random(43)
-    for _ in range(50):
-        n = rng.randint(2, 10)
-        c = _random_code(rng, n)
-        size = rng.randint(1, n)
-        keep = rng.sample(range(n), size)
-        outside = set(range(n)) - set(keep)
-        rows = [
-            sum(w[j] << t for t, j in enumerate(keep))
-            for w in c.codewords()
-            if all(w[j] == 0 for j in outside)
-        ]
-        assert shorten(c, keep) == from_generators(Gf2Matrix.from_ints(rows, size))
-
-
 # ---------------------------------------------------------------- equivalence
 
 
@@ -369,6 +347,46 @@ def test_characterization_matches_permutation_oracle():
         assert is_isomorphic_to_d(shuffled)
         assert permutation_equivalent(shuffled, code_d(m))
     assert cases > 0
+
+
+def _shuffled(c: LinearCode, rng: random.Random) -> LinearCode:
+    perm = list(range(c.n))
+    rng.shuffle(perm)
+    return project(c, perm)
+
+
+def _column_copied(c: LinearCode, src: int, dst: int) -> LinearCode:
+    """c with column dst overwritten by column src (the rank may drop)."""
+    rows = [(g & ~(1 << dst)) | (((g >> src) & 1) << dst) for g in c.gen.row_bits()]
+    return from_generators(Gf2Matrix.from_ints(rows, c.n))
+
+
+def test_d_code_test_matches_permutation_oracle():
+    rng = random.Random(59)
+    agreed = positive = 0
+    for m in (2, 3, 4, 5):
+        n = 1 << (m - 1)
+        d = code_d(m)
+        family = [_shuffled(d, rng) for _ in range(15)]
+        family += [_column_copied(d, *rng.sample(range(n), 2)) for _ in range(15)]
+        while len(family) < 50:
+            c = from_generators(Gf2Matrix.from_ints([rng.getrandbits(n) for _ in range(m)], n))
+            if c.k == m:
+                family.append(c)
+        for c in family:
+            fast = _is_d_code(c)
+            assert fast == permutation_equivalent(c, d), (m, c.gen.row_bits())
+            agreed += 1
+            positive += fast
+    assert agreed == 200 and 60 <= positive < agreed
+
+
+def test_d_code_test_beyond_the_permutation_budget():
+    rng = random.Random(61)
+    for m in (6, 7):
+        d = code_d(m)
+        assert d.n > MAX_PERM_SEARCH_LEN and _is_d_code(_shuffled(d, rng))
+    assert not _is_d_code(_column_copied(code_d(6), 0, 1))
 
 
 # ---------------------------------------------------------------- q-binomial
@@ -481,10 +499,19 @@ def test_verify_beauville_sampled():
 
 def test_verify_beauville_sampled_beyond_permutation_budget():
     # at m = 6 the extremal length 32 exceeds the permutation-search budget;
-    # the injected D_6 must still pass via its weight spectrum
+    # the injected D_6 must still be recognised by its generator columns
     rep = verify_beauville(6, 32, samples=30, seed=5)
     assert rep.ok
     assert rep.extremal_count >= 1
+
+
+def test_verify_beauville_reports_an_extremal_code_that_is_not_d(monkeypatch):
+    monkeypatch.setattr(codes, "_is_d_code", lambda c: False)
+    rep = verify_beauville(6, 32, samples=30, seed=5)
+    assert not rep.ok and rep.extremal_count >= 1
+    assert len(rep.counterexamples) == rep.extremal_count
+    for line in rep.counterexamples:
+        assert re.fullmatch(r"n=32: extremal code \[[01,]+\] is not equivalent to D_6", line)
 
 
 def test_verify_beauville_sampled_digests():

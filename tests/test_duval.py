@@ -81,7 +81,6 @@ def test_parse_grammar():
     assert cfg.e == {7: 1}
     assert cfg.canonical() == "A2,D4x2,E7"
     assert DuValConfig.parse("A1,A1,A1").a == {1: 3}
-    assert DuValConfig().is_empty()
     assert DuValConfig().canonical() == "(empty)"
 
 

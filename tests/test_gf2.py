@@ -5,7 +5,6 @@ import pytest
 from k3nodal.gf2 import (
     BitVector,
     Gf2Matrix,
-    dot,
     format_matrix_text,
     is_rref,
     kernel,
@@ -35,28 +34,6 @@ def _assert_rref_matches_naive(m):
     assert [list(r.coords()) for r in res.matrix.rows] == naive_mat
     assert res.matrix.nrows == m.nrows
     assert is_rref(res.matrix)
-
-
-def test_dot_examples():
-    assert dot(BitVector.from_string("11"), BitVector.from_string("11")) == 0
-    assert dot(BitVector.from_string("10"), BitVector.from_string("11")) == 1
-    assert dot(BitVector.zero(4), BitVector.from_string("1011")) == 0
-
-
-def test_dot_length_mismatch():
-    with pytest.raises(ValueError):
-        dot(BitVector.zero(3), BitVector.zero(4))
-
-
-def test_dot_symmetric_and_bilinear():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(1, 20)
-        a = BitVector(n, rng.getrandbits(n))
-        b = BitVector(n, rng.getrandbits(n))
-        c = BitVector(n, rng.getrandbits(n))
-        assert dot(a, b) == dot(b, a)
-        assert dot(a ^ b, c) == (dot(a, c) + dot(b, c)) % 2
 
 
 def test_bitvector_validation():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3nodal import lattice
 from k3nodal.codes import LinearCode, code_d, from_generators, is_isotropic
 from k3nodal.gf2 import Gf2Matrix, parse_matrix_text
 from k3nodal.lattice import (
@@ -39,7 +40,7 @@ def _random_isotropic_code(rng):
 def test_gamma_zero_code():
     lat = gamma_from_code(LinearCode.zero(3))
     assert lat.basis == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-    assert [[lat.gram_entry(i, j) for j in range(3)] for i in range(3)] == [
+    assert _true_gram(lat) == [
         [2, 0, 0],
         [0, 2, 0],
         [0, 0, 2],
@@ -97,7 +98,7 @@ def test_is_even_examples():
     assert is_even(gamma_from_code(LinearCode.zero(3)))
     assert is_even(kummer_lattice())
     pair = gamma_from_code(from_generators(parse_matrix_text("11")))
-    assert [pair.gram_entry(i, i) for i in range(2)] == [1, 2]
+    assert [_true_gram(pair)[i][i] for i in range(2)] == [1, 2]
     assert not is_even(pair)
     with pytest.raises(ValueError):
         is_even(gamma_from_code(from_generators(parse_matrix_text("100"))))
@@ -155,7 +156,7 @@ def test_discriminant_order_equals_determinant():
 def test_negative_definite():
     assert is_negative_definite(kummer_lattice())
     assert not is_negative_definite(gamma_from_code(code_d(5), 1))
-    degenerate = CodeLattice(1, 1, ((0,),), ((0,),))
+    degenerate = CodeLattice(1, 1, ((0,),))
     assert not is_negative_definite(degenerate)
 
 
@@ -226,7 +227,8 @@ def test_leading_minors_of_singular_lattices():
         gram2 = tuple(
             tuple(sign * sum(x * y for x, y in zip(bi, bj)) for bj in basis) for bi in basis
         )
-        lat = CodeLattice(n, sign, tuple(basis), gram2)
+        lat = CodeLattice(n, sign, tuple(basis))
+        assert lat.gram2 == gram2
         assert basis_determinant(lat) == naive_det(lat.basis)
         minors = _check_against_oracle(lat)
         assert not any(minors[minors.index(0) :])
@@ -295,7 +297,7 @@ def _invariants_in_order(lat, order):
 
 def test_invariants_do_not_depend_on_call_order():
     rng = random.Random(113)
-    degenerate = (CodeLattice, (2, 1, ((1, 1), (0, 0)), ((2, 0), (0, 0))))
+    degenerate = (CodeLattice, (2, 1, ((1, 1), (0, 0))))
     lattices = [degenerate]
     for _ in range(40):
         n = rng.randint(1, 16)
@@ -312,6 +314,20 @@ def test_invariants_do_not_depend_on_call_order():
         if (build, args) == degenerate:
             error = ("ValueError", "degenerate Gram matrix has no finite discriminant group")
             assert a["discriminant_group"] == error
+
+
+def test_gamma_builds_its_gram_matrix_once(monkeypatch):
+    calls = []
+    gram2 = lattice._gram2
+
+    def counted(basis, sign):
+        calls.append(sign)
+        return gram2(basis, sign)
+
+    monkeypatch.setattr(lattice, "_gram2", counted)
+    lat = gamma_from_code(code_d(5), -1)
+    assert calls == [-1]
+    assert lat == kummer_lattice() and is_negative_definite(lat)
 
 
 def test_positive_lattice_fails_definiteness_without_elimination():
@@ -375,3 +391,12 @@ def test_json_dict():
     non_integral = gamma_from_code(LinearCode.full(2)).to_json_dict()
     assert non_integral["elementary_divisors"] is None
     assert non_integral["det"] == {"num": 1, "den": 4}
+    degenerate = CodeLattice(2, 1, ((1, 1), (0, 0)))
+    assert is_integral(degenerate)
+    assert degenerate.to_json_dict() == {
+        "n": 2,
+        "sign": 1,
+        "gram2": [[2, 0], [0, 0]],
+        "det": {"num": 0, "den": 1},
+        "elementary_divisors": None,
+    }
