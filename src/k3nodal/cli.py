@@ -119,7 +119,8 @@ def _format_beauville(report: codes.BeauvilleReport) -> str:
         lines.append(
             f"n={s.n} subspaces={s.examined} expected={expected} qualifying={s.qualifying}"
         )
-    lines.append(f"extremal length {report.extremal_n}: {report.extremal_count} codes, all equivalent to D_{report.m}")
+    extremal = f"extremal length {report.extremal_n}: {report.extremal_count} codes"
+    lines.append(extremal if report.counterexamples else f"{extremal}, all equivalent to D_{report.m}")
     if report.counterexamples:
         lines.extend(f"COUNTEREXAMPLE {c}" for c in report.counterexamples)
         lines.append("REFUTED")

@@ -293,13 +293,14 @@ def project(c: LinearCode, coords: Sequence[int]) -> LinearCode:
 
 
 def is_isomorphic_to_d(c: LinearCode) -> bool:
-    """Extremal characterization: with m = dim C, the length is exactly
-    2^(m-1) and every nonzero weight reaches half the length.  Codes
-    passing this are coordinate permutations of D_m and have nonzero
-    weights exactly {n/2, n}."""
-    if c.k < 1 or c.n != 1 << (c.k - 1):
-        return False
-    return all(2 * w >= c.n for w in weight_distribution(c).nonzero_weights())
+    """True when c is a coordinate permutation of D_m, m = dim C >= 2,
+    decided by the generator columns (``_is_d_code``), not by the
+    half-weight characterization that ``verify_beauville`` checks.  In
+    dimension 1 only the full code of length 1 passes: it is the one code
+    of length 2^0 whose nonzero weight reaches half the length."""
+    if c.k == 1:
+        return c.n == 1
+    return _is_d_code(c)
 
 
 def _is_d_code(c: LinearCode) -> bool:
@@ -527,28 +528,53 @@ class BeauvilleReport:
         }
 
 
-def _rref_bases(n: int, m: int) -> Iterator[list[int]]:
-    """Yield the generator rows of every dimension-m reduced basis in F_2^n.
+def _half_weight_bases(n: int, m: int) -> tuple[int, list[list[int]]]:
+    """Scan every dimension-m subspace of F_2^n through its reduced basis;
+    return the number of subspaces and the bases whose span has every
+    nonzero weight >= n/2.
 
-    Bases are enumerated by pivot set and free-entry pattern, so each
-    subspace appears exactly once.  The same list object is yielded every
-    time and mutated in place (one free-entry flip per step, Gray order);
-    callers must copy it to keep a basis.
+    A reduced basis is fixed by its pivot set (the lowest bit of each row)
+    and its free entries, the bits above a row's pivot that are no pivot,
+    so a pivot set holds 2^(free entries) subspaces, counted without
+    visiting them.  Rows are chosen one at a time from candidate lists
+    (pivot bit plus free entries, weight >= n/2), and a partial basis is
+    kept only while every nonzero word of its span reaches n/2: a light
+    word stays in the span of every extension, so no qualifying basis is
+    lost, and each one found has all 2^m - 1 nonzero words checked.
     """
+    full = (1 << n) - 1
+    examined = 0
+    found: list[list[int]] = []
+
+    def extend(candidates: list[list[int]], rows: list[int], span: list[int]) -> None:
+        if len(rows) == m:
+            found.append(rows)
+            return
+        for row in candidates[len(rows)]:
+            words = [row ^ w for w in span]
+            if all(2 * w.bit_count() >= n for w in words):
+                extend(candidates, rows + [row], span + [row] + words)
+
     for pivots in itertools.combinations(range(n), m):
-        pivot_set = frozenset(pivots)
-        free = [
-            (i, 1 << j)
-            for i in range(m)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
-        ]
-        rows = [1 << p for p in pivots]
-        yield rows
-        for idx in range(1, 1 << len(free)):
-            i, bit = free[(idx & -idx).bit_length() - 1]
-            rows[i] ^= bit
-            yield rows
+        pivot_mask = sum(1 << p for p in pivots)
+        free_entries = 0
+        candidates = []
+        for p in pivots:
+            free = full & ~((2 << p) - 1) & ~pivot_mask
+            free_entries += free.bit_count()
+            heavy = []
+            sub = free
+            while True:
+                row = (1 << p) | sub
+                if 2 * row.bit_count() >= n:
+                    heavy.append(row)
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+            candidates.append(heavy)
+        examined += 1 << free_entries
+        extend(candidates, [], [])
+    return examined, found
 
 
 def _weights_reach_half(rows: list[int], n: int, flips: list[int]) -> bool:
@@ -567,8 +593,10 @@ def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -
     (b) on n = 2^(m-1) coordinates, every such code has nonzero weights
         exactly {n/2, n} and is permutation-equivalent to D_m.
 
-    For m <= 4 the scan is exhaustive over reduced bases (each subspace
-    visited once; the per-n count is cross-checked against the q-binomial).
+    For m <= 4 the scan is exhaustive over reduced bases
+    (``_half_weight_bases``: each pivot set counts its 2^(free entries)
+    subspaces, and only bases whose span reaches n/2 are enumerated; the
+    per-n count is cross-checked against the q-binomial).
     For larger m it samples ``samples`` random dimension-m codes per n from
     a seeded generator, always including D_m itself at the extremal length.
     (b) is decided at every length by the generator columns (``_is_d_code``);
@@ -589,7 +617,6 @@ def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -
             f"the budget of {SUBSPACE_BUDGET}"
         )
     extremal_n = 1 << (m - 1)
-    flips = [(u & -u).bit_length() - 1 for u in range(1, 1 << m)]
     per_n: list[SubspaceCount] = []
     counterexamples: list[str] = []
     extremal_count = 0
@@ -620,19 +647,17 @@ def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -
                     f"scanning {planned} subspaces exceeds the budget of {SUBSPACE_BUDGET}",
                     partial=partial,
                 )
-            examined = qualifying = 0
-            for rows in _rref_bases(n, m):
-                examined += 1
-                if _weights_reach_half(rows, n, flips):
-                    qualifying += 1
-                    handle_qualifying(rows, n)
+            examined, bases = _half_weight_bases(n, m)
+            for rows in bases:
+                handle_qualifying(rows, n)
             if examined != expected:
                 counterexamples.append(
                     f"n={n}: enumerated {examined} subspaces, q-binomial predicts {expected}"
                 )
-            per_n.append(SubspaceCount(n, examined, expected, qualifying))
+            per_n.append(SubspaceCount(n, examined, expected, len(bases)))
     else:
         rng = random.Random(seed)
+        flips = [(u & -u).bit_length() - 1 for u in range(1, 1 << m)]
         for n in range(m, n_max + 1):
             bases: list[list[int]] = []
             if n == extremal_n:

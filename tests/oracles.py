@@ -3,14 +3,16 @@
 Almost everything here works on plain lists of 0/1 ints (or adjacency
 lists), deliberately avoiding the bit-packed representations and
 algorithms of the package, so agreement between the two routes is
-meaningful.  ``gray_weight_distribution`` and ``naive_is_rref`` take
-bit-packed int rows, but use none of the package's code: one XOR per
-codeword in Gray-code order, and a pivot-column count per lead.
+meaningful.  ``gray_weight_distribution``, ``naive_is_rref`` and
+``gray_order_bases`` work on bit-packed int rows, but use none of the
+package's code: one XOR per codeword in Gray-code order, a pivot-column
+count per lead, and one free-entry flip per reduced basis.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from fractions import Fraction
 from math import comb, gcd
 
@@ -78,6 +80,46 @@ def gray_weight_distribution(rows: list[int], n: int) -> dict[int, int]:
         w = word.bit_count()
         counts[w] = counts.get(w, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def gray_order_bases(n: int, m: int) -> Iterator[list[int]]:
+    """Yield the rows of every dimension-m reduced basis of F_2^n, one at a
+    time: per pivot set (the lowest bit of each row), the free entries
+    (bits above a row's pivot that are no pivot) run through all their
+    patterns in Gray order, one flip per step, so each subspace appears
+    exactly once.  The same list is yielded every time and mutated in
+    place; callers copy it to keep a basis."""
+    for pivots in itertools.combinations(range(n), m):
+        free = [
+            (i, 1 << j)
+            for i in range(m)
+            for j in range(pivots[i] + 1, n)
+            if j not in pivots
+        ]
+        rows = [1 << p for p in pivots]
+        yield rows
+        for idx in range(1, 1 << len(free)):
+            i, bit = free[(idx & -idx).bit_length() - 1]
+            rows[i] ^= bit
+            yield rows
+
+
+def gray_half_weight_scan(n: int, m: int) -> tuple[int, set[tuple[int, ...]]]:
+    """Visit every reduced basis of ``gray_order_bases``; return how many
+    there are and the set of those whose span, walked in Gray order, has
+    every nonzero weight >= n/2."""
+    visited = 0
+    found = set()
+    for rows in gray_order_bases(n, m):
+        visited += 1
+        word = 0
+        for u in range(1, 1 << m):
+            word ^= rows[(u & -u).bit_length() - 1]
+            if 2 * word.bit_count() < n:
+                break
+        else:
+            found.add(tuple(rows))
+    return visited, found
 
 
 def naive_is_rref(rows: list[int]) -> bool:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from k3nodal import duval
+from k3nodal import codes, duval
 from k3nodal.cli import run
 
 EQ2_ROWS = [
@@ -115,6 +115,17 @@ def test_verify_beauville_json(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["per_n"][0] == {"n": 2, "subspaces": 1, "expected": 1, "qualifying": 1}
+
+
+def test_verify_beauville_refuted_does_not_claim_equivalence(capsys, monkeypatch):
+    monkeypatch.setattr(codes, "_is_d_code", lambda c: False)
+    rc, out, _ = _capture(capsys, ["verify", "beauville", "--m", "4", "--nmax", "8"])
+    assert rc == 2
+    lines = out.splitlines()
+    assert "extremal length 8: 30 codes" in lines
+    assert sum(line.startswith("COUNTEREXAMPLE n=8: extremal code [") for line in lines) == 30
+    assert lines[-1] == "REFUTED"
+    assert "all equivalent" not in out
 
 
 def test_verify_no_seventeen(capsys):

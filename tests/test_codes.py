@@ -31,6 +31,7 @@ from k3nodal.codes import (
 )
 from k3nodal.gf2 import BitVector, Gf2Matrix, kernel, parse_matrix_text
 from oracles import (
+    gray_half_weight_scan,
     gray_weight_distribution,
     macwilliams_dual_counts,
     naive_reed_muller_rows,
@@ -299,6 +300,19 @@ def test_is_isomorphic_to_d_examples():
     assert permutation_equivalent(even4, code_d(3))
 
 
+def test_is_isomorphic_to_d_does_not_use_the_weight_lemma(monkeypatch):
+    # the sixteen-curve step must not rest on the half-weight lemma that
+    # verify_beauville checks, so no weight enumeration may decide it
+    def refuse(c):
+        raise AssertionError("weights enumerated")
+
+    monkeypatch.setattr(codes, "weight_distribution", refuse)
+    assert is_isomorphic_to_d(code_d(5))
+    assert not is_isomorphic_to_d(_column_copied(code_d(5), 0, 1))
+    assert is_isomorphic_to_d(LinearCode.full(1))
+    assert not is_isomorphic_to_d(LinearCode.repetition(2))
+
+
 def test_permutation_equivalent_examples():
     d4 = code_d(4)
     assert permutation_equivalent(d4, d4)
@@ -486,6 +500,23 @@ def test_verify_beauville_counts_match_recursive_qbinomial():
     rep = verify_beauville(3, 6)
     for s in rep.per_n:
         assert s.examined == qbinom_recursive(s.n, 3)
+
+
+def test_half_weight_scan_matches_gray_order_oracle():
+    # the pruned scan against one visit per reduced basis in Gray order;
+    # (3, 8) reaches past the extremal length, where 2445 bases at n = 8
+    # qualify and a scan that checks only sums of two rows keeps more
+    for m, n_max in ((2, 4), (3, 6), (3, 8), (4, 8)):
+        rep = verify_beauville(m, n_max)
+        for s in rep.per_n:
+            visited, qualifying = gray_half_weight_scan(s.n, m)
+            assert (s.examined, s.qualifying) == (visited, len(qualifying)), (m, s.n)
+            _, bases = codes._half_weight_bases(s.n, m)
+            assert {tuple(rows) for rows in bases} == qualifying
+            for rows in bases:
+                weights = gray_weight_distribution(rows, s.n)
+                assert sum(weights.values()) == 1 << m
+                assert all(2 * w >= s.n for w in weights if w), (m, s.n, rows)
 
 
 def test_verify_beauville_sampled():
