@@ -22,7 +22,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .gf2 import BitVector, Gf2Matrix, _rref_ints, kernel, rref, is_rref, transpose
 
@@ -293,14 +293,13 @@ def project(c: LinearCode, coords: Sequence[int]) -> LinearCode:
 
 
 def is_isomorphic_to_d(c: LinearCode) -> bool:
-    """True when c is a coordinate permutation of D_m, m = dim C >= 2,
-    decided by the generator columns (``_is_d_code``), not by the
-    half-weight characterization that ``verify_beauville`` checks.  In
-    dimension 1 only the full code of length 1 passes: it is the one code
-    of length 2^0 whose nonzero weight reaches half the length."""
-    if c.k == 1:
-        return c.n == 1
-    return _is_d_code(c)
+    """Extremal characterization: with m = dim C, the length is exactly
+    2^(m-1) and every nonzero weight reaches half the length.  Codes
+    passing this are coordinate permutations of D_m and have nonzero
+    weights exactly {n/2, n}."""
+    if c.k < 1 or c.n != 1 << (c.k - 1):
+        return False
+    return all(2 * w >= c.n for w in weight_distribution(c).nonzero_weights())
 
 
 def _is_d_code(c: LinearCode) -> bool:
@@ -528,10 +527,10 @@ class BeauvilleReport:
         }
 
 
-def _half_weight_bases(n: int, m: int) -> tuple[int, list[list[int]]]:
-    """Scan every dimension-m subspace of F_2^n through its reduced basis;
-    return the number of subspaces and the bases whose span has every
-    nonzero weight >= n/2.
+def _half_weight_bases(n: int, m: int, visit: Callable[[list[int]], None]) -> tuple[int, int]:
+    """Scan every dimension-m subspace of F_2^n through its reduced basis,
+    pass each basis whose span has every nonzero weight >= n/2 to
+    ``visit``, and return (subspaces, qualifying bases).
 
     A reduced basis is fixed by its pivot set (the lowest bit of each row)
     and its free entries, the bits above a row's pivot that are no pivot,
@@ -543,12 +542,13 @@ def _half_weight_bases(n: int, m: int) -> tuple[int, list[list[int]]]:
     lost, and each one found has all 2^m - 1 nonzero words checked.
     """
     full = (1 << n) - 1
-    examined = 0
-    found: list[list[int]] = []
+    examined = qualifying = 0
 
     def extend(candidates: list[list[int]], rows: list[int], span: list[int]) -> None:
+        nonlocal qualifying
         if len(rows) == m:
-            found.append(rows)
+            qualifying += 1
+            visit(rows)
             return
         for row in candidates[len(rows)]:
             words = [row ^ w for w in span]
@@ -574,7 +574,7 @@ def _half_weight_bases(n: int, m: int) -> tuple[int, list[list[int]]]:
             candidates.append(heavy)
         examined += 1 << free_entries
         extend(candidates, [], [])
-    return examined, found
+    return examined, qualifying
 
 
 def _weights_reach_half(rows: list[int], n: int, flips: list[int]) -> bool:
@@ -596,7 +596,11 @@ def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -
     For m <= 4 the scan is exhaustive over reduced bases
     (``_half_weight_bases``: each pivot set counts its 2^(free entries)
     subspaces, and only bases whose span reaches n/2 are enumerated; the
-    per-n count is cross-checked against the q-binomial).
+    per-n count is cross-checked against the q-binomial).  That count is
+    arithmetic, a sum of 2^(free entries), so ``subspaces`` in the report
+    is not a count of visits; ``tests/oracles.py`` holds an enumerator
+    that visits every reduced basis once, and the test suite checks the
+    per-n counts and qualifying bases against it.
     For larger m it samples ``samples`` random dimension-m codes per n from
     a seeded generator, always including D_m itself at the extremal length.
     (b) is decided at every length by the generator columns (``_is_d_code``);
@@ -647,14 +651,12 @@ def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -
                     f"scanning {planned} subspaces exceeds the budget of {SUBSPACE_BUDGET}",
                     partial=partial,
                 )
-            examined, bases = _half_weight_bases(n, m)
-            for rows in bases:
-                handle_qualifying(rows, n)
+            examined, qualifying = _half_weight_bases(n, m, lambda rows: handle_qualifying(rows, n))
             if examined != expected:
                 counterexamples.append(
                     f"n={n}: enumerated {examined} subspaces, q-binomial predicts {expected}"
                 )
-            per_n.append(SubspaceCount(n, examined, expected, len(bases)))
+            per_n.append(SubspaceCount(n, examined, expected, qualifying))
     else:
         rng = random.Random(seed)
         flips = [(u & -u).bit_length() - 1 for u in range(1, 1 << m)]
