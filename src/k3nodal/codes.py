@@ -28,7 +28,6 @@ from .gf2 import BitVector, Gf2Matrix, _rref_ints, kernel, rref, is_rref, transp
 
 MAX_ENUM_DIM = 28
 MAX_GENERATOR_BITS = 1 << 22
-MAX_LATTICE_RANK = 256
 MAX_PERM_SEARCH_LEN = 16
 MAX_EXHAUSTIVE_DIM = 4
 SUBSPACE_BUDGET = 1_000_000
@@ -393,14 +392,14 @@ def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
     return extend(0, groups)
 
 
-def gaussian_binomial(n: int, k: int, q: int = 2) -> int:
-    """Number of k-dimensional subspaces of an n-dimensional space over GF(q)."""
+def gaussian_binomial(n: int, k: int) -> int:
+    """Number of k-dimensional subspaces of an n-dimensional space over GF(2)."""
     if k < 0 or k > n:
         return 0
     num = den = 1
     for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (k - i) - 1
+        num *= (1 << (n - i)) - 1
+        den *= (1 << (k - i)) - 1
     if num % den:
         raise AssertionError("q-binomial product is not integral")
     return num // den
@@ -607,18 +606,25 @@ def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -
     D_m has nonzero weights exactly {n/2, n}, so that covers the spectrum.
     Violations are collected as counterexample strings; ``ok`` means none.
     Both modes are bounded by SUBSPACE_BUDGET: the exhaustive scan by the
-    q-binomial count, the sampled scan by samples * (n_max - m + 1),
-    checked before any code is built.
+    q-binomial count, the sampled scan by its row sums, up to
+    samples * (n_max - m + 1) * (2^m - 1), checked before any code is built.
     """
     if m < 2:
         raise ValueError("verify_beauville requires m >= 2")
     if n_max < m:
         raise ValueError("n_max must be at least m")
     exhaustive = m <= MAX_EXHAUSTIVE_DIM
-    if not exhaustive and samples * (n_max - m + 1) > SUBSPACE_BUDGET:
+    lengths = n_max - m + 1
+    if not exhaustive and samples * lengths > SUBSPACE_BUDGET:
         raise ResourceLimitError(
-            f"sampling {samples} subspaces at each of {n_max - m + 1} lengths exceeds "
+            f"sampling {samples} subspaces at each of {lengths} lengths exceeds "
             f"the budget of {SUBSPACE_BUDGET}"
+        )
+    # a qualifying sample sums rows into each of its 2^m - 1 nonzero words
+    if not exhaustive and samples * lengths * ((1 << m) - 1) > SUBSPACE_BUDGET:
+        raise ResourceLimitError(
+            f"sampling {samples} subspaces at each of {lengths} lengths, up to "
+            f"{(1 << m) - 1} words each, exceeds the budget of {SUBSPACE_BUDGET}"
         )
     extremal_n = 1 << (m - 1)
     per_n: list[SubspaceCount] = []
@@ -635,7 +641,7 @@ def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -
             )
         elif n == extremal_n:
             extremal_count += 1
-            if not _is_d_code(from_generators(Gf2Matrix.from_ints(list(rows), n))):
+            if not _is_d_code(LinearCode(n, m, Gf2Matrix.from_ints(rows, n))):
                 counterexamples.append(f"n={n}: extremal code [{desc}] is not equivalent to D_{m}")
 
     if exhaustive:

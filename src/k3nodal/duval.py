@@ -99,8 +99,11 @@ class NodalCodeConstraints:
 
 def nodal_code_constraints(n: int) -> NodalCodeConstraints:
     """Allowed weights {8, 16} within reach of n, the dimension bound for
-    b2 = 22, and the forced code identity where one exists: D_5 at n = 16,
-    the all-ones line at n = 8, the zero code below 8."""
+    b2 = 22, and a code for n = 16, n = 8 and n < 8.  The constraints force
+    D_5 at n = 16 and the zero code below 8.  At n = 8 they do not force
+    one: eight disjoint nodal curves have the code {0} or the all-ones
+    line, the line exactly when they form an even set, and the line
+    returned there is the larger of the two."""
     if n < 1:
         raise ValueError("curve count must be positive")
     allowed = tuple(w for w in (8, 16) if w <= n)

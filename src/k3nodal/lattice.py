@@ -19,8 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codes import MAX_LATTICE_RANK, LinearCode, ResourceLimitError, code_d, from_generators
+from .codes import LinearCode, ResourceLimitError, code_d, from_generators
 from .gf2 import Gf2Matrix
+
+MAX_LATTICE_RANK = 256
 
 
 @dataclass(frozen=True)

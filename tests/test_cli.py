@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from k3nodal import codes, duval
+from k3nodal import cli, codes, duval, lattice
 from k3nodal.cli import run
 
 EQ2_ROWS = [
@@ -195,6 +199,8 @@ def test_duval_classify(capsys):
         ["code", "d", "--m", "22"],
         ["code", "d", "--m", "30"],
         ["code", "rm", "--degree", "1", "--m", "26"],
+        # 498,000 samples fit the budget, but each may sum 31 words
+        ["verify", "beauville", "--m", "5", "--nmax", "1000"],
     ],
 )
 def test_errors_exit_one(argv, capsys):
@@ -250,6 +256,29 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert run(["code", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_only_the_printed_rendering_is_built(capsys, monkeypatch):
+    def unused(*args):
+        raise AssertionError("a rendering that is not printed was built")
+
+    monkeypatch.setattr(lattice, "format_gram", unused)
+    assert _capture(capsys, ["lattice", "kummer", "--json"])[0] == 0
+    monkeypatch.setattr(duval.SuiteReport, "to_json_dict", unused)
+    assert _capture(capsys, ["verify", "all"])[0] == 0
+
+
+def test_module_entry_point_prints_what_run_prints(capsys):
+    # ``python -m k3nodal.cli`` goes through ``main``, which no in-process test calls
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3nodal.cli", "verify", "no-seventeen"],
+        capture_output=True, env=env, timeout=60,
+    )
+    rc, out, err = _capture(capsys, ["verify", "no-seventeen"])
+    assert rc == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out.encode(), err.encode())
 
 
 def test_byte_identical_reruns(capsys):

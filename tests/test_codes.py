@@ -556,6 +556,9 @@ def test_verify_beauville_sampled_budget():
         verify_beauville(5, 5, samples=SUBSPACE_BUDGET + 1)
     with pytest.raises(ResourceLimitError):
         verify_beauville(5, 16, samples=SUBSPACE_BUDGET // 12 + 1)
+    # within the sample budget, but up to 31 row sums per sample exceed it
+    with pytest.raises(ResourceLimitError):
+        verify_beauville(5, 69)
 
 
 def test_verify_beauville_budget():

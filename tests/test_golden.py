@@ -10,6 +10,7 @@ or the library must keep.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from k3nodal.cli import run
+from k3nodal.cli import build_parser, run
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -129,3 +130,19 @@ def test_demo_output_matches_golden(name):
 
 def test_every_demo_is_pinned():
     assert sorted(p.name for p in DEMOS.glob("*.py")) == sorted(GOLDEN_DEMOS)
+
+
+def _leaf_commands(parser: argparse.ArgumentParser) -> list[list[str]]:
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return [[name, *rest] for name, sub in action.choices.items() for rest in _leaf_commands(sub)]
+    return [[]]
+
+
+def test_every_command_is_pinned():
+    leaves = _leaf_commands(build_parser())
+    assert len(leaves) == 11
+    for leaf in leaves:
+        pinned = [c.split() for c in GOLDEN_CLI if c.split()[: len(leaf)] == leaf]
+        assert any("--json" in argv for argv in pinned), leaf
+        assert any("--json" not in argv for argv in pinned), leaf
