@@ -121,8 +121,7 @@ def _format_beauville(report: codes.BeauvilleReport) -> str:
 
 
 def _cmd_verify_beauville(ns: argparse.Namespace) -> _Result:
-    n_max = ns.nmax if ns.nmax is not None else 1 << (ns.m - 1)
-    report = codes.verify_beauville(ns.m, n_max)
+    report = codes.verify_beauville(ns.m, ns.nmax)
     return report.to_json_dict, lambda: _format_beauville(report), 0 if report.ok else 2
 
 

@@ -22,7 +22,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .gf2 import BitVector, Gf2Matrix, _rref_ints, kernel, rref, is_rref, transpose
 
@@ -166,6 +166,36 @@ def _block_characters(low: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return (1 << (1 << low)) - 1, tuple(below), tuple(above)
 
 
+def _weight_classes(columns: Sequence[int], full: int) -> list[tuple[int, int]]:
+    """Split the word mask ``full`` by weight: (mask, weight) for every
+    weight present, where bit u of column j is coordinate j of word u.
+
+    The columns are summed into ripple-carry counter planes (plane t holds
+    bit t of every word's weight), and the mask is split on each plane
+    from the top.
+    """
+    planes = [0] * len(columns).bit_length()
+    for carry in columns:
+        t = 0
+        while carry:
+            plane = planes[t]
+            planes[t] = plane ^ carry
+            carry &= plane
+            t += 1
+    parts = [(full, 0)]
+    for t in reversed(range(len(planes))):
+        plane, bit = planes[t], 1 << t
+        split = []
+        for part, w in parts:
+            ones = part & plane
+            if ones:
+                split.append((ones, w | bit))
+            if ones != part:
+                split.append((part ^ ones, w))
+        parts = split
+    return parts
+
+
 def weight_distribution(c: LinearCode) -> WeightDistribution:
     """Exact weight counts by bit-sliced enumeration.
 
@@ -173,10 +203,8 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
     For a fixed high part, coordinate j over the block of low parts is one
     int: the parity pattern of the column's low message mask, complemented
     when the high part meets the column's high mask in an odd number of
-    bits.  The n column ints are summed into ripple-carry counter planes
-    (plane t holds bit t of every codeword's weight), and the block's
-    histogram is read by splitting its mask on each plane from the top and
-    counting each part with ``int.bit_count``.
+    bits.  ``_weight_classes`` splits the block's mask by weight, and each
+    part is counted with ``int.bit_count``.
     """
     if c.k > MAX_ENUM_DIM:
         raise ResourceLimitError(
@@ -192,30 +220,10 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
     half, low_mask = low // 2, (1 << low) - 1
     half_mask = (1 << half) - 1
     columns = [(below[m & half_mask] ^ above[(m & low_mask) >> half], m >> low) for m in masks]
-    nplanes = c.n.bit_length()
     counts: dict[int, int] = {}
     for h in range(1 << (c.k - low)):
-        planes = [0] * nplanes
-        for base, high in columns:
-            carry = base ^ full if (h & high).bit_count() & 1 else base
-            t = 0
-            while carry:
-                plane = planes[t]
-                planes[t] = plane ^ carry
-                carry &= plane
-                t += 1
-        parts = [(full, 0)]
-        for t in reversed(range(nplanes)):
-            plane, bit = planes[t], 1 << t
-            split = []
-            for part, w in parts:
-                ones = part & plane
-                if ones:
-                    split.append((ones, w | bit))
-                if ones != part:
-                    split.append((part ^ ones, w))
-            parts = split
-        for part, w in parts:
+        block = [base ^ full if (h & high).bit_count() & 1 else base for base, high in columns]
+        for part, w in _weight_classes(block, full):
             counts[w] = counts.get(w, 0) + part.bit_count()
     return WeightDistribution(c.n, dict(sorted(counts.items())))
 
@@ -316,6 +324,20 @@ def _is_d_code(c: LinearCode) -> bool:
     return len(set(transpose(c.gen).row_bits())) == c.n
 
 
+def _bit_sliced_columns(c: LinearCode) -> list[int]:
+    """Column j of the codeword list as one 2^k-bit int whose bit u is
+    coordinate j of codeword u (message-index order): the XOR of the
+    coordinate patterns of the generator rows with a 1 in column j."""
+    columns = [0] * c.n
+    for i, row in enumerate(c.gen.row_bits()):
+        pattern = _coordinate_pattern(c.k, i)
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] ^= pattern
+            row ^= low
+    return columns
+
+
 def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
     """Decide whether some coordinate permutation maps the codeword set of
     a onto that of b.
@@ -325,6 +347,10 @@ def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
     at depth t, words grouped by their bits on the first t source columns
     must match groups of the same size on the chosen target columns.
     Codes of different dimension are never equivalent and return False.
+    Both codeword sets are bit-sliced (``_bit_sliced_columns``), so a group
+    of words is one mask, a weight class comes from ``_weight_classes``,
+    and a profile or a refinement step is an AND and a ``bit_count``.
+    ``tests/oracles.py`` keeps the list-based search as a reference.
     """
     if a.n != b.n or a.k != b.k:
         return False
@@ -332,57 +358,54 @@ def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
         raise ResourceLimitError(
             f"permutation search is limited to length {MAX_PERM_SEARCH_LEN}"
         )
-    words_a = [w.bits for w in a.codewords()]
-    words_b = [w.bits for w in b.codewords()]
-    if sorted(words_a) == sorted(words_b):
+    # canonical generators: equal codeword sets have equal matrices
+    if a.gen == b.gen:
         return True
-    bucket_a: dict[int, list[int]] = {}
-    bucket_b: dict[int, list[int]] = {}
-    for w in words_a:
-        bucket_a.setdefault(w.bit_count(), []).append(w)
-    for w in words_b:
-        bucket_b.setdefault(w.bit_count(), []).append(w)
-    if {w: len(v) for w, v in bucket_a.items()} != {w: len(v) for w, v in bucket_b.items()}:
+    full = (1 << (1 << a.k)) - 1
+    cols_a, cols_b = _bit_sliced_columns(a), _bit_sliced_columns(b)
+    classes_a = {w: mask for mask, w in _weight_classes(cols_a, full)}
+    classes_b = {w: mask for mask, w in _weight_classes(cols_b, full)}
+    sizes = {w: mask.bit_count() for w, mask in classes_a.items()}
+    if sizes != {w: mask.bit_count() for w, mask in classes_b.items()}:
         return False
     n = a.n
-    weights = sorted(bucket_a)
+    weights = sorted(classes_a)
 
-    def profile(buckets: dict[int, list[int]], col: int) -> tuple[int, ...]:
-        return tuple(sum((w >> col) & 1 for w in buckets[wt]) for wt in weights)
+    def profile(classes: dict[int, int], col: int) -> tuple[int, ...]:
+        return tuple((classes[wt] & col).bit_count() for wt in weights)
 
-    prof_b = [profile(bucket_b, c) for c in range(n)]
+    prof_b = [profile(classes_b, col) for col in cols_b]
     cands = []
-    for j in range(n):
-        pj = profile(bucket_a, j)
+    for col in cols_a:
+        pj = profile(classes_a, col)
         matching = tuple(c for c in range(n) if prof_b[c] == pj)
         if not matching:
             return False
         cands.append(matching)
-    groups = [(bucket_a[wt], bucket_b[wt]) for wt in weights]
+    # a group is (words of a, words of b, their common size)
+    groups = [(classes_a[wt], classes_b[wt], sizes[wt]) for wt in weights]
     used = [False] * n
 
-    def extend(col: int, groups: list[tuple[list[int], list[int]]]) -> bool:
+    def extend(col: int, groups: list[tuple[int, int, int]]) -> bool:
         if col == n:
             return True
+        col_a = cols_a[col]
         for c in cands[col]:
             if used[c]:
                 continue
+            col_b = cols_b[c]
             refined = []
-            ok = True
-            for ga, gb in groups:
-                a1 = [w for w in ga if (w >> col) & 1]
-                b1 = [w for w in gb if (w >> c) & 1]
-                if len(a1) != len(b1):
-                    ok = False
+            for ga, gb, size in groups:
+                a1, b1 = ga & col_a, gb & col_b
+                ones = a1.bit_count()
+                if ones != b1.bit_count():
                     break
-                if 0 < len(a1) < len(ga):
-                    a0 = [w for w in ga if not (w >> col) & 1]
-                    b0 = [w for w in gb if not (w >> c) & 1]
-                    refined.append((a0, b0))
-                    refined.append((a1, b1))
+                if 0 < ones < size:
+                    refined.append((ga ^ a1, gb ^ b1, size - ones))
+                    refined.append((a1, b1, ones))
                 else:
-                    refined.append((ga, gb))
-            if ok:
+                    refined.append((ga, gb, size))
+            else:
                 used[c] = True
                 if extend(col + 1, refined):
                     return True
@@ -405,8 +428,7 @@ def gaussian_binomial(n: int, k: int) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class ExtensionWitness:
+class ExtensionWitness(NamedTuple):
     """One duplicated/deleted column pair with its off-spectrum row weight."""
 
     duplicated: int
@@ -470,20 +492,25 @@ def verify_no_extension(m: int) -> ExtensionCertificate:
     code with spectrum {0, N/2, N}, so no extension exists.  The full
     table over all ordered pairs (k, l), k != l, is returned; iteration is
     ascending in k then l and the witness row is the first differing one,
-    so the certificate is byte-reproducible.
+    so the certificate is byte-reproducible.  Each column of M is read as
+    one int, so that row is the lowest set bit of column k XOR column l,
+    and the weight is the row's weight, less its bit in column l, plus its
+    bit in column k: O(1) per pair.
     """
     if not 2 <= m <= 8:
         raise ValueError("verify_no_extension supports 2 <= m <= 8")
     nbig = 1 << (m - 1)
-    mat = [_coordinate_pattern(m - 1, i) for i in range(m - 1)]
+    mat = Gf2Matrix.from_ints([_coordinate_pattern(m - 1, i) for i in range(m - 1)], nbig)
+    row_weights = [r.weight for r in mat.rows]
+    columns = list(enumerate(transpose(mat).row_bits()))
     entries = []
-    for k in range(nbig):
-        for l in range(nbig):
-            if l == k:
-                continue
-            j = next(i for i in range(m - 1) if ((mat[i] >> l) ^ (mat[i] >> k)) & 1)
-            w = mat[j].bit_count() - ((mat[j] >> l) & 1) + ((mat[j] >> k) & 1)
-            entries.append(ExtensionWitness(k, l, j, w))
+    for k, col_k in columns:
+        for l, col_l in columns:
+            if l != k:
+                diff = col_k ^ col_l
+                j = (diff & -diff).bit_length() - 1
+                w = row_weights[j] - ((col_l >> j) & 1) + ((col_k >> j) & 1)
+                entries.append(ExtensionWitness(k, l, j, w))
     return ExtensionCertificate(m, nbig, m == 2, tuple(entries))
 
 
@@ -576,6 +603,26 @@ def _half_weight_bases(n: int, m: int, visit: Callable[[list[int]], None]) -> tu
     return examined, qualifying
 
 
+def _independent(rows: Sequence[int]) -> bool:
+    """True when the rows are linearly independent over GF(2).
+
+    Each row is reduced against a small XOR basis keyed by highest bit
+    until its highest bit is new, and joins the basis; a row that reduces
+    to zero depends on the rows before it.
+    """
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+        else:
+            return False
+    return True
+
+
 def _weights_reach_half(rows: list[int], n: int, flips: list[int]) -> bool:
     word = 0
     for f in flips:
@@ -585,8 +632,11 @@ def _weights_reach_half(rows: list[int], n: int, flips: list[int]) -> bool:
     return True
 
 
-def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -> BeauvilleReport:
-    """Scan dimension-m codes in F_2^n for all n <= n_max and check:
+def verify_beauville(
+    m: int, n_max: int | None = None, *, samples: int = 500, seed: int = 0
+) -> BeauvilleReport:
+    """Scan dimension-m codes in F_2^n for all n <= n_max (by default the
+    extremal length 2^(m-1)) and check:
 
     (a) no code on n < 2^(m-1) coordinates has every nonzero weight >= n/2;
     (b) on n = 2^(m-1) coordinates, every such code has nonzero weights
@@ -602,18 +652,32 @@ def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -
     per-n counts and qualifying bases against it.
     For larger m it samples ``samples`` random dimension-m codes per n from
     a seeded generator, always including D_m itself at the extremal length.
+    A draw of m rows is kept when ``_independent`` finds them independent;
+    the half-weight test walks the span of the rows as drawn, and only a
+    draw that passes it is reduced, so every basis passed on is reduced.
     (b) is decided at every length by the generator columns (``_is_d_code``);
     D_m has nonzero weights exactly {n/2, n}, so that covers the spectrum.
     Violations are collected as counterexample strings; ``ok`` means none.
     Both modes are bounded by SUBSPACE_BUDGET: the exhaustive scan by the
     q-binomial count, the sampled scan by its row sums, up to
     samples * (n_max - m + 1) * (2^m - 1), checked before any code is built.
+    Before that, the sampled scan is refused on m alone when the rank test
+    of a single draw, up to m(m-1)/2 row sums, exceeds the budget, so no
+    count with about m bits (the default n_max among them) is built or
+    printed for such an m.
     """
     if m < 2:
         raise ValueError("verify_beauville requires m >= 2")
-    if n_max < m:
+    if n_max is not None and n_max < m:
         raise ValueError("n_max must be at least m")
     exhaustive = m <= MAX_EXHAUSTIVE_DIM
+    if not exhaustive and m * (m - 1) // 2 > SUBSPACE_BUDGET:
+        raise ResourceLimitError(
+            f"sampling subspaces of dimension {m} exceeds the budget of {SUBSPACE_BUDGET}: "
+            f"testing the rank of one draw takes up to m(m-1)/2 row sums"
+        )
+    if n_max is None:
+        n_max = 1 << (m - 1)
     lengths = n_max - m + 1
     if not exhaustive and samples * lengths > SUBSPACE_BUDGET:
         raise ResourceLimitError(
@@ -671,14 +735,14 @@ def verify_beauville(m: int, n_max: int, *, samples: int = 500, seed: int = 0) -
             if n == extremal_n:
                 bases.append(list(code_d(m).gen.row_bits()))
             while len(bases) < samples:
-                rows, pivots = _rref_ints([rng.getrandbits(n) for _ in range(m)], n)
-                if len(pivots) == m:
+                rows = [rng.getrandbits(n) for _ in range(m)]
+                if _independent(rows):
                     bases.append(rows)
             qualifying = 0
             for rows in bases:
                 if _weights_reach_half(rows, n, flips):
                     qualifying += 1
-                    handle_qualifying(rows, n)
+                    handle_qualifying(_rref_ints(rows, n)[0], n)
             per_n.append(SubspaceCount(n, len(bases), None, qualifying))
 
     return BeauvilleReport(

@@ -7,6 +7,9 @@ meaningful.  ``gray_weight_distribution``, ``naive_is_rref`` and
 ``gray_order_bases`` work on bit-packed int rows, but use none of the
 package's code: one XOR per codeword in Gray-code order, a pivot-column
 count per lead, and one free-entry flip per reduced basis.
+``naive_permutation_equivalent`` takes two codes and reads only their
+``n``, ``k`` and ``codewords()``; it searches lists of codeword ints, not
+the package's bit-sliced columns.
 """
 
 from __future__ import annotations
@@ -120,6 +123,78 @@ def gray_half_weight_scan(n: int, m: int) -> tuple[int, set[tuple[int, ...]]]:
         else:
             found.add(tuple(rows))
     return visited, found
+
+
+def naive_permutation_equivalent(a, b) -> bool:
+    """Decide whether some coordinate permutation maps the codeword set of
+    a onto that of b.
+
+    Backtracks over the image of each coordinate, pruning with per-column
+    weight profiles and a partition refinement of the two codeword sets:
+    at depth t, words grouped by their bits on the first t source columns
+    must match groups of the same size on the chosen target columns.
+    Codes of different dimension are never equivalent and return False.
+    """
+    if a.n != b.n or a.k != b.k:
+        return False
+    words_a = [w.bits for w in a.codewords()]
+    words_b = [w.bits for w in b.codewords()]
+    if sorted(words_a) == sorted(words_b):
+        return True
+    bucket_a: dict[int, list[int]] = {}
+    bucket_b: dict[int, list[int]] = {}
+    for w in words_a:
+        bucket_a.setdefault(w.bit_count(), []).append(w)
+    for w in words_b:
+        bucket_b.setdefault(w.bit_count(), []).append(w)
+    if {w: len(v) for w, v in bucket_a.items()} != {w: len(v) for w, v in bucket_b.items()}:
+        return False
+    n = a.n
+    weights = sorted(bucket_a)
+
+    def profile(buckets: dict[int, list[int]], col: int) -> tuple[int, ...]:
+        return tuple(sum((w >> col) & 1 for w in buckets[wt]) for wt in weights)
+
+    prof_b = [profile(bucket_b, c) for c in range(n)]
+    cands = []
+    for j in range(n):
+        pj = profile(bucket_a, j)
+        matching = tuple(c for c in range(n) if prof_b[c] == pj)
+        if not matching:
+            return False
+        cands.append(matching)
+    groups = [(bucket_a[wt], bucket_b[wt]) for wt in weights]
+    used = [False] * n
+
+    def extend(col: int, groups: list[tuple[list[int], list[int]]]) -> bool:
+        if col == n:
+            return True
+        for c in cands[col]:
+            if used[c]:
+                continue
+            refined = []
+            ok = True
+            for ga, gb in groups:
+                a1 = [w for w in ga if (w >> col) & 1]
+                b1 = [w for w in gb if (w >> c) & 1]
+                if len(a1) != len(b1):
+                    ok = False
+                    break
+                if 0 < len(a1) < len(ga):
+                    a0 = [w for w in ga if not (w >> col) & 1]
+                    b0 = [w for w in gb if not (w >> c) & 1]
+                    refined.append((a0, b0))
+                    refined.append((a1, b1))
+                else:
+                    refined.append((ga, gb))
+            if ok:
+                used[c] = True
+                if extend(col + 1, refined):
+                    return True
+                used[c] = False
+        return False
+
+    return extend(0, groups)
 
 
 def naive_is_rref(rows: list[int]) -> bool:

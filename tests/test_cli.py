@@ -212,6 +212,22 @@ def test_errors_exit_one(argv, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("m", ["20000", "1000000000"])
+def test_verify_beauville_huge_dimension_is_refused(m, capsys):
+    # the default n_max = 2^(m-1) has m - 1 bits; it is neither built nor
+    # printed in decimal, which Python refuses beyond 4300 digits
+    t0 = time.perf_counter()
+    rc, out, err = _capture(capsys, ["verify", "beauville", "--m", m])
+    assert time.perf_counter() - t0 < 1
+    assert rc == 1
+    assert out == ""
+    assert err == (
+        f"error: sampling subspaces of dimension {m} exceeds the budget of 1000000: "
+        "testing the rank of one draw takes up to m(m-1)/2 row sums\n"
+    )
+    assert "integer string conversion" not in err
+
+
 @pytest.mark.parametrize("m", [9, 10])
 def test_lattice_gamma_rank_budget(m, capsys, tmp_path):
     # RM(1, m) has length 2^m > MAX_LATTICE_RANK

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -29,11 +30,13 @@ from k3nodal.codes import (
     verify_no_extension,
     weight_distribution,
 )
-from k3nodal.gf2 import BitVector, Gf2Matrix, kernel, parse_matrix_text
+from k3nodal.gf2 import BitVector, Gf2Matrix, _rref_ints, kernel, parse_matrix_text, transpose
 from oracles import (
     gray_half_weight_scan,
     gray_weight_distribution,
     macwilliams_dual_counts,
+    naive_is_rref,
+    naive_permutation_equivalent,
     naive_reed_muller_rows,
     naive_weight_distribution,
     qbinom_recursive,
@@ -390,6 +393,60 @@ def test_d_code_test_beyond_the_permutation_budget():
     assert not _is_d_code(_column_copied(code_d(6), 0, 1))
 
 
+def _random_code_of_dim(rng: random.Random, n: int, k: int) -> LinearCode:
+    while True:
+        c = from_generators(Gf2Matrix.from_ints([rng.getrandbits(n) for _ in range(k)], n))
+        if c.k == k:
+            return c
+
+
+def test_permutation_equivalent_matches_list_oracle():
+    rng = random.Random(67)
+    pairs = []
+    # a shuffled copy at every length up to 16, with every dimension 0..n
+    # up to length 12; above it dimensions over 11 are left out, where the
+    # two searches take 0.1 to 3 s per pair
+    for n in range(1, MAX_PERM_SEARCH_LEN + 1):
+        for k in range(min(n, 11) + 1):
+            c = _random_code_of_dim(rng, n, k)
+            pairs.append((c, _shuffled(c, rng)))
+    # a column copied over another, against a shuffled original
+    for _ in range(120):
+        n = rng.randint(2, 12)
+        c = _random_code_of_dim(rng, n, rng.randint(1, min(n, 6)))
+        pairs.append((_column_copied(c, *rng.sample(range(n), 2)), _shuffled(c, rng)))
+    # two independent codes of one shape
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        k = rng.randint(0, n)
+        pairs.append((_random_code_of_dim(rng, n, k), _random_code_of_dim(rng, n, k)))
+    rm24 = reed_muller(2, 4)
+    pairs += [(_shuffled(rm24, rng), rm24) for _ in range(2)]
+    # one weight distribution, {0: 1, 2: 3, 4: 3, 6: 1}, but a has three
+    # pairs of equal columns (every word of F_2^3 doubled) and b a column
+    # repeated three times (F_2^3 with its parity appended three times)
+    a = from_generators(parse_matrix_text("101000\n010001\n000110"))
+    b = from_generators(parse_matrix_text("100111\n010111\n001111"))
+    assert weight_distribution(a) == weight_distribution(b)
+    assert sorted(Counter(transpose(a.gen).row_bits()).values()) == [2, 2, 2]
+    assert sorted(Counter(transpose(b.gen).row_bits()).values()) == [1, 1, 1, 3]
+    pairs.append((a, _shuffled(b, rng)))
+    # e8+e8 and d16+ share the weight enumerator of doubly-even self-dual
+    # codes of length 16, and each has all its columns alike, so the column
+    # profiles match as well and only the refinement tells them apart
+    e8 = code_d(4).gen.row_bits()
+    e8e8 = from_generators(Gf2Matrix.from_ints(list(e8) + [r << 8 for r in e8], 16))
+    d16 = [0b1111 << (2 * i) for i in range(7)] + [int("01" * 8, 2)]
+    d16p = from_generators(Gf2Matrix.from_ints(d16, 16))
+    assert weight_distribution(e8e8) == weight_distribution(d16p)
+    pairs += [(e8e8, _shuffled(e8e8, rng)), (_shuffled(d16p, rng), d16p), (e8e8, _shuffled(d16p, rng))]
+    assert len(pairs) >= 300
+    verdicts = [permutation_equivalent(x, y) for x, y in pairs]
+    assert verdicts == [naive_permutation_equivalent(x, y) for x, y in pairs]
+    assert verdicts[-6:] == [True, True, False, True, True, False]
+    assert 0 < verdicts.count(False) < len(pairs) - 150
+
+
 # ---------------------------------------------------------------- q-binomial
 
 
@@ -448,6 +505,45 @@ def test_extension_certificate_refuses_half_weight():
     bad = ExtensionWitness(0, 1, 0, cert.block_length // 2)
     with pytest.raises(ValueError):
         ExtensionCertificate(cert.m, cert.block_length, False, cert.entries[:-1] + (bad,))
+
+
+def _witness_table_oracle(m: int) -> list[tuple[int, int, int, int]]:
+    """Every (k, l, row, weight) on unpacked rows: the row is the first one
+    in which columns k and l differ."""
+    nbig = 1 << (m - 1)
+    mat = [[(col >> i) & 1 for col in range(nbig)] for i in range(m - 1)]
+    table = []
+    for k in range(nbig):
+        for l in range(nbig):
+            if l != k:
+                j = next(i for i in range(m - 1) if mat[i][k] != mat[i][l])
+                table.append((k, l, j, sum(mat[j]) - mat[j][l] + mat[j][k]))
+    return table
+
+
+def test_verify_no_extension_matches_row_scan_oracle():
+    for m in range(2, 9):
+        cert = verify_no_extension(m)
+        table = _witness_table_oracle(m)
+        assert [tuple(e) for e in cert.entries] == table
+        expected = {
+            "m": m,
+            "N": 1 << (m - 1),
+            "degenerate": m == 2,
+            "pairs": [{"k": k, "l": l, "row": j, "weight": w} for k, l, j, w in table],
+        }
+        assert json.dumps(cert.to_json_dict()) == json.dumps(expected)
+
+
+def test_extension_witness_record():
+    e = ExtensionWitness(3, 1, 2, 7)
+    assert (e.duplicated, e.deleted, e.row, e.weight) == (3, 1, 2, 7)
+    assert e == ExtensionWitness(duplicated=3, deleted=1, row=2, weight=7)
+    assert e != ExtensionWitness(3, 1, 2, 9)
+    assert hash(e) == hash(ExtensionWitness(3, 1, 2, 7))
+    assert len({e, ExtensionWitness(3, 1, 2, 7), ExtensionWitness(1, 3, 0, 7)}) == 2
+    with pytest.raises(AttributeError):
+        e.weight = 8
 
 
 def test_verify_no_extension_range():
@@ -544,6 +640,53 @@ def test_verify_beauville_sampled_digests():
         report = verify_beauville(m, n_max, samples=samples, seed=seed)
         text = json.dumps(report.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_independence_test_matches_rref_rank():
+    rng = random.Random(71)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        rows = [rng.getrandbits(n) for _ in range(rng.randint(0, 7))]
+        cases.append((rows, n))
+    for _ in range(60):
+        n = rng.randint(2, 12)
+        rows = [rng.getrandbits(n) for _ in range(rng.randint(2, 5))]
+        i, j = rng.sample(range(len(rows)), 2)
+        cases.append((rows + [rows[i]], n))  # a duplicated row
+        cases.append((rows + [0], n))  # a zero row
+        cases.append((rows + [rows[i] ^ rows[j]], n))  # a dependent triple
+        cases.append((rows + [rng.getrandbits(n) for _ in range(n + 1 - len(rows))], n))  # m > n
+    independent = 0
+    for rows, n in cases:
+        fast = codes._independent(rows)
+        assert fast == (len(_rref_ints(rows, n)[1]) == len(rows)), (rows, n)
+        independent += fast
+    assert 50 < independent < len(cases) - 200
+
+
+def test_sampled_scan_hands_on_reduced_bases(monkeypatch):
+    # every draw made to qualify: below the extremal length each one is a
+    # counterexample that prints the basis handed on, which is reduced
+    monkeypatch.setattr(codes, "_weights_reach_half", lambda rows, n, flips: True)
+    rep = verify_beauville(5, 15, samples=20, seed=1)
+    assert len(rep.counterexamples) == 20 * 11
+    for line in rep.counterexamples:
+        rows = [int(r, 2) for r in re.search(r"\[([01,]+)\]", line).group(1).split(",")]
+        assert naive_is_rref(rows), line
+
+
+def test_verify_beauville_default_length_and_dimension_bound():
+    # n_max defaults to the extremal length 2^(m-1)
+    assert verify_beauville(3).to_json_dict() == verify_beauville(3, 4).to_json_dict()
+    # one draw's rank test, m(m-1)/2 row sums, is checked on m alone,
+    # before the 2^(m-1)-sized default or any count of that size is built
+    for m in (1415, 20000, 10**9, 10**100):
+        with pytest.raises(ResourceLimitError, match="testing the rank of one draw") as info:
+            verify_beauville(m)
+        assert info.value.partial is None
+    with pytest.raises(ResourceLimitError, match="lengths exceeds the budget"):
+        verify_beauville(1414)
 
 
 def test_verify_beauville_sampled_budget():
