@@ -21,10 +21,10 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .gf2 import BitVector, Gf2Matrix, _rref_ints, kernel, rref, is_rref, transpose
+from .gf2 import BitVector, Gf2Matrix, _rref_ints, _transpose_ints, is_rref, kernel
 
 MAX_ENUM_DIM = 28
 MAX_GENERATOR_BITS = 1 << 22
@@ -43,34 +43,31 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearCode:
-    """A binary linear code of length n and dimension k in canonical form."""
+    """A binary linear code in canonical form, built from its generator
+    matrix; the length n and dimension k are read from it, not passed."""
 
-    n: int
-    k: int
+    n: int = field(init=False)
+    k: int = field(init=False)
     gen: Gf2Matrix
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("code length must be positive")
-        if not 0 <= self.k <= self.n:
-            raise ValueError("dimension must lie between 0 and the length")
-        if self.gen.cols != self.n or self.gen.nrows != self.k:
-            raise ValueError("generator matrix shape does not match (n, k)")
         if any(r.bits == 0 for r in self.gen.rows) or not is_rref(self.gen):
             raise ValueError("generator matrix must be a reduced echelon basis")
+        object.__setattr__(self, "n", self.gen.cols)
+        object.__setattr__(self, "k", self.gen.nrows)
 
     @classmethod
     def zero(cls, n: int) -> LinearCode:
-        return cls(n, 0, Gf2Matrix((), n))
+        return cls(Gf2Matrix((), n))
 
     @classmethod
     def full(cls, n: int) -> LinearCode:
-        return cls(n, n, Gf2Matrix.identity(n))
+        return cls(Gf2Matrix.identity(n))
 
     @classmethod
     def repetition(cls, n: int) -> LinearCode:
         """The line spanned by the all-ones word."""
-        return cls(n, 1, Gf2Matrix((BitVector.ones(n),), n))
+        return cls(Gf2Matrix((BitVector.ones(n),), n))
 
     def pivots(self) -> tuple[int, ...]:
         return tuple((r.bits & -r.bits).bit_length() - 1 for r in self.gen.rows)
@@ -107,14 +104,14 @@ def _encode(gens: Sequence[int], message: int) -> int:
 def from_generators(rows: Gf2Matrix | Sequence[BitVector]) -> LinearCode:
     """The code spanned by the given rows, canonicalized to a reduced basis."""
     matrix = rows if isinstance(rows, Gf2Matrix) else Gf2Matrix.from_rows(tuple(rows))
-    red = rref(matrix)
-    return LinearCode(matrix.cols, red.rank, Gf2Matrix(red.matrix.rows[: red.rank], matrix.cols))
+    reduced, pivots = _rref_ints(matrix.row_bits(), matrix.cols)
+    return LinearCode(Gf2Matrix.from_ints(reduced[: len(pivots)], matrix.cols))
 
 
 def dual(c: LinearCode) -> LinearCode:
     """The orthogonal code under the coordinate dot product; dim = n - k.
     ``kernel`` already returns the reduced echelon basis."""
-    return LinearCode(c.n, c.n - c.k, kernel(c.gen))
+    return LinearCode(kernel(c.gen))
 
 
 def is_isotropic(c: LinearCode) -> bool:
@@ -212,11 +209,8 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
         )
     low = min(c.k, _BLOCK_BITS)
     full, below, above = _block_characters(low)
-    # one message mask per column (bit i = entry of generator row i); the
-    # weight does not depend on the order of the columns
-    width = f"0{c.n}b"
-    text = "".join([format(g, width) for g in reversed(c.gen.row_bits())])
-    masks = [int(text[p :: c.n], 2) for p in range(c.n)] if text else [0] * c.n
+    # one message mask per column (bit i = entry of generator row i)
+    masks = _transpose_ints(c.gen.row_bits(), c.n)
     half, low_mask = low // 2, (1 << low) - 1
     half_mask = (1 << half) - 1
     columns = [(below[m & half_mask] ^ above[(m & low_mask) >> half], m >> low) for m in masks]
@@ -321,7 +315,7 @@ def _is_d_code(c: LinearCode) -> bool:
     """
     if c.k < 2 or c.n != 1 << (c.k - 1) or BitVector.ones(c.n) not in c:
         return False
-    return len(set(transpose(c.gen).row_bits())) == c.n
+    return len(set(_transpose_ints(c.gen.row_bits(), c.n))) == c.n
 
 
 def _bit_sliced_columns(c: LinearCode) -> list[int]:
@@ -350,6 +344,8 @@ def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
     Both codeword sets are bit-sliced (``_bit_sliced_columns``), so a group
     of words is one mask, a weight class comes from ``_weight_classes``,
     and a profile or a refinement step is an AND and a ``bit_count``.
+    A coordinate permutation preserves the dot product, so when k > n - k
+    the search compares the duals, whose codeword sets are the smaller.
     ``tests/oracles.py`` keeps the list-based search as a reference.
     """
     if a.n != b.n or a.k != b.k:
@@ -361,6 +357,8 @@ def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
     # canonical generators: equal codeword sets have equal matrices
     if a.gen == b.gen:
         return True
+    if 2 * a.k > a.n:
+        a, b = dual(a), dual(b)
     full = (1 << (1 << a.k)) - 1
     cols_a, cols_b = _bit_sliced_columns(a), _bit_sliced_columns(b)
     classes_a = {w: mask for mask, w in _weight_classes(cols_a, full)}
@@ -445,15 +443,19 @@ class ExtensionCertificate:
     is the one place that checks it, on construction.  For m >= 3 these
     weights lie off the {0, N/2, N} spectrum of D_m, which is
     the contradiction being certified; for m = 2 they collide with it and
-    the certificate is marked degenerate.
+    the certificate is marked degenerate.  N and degeneracy come from m.
     """
 
     m: int
-    block_length: int
-    degenerate: bool
+    block_length: int = field(init=False)
+    degenerate: bool = field(init=False)
     entries: tuple[ExtensionWitness, ...]
 
     def __post_init__(self) -> None:
+        if self.m < 2:
+            raise ValueError("an extension certificate needs m >= 2")
+        object.__setattr__(self, "block_length", 1 << (self.m - 1))
+        object.__setattr__(self, "degenerate", self.m == 2)
         half = self.block_length // 2
         for e in self.entries:
             if e.weight not in (half - 1, half + 1):
@@ -492,26 +494,24 @@ def verify_no_extension(m: int) -> ExtensionCertificate:
     code with spectrum {0, N/2, N}, so no extension exists.  The full
     table over all ordered pairs (k, l), k != l, is returned; iteration is
     ascending in k then l and the witness row is the first differing one,
-    so the certificate is byte-reproducible.  Each column of M is read as
-    one int, so that row is the lowest set bit of column k XOR column l,
-    and the weight is the row's weight, less its bit in column l, plus its
-    bit in column k: O(1) per pair.
+    so the certificate is byte-reproducible.  Column k of M is the int k,
+    so that row is the lowest set bit of k XOR l, and the weight is the
+    row's weight, less its bit in column l, plus its bit in column k: O(1)
+    per pair.
     """
     if not 2 <= m <= 8:
         raise ValueError("verify_no_extension supports 2 <= m <= 8")
     nbig = 1 << (m - 1)
-    mat = Gf2Matrix.from_ints([_coordinate_pattern(m - 1, i) for i in range(m - 1)], nbig)
-    row_weights = [r.weight for r in mat.rows]
-    columns = list(enumerate(transpose(mat).row_bits()))
+    row_weights = [_coordinate_pattern(m - 1, i).bit_count() for i in range(m - 1)]
     entries = []
-    for k, col_k in columns:
-        for l, col_l in columns:
+    for k in range(nbig):
+        for l in range(nbig):
             if l != k:
-                diff = col_k ^ col_l
+                diff = k ^ l
                 j = (diff & -diff).bit_length() - 1
-                w = row_weights[j] - ((col_l >> j) & 1) + ((col_k >> j) & 1)
+                w = row_weights[j] - ((l >> j) & 1) + ((k >> j) & 1)
                 entries.append(ExtensionWitness(k, l, j, w))
-    return ExtensionCertificate(m, nbig, m == 2, tuple(entries))
+    return ExtensionCertificate(m, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -705,7 +705,7 @@ def verify_beauville(
             )
         elif n == extremal_n:
             extremal_count += 1
-            if not _is_d_code(LinearCode(n, m, Gf2Matrix.from_ints(rows, n))):
+            if not _is_d_code(LinearCode(Gf2Matrix.from_ints(rows, n))):
                 counterexamples.append(f"n={n}: extremal code [{desc}] is not equivalent to D_{m}")
 
     if exhaustive:

@@ -99,11 +99,10 @@ class NodalCodeConstraints:
 
 def nodal_code_constraints(n: int) -> NodalCodeConstraints:
     """Allowed weights {8, 16} within reach of n, the dimension bound for
-    b2 = 22, and a code for n = 16, n = 8 and n < 8.  The constraints force
-    D_5 at n = 16 and the zero code below 8.  At n = 8 they do not force
-    one: eight disjoint nodal curves have the code {0} or the all-ones
-    line, the line exactly when they form an even set, and the line
-    returned there is the larger of the two."""
+    b2 = 22, and the code they force, if any.  They force D_5 at n = 16,
+    and the zero code when no allowed weight is at most n (n < 8).  At
+    n = 8 they force none: eight disjoint nodal curves have the code {0}
+    or the all-ones line, the line exactly when they form an even set."""
     if n < 1:
         raise ValueError("curve count must be positive")
     allowed = tuple(w for w in (8, 16) if w <= n)
@@ -112,9 +111,7 @@ def nodal_code_constraints(n: int) -> NodalCodeConstraints:
     name: str | None = None
     if n == 16:
         forced, name = code_d(5), "D5"
-    elif n == 8:
-        forced, name = LinearCode.repetition(8), "line"
-    elif n < 8:
+    elif not allowed:
         forced, name = LinearCode.zero(n), "zero"
     return NodalCodeConstraints(n, allowed, bound, forced, name)
 
@@ -151,7 +148,7 @@ def verify_max_sixteen() -> TheoremCertificate:
     coordinates first, recorded as the monotonicity note.
     """
     cons = nodal_code_constraints(16)
-    d5 = code_d(5)
+    d5 = cons.forced_code
     dist = weight_distribution(d5)
     sixteen = {
         "n": 16,
@@ -167,7 +164,6 @@ def verify_max_sixteen() -> TheoremCertificate:
         cons.dim_lower_bound == 5
         and cons.allowed_nonzero_weights == (8, 16)
         and sixteen["length_is_extremal"]
-        and cons.forced_code == d5
         and sixteen["forced_code_passes_characterization"]
         and dist.counts == {0: 1, 8: 30, 16: 1}
     )
@@ -381,8 +377,8 @@ def admissible(cfg: DuValConfig) -> AdmissibilityReport:
     for letter, n, count in cfg.terms():
         each = _delta_per_singularity(letter, n)
         breakdown.append(TypeBreakdown(f"{letter}{n}", count, each, each * count, n * count))
-    d = delta(cfg)
-    mu = milnor(cfg)
+    d = sum(t.delta_total for t in breakdown)
+    mu = sum(t.milnor_total for t in breakdown)
     ok = d <= 16
     reasons = () if ok else (f"delta {d} exceeds the bound of 16 disjoint nodal curves",)
     ratio = Fraction(d, mu) if mu else None

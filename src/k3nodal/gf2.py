@@ -9,7 +9,7 @@ a pure function, so unrestricted concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -51,24 +51,13 @@ class BitVector:
     def weight(self) -> int:
         return self.bits.bit_count()
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.length) if (self.bits >> j) & 1)
-
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> j) & 1 for j in range(self.length))
-
-    def __len__(self) -> int:
-        return self.length
 
     def __getitem__(self, j: int) -> int:
         if not 0 <= j < self.length:
             raise IndexError(j)
         return (self.bits >> j) & 1
-
-    def __xor__(self, other: BitVector) -> BitVector:
-        if self.length != other.length:
-            raise ValueError(f"xor of lengths {self.length} and {other.length}")
-        return BitVector(self.length, self.bits ^ other.bits)
 
     def __str__(self) -> str:
         return format(self.bits, f"0{self.length}b")[::-1]
@@ -213,12 +202,18 @@ def kernel(m: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix.from_ints(basis, m.cols)
 
 
+def _transpose_ints(rows: Sequence[int], cols: int) -> list[int]:
+    """Columns of bit-packed rows (bit i of column j is bit j of row i), each
+    a stride slice of the rows' fixed-width binary text, last row first."""
+    width = f"0{cols}b"
+    text = "".join([format(r, width) for r in reversed(rows)])
+    return [int(text[p::cols] or "0", 2) for p in range(cols - 1, -1, -1)]
+
+
 def transpose(m: Gf2Matrix) -> Gf2Matrix:
     if m.nrows == 0:
         raise ValueError("cannot transpose a matrix with no rows")
-    bits = m.row_bits()
-    cols = [sum(((b >> j) & 1) << i for i, b in enumerate(bits)) for j in range(m.cols)]
-    return Gf2Matrix.from_ints(cols, m.nrows)
+    return Gf2Matrix.from_ints(_transpose_ints(m.row_bits(), m.cols), m.nrows)
 
 
 def parse_matrix_text(text: str) -> Gf2Matrix:
@@ -226,9 +221,6 @@ def parse_matrix_text(text: str) -> Gf2Matrix:
     rows = [BitVector.from_string(line.strip()) for line in text.splitlines() if line.strip()]
     if not rows:
         raise ValueError("no matrix rows found")
-    lengths = {r.length for r in rows}
-    if len(lengths) != 1:
-        raise ValueError("ragged rows: all rows must have the same length")
     return Gf2Matrix.from_rows(rows)
 
 

@@ -164,8 +164,8 @@ def gamma_from_code(code: LinearCode, sign: int = 1) -> CodeLattice:
             f"a lattice of rank {n} exceeds the rank budget of {MAX_LATTICE_RANK}"
         )
     by_leading: dict[int, tuple[int, ...]] = {}
-    for row in code.gen.rows:
-        by_leading[row.support()[0]] = row.coords()
+    for p, row in zip(code.pivots(), code.gen.rows):
+        by_leading[p] = row.coords()
     for j in range(n):
         if j not in by_leading:
             by_leading[j] = tuple(2 if t == j else 0 for t in range(n))

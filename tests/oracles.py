@@ -3,10 +3,11 @@
 Almost everything here works on plain lists of 0/1 ints (or adjacency
 lists), deliberately avoiding the bit-packed representations and
 algorithms of the package, so agreement between the two routes is
-meaningful.  ``gray_weight_distribution``, ``naive_is_rref`` and
-``gray_order_bases`` work on bit-packed int rows, but use none of the
-package's code: one XOR per codeword in Gray-code order, a pivot-column
-count per lead, and one free-entry flip per reduced basis.
+meaningful.  ``gray_weight_distribution``, ``naive_is_rref``,
+``gray_order_bases`` and ``naive_transpose`` work on bit-packed int rows,
+but use none of the package's code: one XOR per codeword in Gray-code
+order, a pivot-column count per lead, one free-entry flip per reduced
+basis, and one shift per matrix entry.
 ``naive_permutation_equivalent`` takes two codes and reads only their
 ``n``, ``k`` and ``codewords()``; it searches lists of codeword ints, not
 the package's bit-sliced columns.
@@ -83,6 +84,12 @@ def gray_weight_distribution(rows: list[int], n: int) -> dict[int, int]:
         w = word.bit_count()
         counts[w] = counts.get(w, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def naive_transpose(rows: list[int], cols: int) -> list[int]:
+    """Columns of bit-packed rows, one bit at a time: bit i of column j is
+    bit j of row i."""
+    return [sum(((b >> j) & 1) << i for i, b in enumerate(rows)) for j in range(cols)]
 
 
 def gray_order_bases(n: int, m: int) -> Iterator[list[int]]:

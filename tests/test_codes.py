@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -71,6 +72,28 @@ def test_from_generators_examples():
     c5 = from_generators(Gf2Matrix.from_rows(rows))
     assert (c5.n, c5.k) == (16, 5)
     assert c5 == code_d(5)
+
+
+def test_codes_are_sized_by_their_generators():
+    rng = random.Random(19)
+    codes = [LinearCode.zero(5), LinearCode.full(5), LinearCode.repetition(5), code_d(4)]
+    codes += [_random_code(rng, rng.randint(1, 30)) for _ in range(40)]
+    codes += [dual(c) for c in codes]
+    for c in codes:
+        assert (c.n, c.k) == (c.gen.cols, c.gen.nrows)
+    assert [(c.n, c.k) for c in codes[:3]] == [(5, 0), (5, 5), (5, 1)]
+    with pytest.raises(TypeError):
+        LinearCode(4, 0, Gf2Matrix((), 4))
+    with pytest.raises(ValueError):
+        LinearCode(Gf2Matrix.from_ints([0b11, 0b01], 2))  # not reduced
+
+
+def test_linear_code_repr_is_unchanged():
+    assert repr(code_d(5)) == (
+        "LinearCode(n=16, k=5, gen=Gf2Matrix(rows=(BitVector(length=16, bits=38505), "
+        "BitVector(length=16, bits=43690), BitVector(length=16, bits=52428), "
+        "BitVector(length=16, bits=61680), BitVector(length=16, bits=65280)), cols=16))"
+    )
 
 
 def test_from_generators_ragged():
@@ -447,6 +470,27 @@ def test_permutation_equivalent_matches_list_oracle():
     assert 0 < verdicts.count(False) < len(pairs) - 150
 
 
+def test_permutation_equivalent_compares_duals_above_half_dimension():
+    rng = random.Random(71)
+    n = MAX_PERM_SEARCH_LEN
+    for k in range(12, n + 1):
+        c = _random_code_of_dim(rng, n, k)
+        t0 = time.perf_counter()
+        assert permutation_equivalent(c, _shuffled(c, rng))
+        assert time.perf_counter() - t0 < 1.0, k
+    pairs = []
+    for _ in range(80):
+        n = rng.randint(3, 12)
+        c = _random_code_of_dim(rng, n, rng.randint(n // 2 + 1, n - 1))
+        copied = _column_copied(c, *rng.sample(range(n), 2))
+        if copied.k == c.k:
+            pairs += [(copied, _shuffled(c, rng)), (copied, _shuffled(copied, rng))]
+    assert len(pairs) >= 60
+    verdicts = [permutation_equivalent(x, y) for x, y in pairs]
+    assert verdicts == [naive_permutation_equivalent(x, y) for x, y in pairs]
+    assert 0 < verdicts.count(False) < verdicts.count(True)
+
+
 # ---------------------------------------------------------------- q-binomial
 
 
@@ -496,15 +540,24 @@ def test_extension_certificate_ok():
         assert verify_no_extension(m).ok
     assert not verify_no_extension(2).ok  # degenerate
     cert = verify_no_extension(4)
-    short = ExtensionCertificate(cert.m, cert.block_length, cert.degenerate, cert.entries[:-1])
+    short = ExtensionCertificate(cert.m, cert.entries[:-1])
     assert not short.ok
+    # N and the degeneracy come from m: a caller can no longer pass N = 2,
+    # under which two witnesses made a complete table
+    two = verify_no_extension(5).entries[:2]
+    loose = ExtensionCertificate(5, two)
+    assert (loose.block_length, loose.degenerate, loose.ok) == (16, False, False)
+    assert ExtensionCertificate(cert.m, cert.entries) == cert
+    for m in (-1, 0, 1):
+        with pytest.raises(ValueError):
+            ExtensionCertificate(m, ())
 
 
 def test_extension_certificate_refuses_half_weight():
     cert = verify_no_extension(4)
     bad = ExtensionWitness(0, 1, 0, cert.block_length // 2)
     with pytest.raises(ValueError):
-        ExtensionCertificate(cert.m, cert.block_length, False, cert.entries[:-1] + (bad,))
+        ExtensionCertificate(cert.m, cert.entries[:-1] + (bad,))
 
 
 def _witness_table_oracle(m: int) -> list[tuple[int, int, int, int]]:

@@ -61,12 +61,14 @@ def test_nodal_code_constraints():
     assert c16.dim_lower_bound == 5
     assert c16.forced_code_name == "D5"
     assert c16.forced_code == code_d(5)
+    # eight curves have the zero code or the all-ones line: neither is forced
     c8 = nodal_code_constraints(8)
-    assert c8.forced_code == LinearCode.repetition(8)
-    assert c8.forced_code_name == "line"
-    c7 = nodal_code_constraints(7)
-    assert c7.allowed_nonzero_weights == ()
-    assert c7.forced_code == LinearCode.zero(7)
+    assert c8.allowed_nonzero_weights == (8,)
+    assert c8.forced_code is None and c8.forced_code_name is None
+    for n in range(1, 8):
+        c = nodal_code_constraints(n)
+        assert c.allowed_nonzero_weights == ()
+        assert c.forced_code == LinearCode.zero(n) and c.forced_code_name == "zero"
     c12 = nodal_code_constraints(12)
     assert c12.allowed_nonzero_weights == (8,)
     assert c12.forced_code is None
@@ -249,7 +251,7 @@ def test_theorem_refuted_by_an_incomplete_witness_table(monkeypatch):
 
     def short(m):
         cert = full(m)
-        return ExtensionCertificate(cert.m, cert.block_length, cert.degenerate, cert.entries[:-1])
+        return ExtensionCertificate(cert.m, cert.entries[:-1])
 
     monkeypatch.setattr(duval, "verify_no_extension", short)
     assert not verify_max_sixteen().ok

@@ -12,7 +12,7 @@ from k3nodal.gf2 import (
     rref,
     transpose,
 )
-from oracles import naive_is_rref, naive_rank, naive_rref
+from oracles import naive_is_rref, naive_rank, naive_rref, naive_transpose
 
 EQ2_ROWS = [
     "0101010101010101",
@@ -45,7 +45,6 @@ def test_bitvector_validation():
         BitVector.from_string("01x")
     v = BitVector.from_string("0110")
     assert v.weight == 2
-    assert v.support() == (1, 2)
     assert v.coords() == (0, 1, 1, 0)
     assert [v[j] for j in range(4)] == [0, 1, 1, 0]
     assert str(v) == "0110"
@@ -143,6 +142,20 @@ def test_transpose():
     for i in range(2):
         for j in range(3):
             assert m.rows[i][j] == t.rows[j][i]
+
+
+def test_transpose_matches_naive_oracle():
+    rng = random.Random(11)
+    shapes = [(1, 1), (1, 9), (9, 1), (64, 1000), (1000, 64)]
+    shapes += [(rng.randint(1, 70), rng.randint(1, 70)) for _ in range(60)]
+    for nrows, cols in shapes:
+        rows = [rng.getrandbits(cols) for _ in range(nrows)]
+        t = transpose(Gf2Matrix.from_ints(rows, cols))
+        assert (t.nrows, t.cols) == (cols, nrows)
+        assert list(t.row_bits()) == naive_transpose(rows, cols)
+        assert transpose(t).row_bits() == tuple(rows)
+    with pytest.raises(ValueError):
+        transpose(Gf2Matrix((), 3))
 
 
 def test_matrix_text_roundtrip():
