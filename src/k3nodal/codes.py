@@ -463,9 +463,24 @@ class ExtensionCertificate:
 
     @property
     def ok(self) -> bool:
-        """Non-degenerate, with a witness for every ordered column pair."""
+        """Non-degenerate, with one correct witness for every ordered column
+        pair: the pairs (k, l), k != l, of range(N) each appear once, each
+        row is the lowest set bit of k XOR l, and each weight is N/2 plus
+        that bit of k less that bit of l."""
         n = self.block_length
-        return not self.degenerate and len(self.entries) == n * (n - 1)
+        if self.degenerate or len(self.entries) != n * (n - 1):
+            return False
+        half = n // 2
+        pairs = set()
+        for e in self.entries:
+            k, l, j = e.duplicated, e.deleted, e.row
+            diff = k ^ l
+            if not (0 <= k < n and 0 <= l < n and diff) or j != (diff & -diff).bit_length() - 1:
+                return False
+            if e.weight != half + ((k >> j) & 1) - ((l >> j) & 1):
+                return False
+            pairs.add((k, l))
+        return len(pairs) == n * (n - 1)
 
     def witness_weights(self) -> set[int]:
         return {e.weight for e in self.entries}

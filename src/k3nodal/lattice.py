@@ -2,25 +2,35 @@
 
 ``gamma_from_code`` realizes the preimage of a code under reduction
 mod 2 inside Z^n carrying the standard form scaled by 1/2 (optionally
-negated).  All Gram data is exact: the doubled Gram matrix is stored as
-integers, determinants come from fraction-free elimination, and
-discriminant groups from an integer Smith normal form.  The two named
-lattices of interest are the rank-16 lattice of sixteen disjoint nodal
-curves on a desingularized Kummer surface and the rank-8 lattice of an
-even eight-set.
+negated).  All Gram data is exact and each invariant is computed once per
+lattice:
+
+- the doubled Gram matrix, as integers, from the sparse basis rows (a
+  2e_j row has one entry, a lifted generator its weight); membership
+  back-substitutes over the same sparse rows;
+- the determinant and every leading minor from one fraction-free
+  (Bareiss) pass on the Gram matrix with each row's content divided out,
+  the minors scaled back exactly;
+- the discriminant group from a certificate: |det| = 2^(n - r), with r
+  the rank of the Gram matrix over GF(2), fixes the Smith diagonal as
+  r ones and n - r twos.  Every code lattice meets it; any other
+  integral basis falls back to an integer Smith normal form.
+
+The two named lattices of interest are the rank-16 lattice of sixteen
+disjoint nodal curves on a desingularized Kummer surface and the rank-8
+lattice of an even eight-set.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .codes import LinearCode, ResourceLimitError, code_d, from_generators
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, _rref_ints
 
 MAX_LATTICE_RANK = 256
 
@@ -34,9 +44,10 @@ class CodeLattice:
     paths.  The basis is upper triangular with respect to the leading
     coordinate, which makes membership a back-substitution.  The
     constructor derives gram2 from the basis and the sign, once, so it is
-    a field but not an argument.  The leading minors and the Smith
-    diagonal are computed on first use and kept on the instance; they are
-    not fields, so equality, hashing and repr are those of the four fields.
+    a field but not an argument.  The sparse rows, the leading minors and
+    the Smith diagonal are computed on first use and kept on the instance;
+    they are not fields, so equality, hashing and repr are those of the
+    four fields.
     """
 
     n: int
@@ -53,16 +64,58 @@ class CodeLattice:
             raise ValueError("basis must consist of n vectors of length n")
         if any(any(row[:i]) for i, row in enumerate(self.basis)):
             raise ValueError("basis must be triangular by leading coordinate")
-        object.__setattr__(self, "gram2", _gram2(self.basis, self.sign))
+        object.__setattr__(self, "gram2", _gram2(self._rows, self.sign))
+
+    @functools.cached_property
+    def _rows(self) -> tuple[dict[int, int], ...]:
+        """Each basis row's nonzero entries as {coordinate: value}."""
+        return tuple(
+            {t: x for t, x in enumerate(row[i:], i) if x} for i, row in enumerate(self.basis)
+        )
 
     @functools.cached_property
     def _minors2(self) -> tuple[int, ...]:
-        """Leading principal minors of gram2, from one Bareiss pass."""
-        return _leading_minors_int(self.gram2)
+        """Leading principal minors of gram2, from one Bareiss pass.
+
+        With c_i the gcd of basis row i (1 for a zero row) and C = diag(c),
+        gram2 = C G' C for the integer matrix G'_ij = gram2_ij / (c_i c_j),
+        so the t-th leading minor of gram2 is that of G' times
+        (c_0 ... c_(t-1))^2.  The pass runs on G', whose entries are shorter.
+        """
+        contents = [math.gcd(*row.values()) or 1 for row in self._rows]
+        scaled = [
+            [e // (ci * cj) for e, cj in zip(row, contents)]
+            for row, ci in zip(self.gram2, contents)
+        ]
+        minors = []
+        scale = 1
+        for d, c in zip(_leading_minors_int(scaled), contents):
+            scale *= c * c
+            minors.append(d * scale)
+        return tuple(minors)
 
     @functools.cached_property
     def _smith(self) -> tuple[int, ...]:
-        """Smith diagonal of gram2 // 2, the true Gram matrix when integral."""
+        """Smith diagonal of gram2 // 2, the true Gram matrix G when the
+        lattice is integral.
+
+        Lemma: if G is a nonsingular integer n x n matrix of rank r over
+        GF(2) and |det G| = 2^(n-r), its Smith diagonal is r ones followed
+        by n - r twos.  Proof: unimodular row and column operations stay
+        invertible mod 2, so r is also the rank mod 2 of the Smith diagonal
+        s_1 | ... | s_n, that is, the number of odd s_i.  The n - r even
+        ones are each at least 2 and their product divides |det G| =
+        2^(n-r), so each is exactly 2 and the odd ones multiply to 1.
+
+        A code lattice meets the condition (|det G| = 2^(n-2k) and r = 2k),
+        so only other bases reach the general elimination.
+        """
+        n = self.n
+        # bit 1 of a doubled entry is the parity of the true entry
+        parity_rows = [sum(1 << j for j, e in enumerate(row) if e & 2) for row in self.gram2]
+        odd = len(_rref_ints(parity_rows, n)[1])
+        if abs(self._minors2[-1]) >> n == 1 << (n - odd):
+            return (1,) * odd + (2,) * (n - odd)
         return tuple(_smith_diagonal([[e // 2 for e in row] for row in self.gram2]))
 
     def coordinates_of(self, vec: Sequence[int]) -> tuple[int, ...] | None:
@@ -71,9 +124,9 @@ class CodeLattice:
             raise ValueError(f"vector length {len(vec)} does not match rank {self.n}")
         residue = list(vec)
         coeffs = []
-        for i in range(self.n):
-            d = self.basis[i][i]
-            if d == 0:
+        for i, row in enumerate(self._rows):
+            d = row.get(i)
+            if d is None:
                 coeffs.append(0)
                 continue
             q, r = divmod(residue[i], d)
@@ -81,8 +134,8 @@ class CodeLattice:
                 return None
             coeffs.append(q)
             if q:
-                for t in range(i, self.n):
-                    residue[t] -= q * self.basis[i][t]
+                for t, x in row.items():
+                    residue[t] -= q * x
         return tuple(coeffs) if not any(residue) else None
 
     def contains(self, vec: Sequence[int]) -> bool:
@@ -90,6 +143,8 @@ class CodeLattice:
 
     def norm_of(self, vec: Sequence[int]) -> Fraction:
         """Value of the form on an ambient integer vector."""
+        if len(vec) != self.n:
+            raise ValueError(f"vector length {len(vec)} does not match rank {self.n}")
         return Fraction(self.sign * sum(x * x for x in vec), 2)
 
     def to_json_dict(self) -> dict:
@@ -109,14 +164,20 @@ class CodeLattice:
         }
 
 
-def _gram2(basis: Sequence[Sequence[int]], sign: int) -> tuple[tuple[int, ...], ...]:
-    """Doubled Gram matrix sign * B B^T of a triangular basis (row i is
-    zero before coordinate i): the products on and right of the diagonal,
-    each summed from coordinate j on, mirrored below it."""
-    upper = [
-        [sign * sum(map(operator.mul, bi[j:], bj[j:])) for j, bj in enumerate(basis[i:], i)]
-        for i, bi in enumerate(basis)
-    ]
+def _gram2(rows: Sequence[dict[int, int]], sign: int) -> tuple[tuple[int, ...], ...]:
+    """Doubled Gram matrix sign * B B^T from the basis rows' nonzero
+    entries: the products on and right of the diagonal, each summed over
+    the shorter of the two supports, mirrored below it."""
+    items = [tuple(row.items()) for row in rows]
+    upper = []
+    for i, a in enumerate(rows):
+        line = []
+        for b, b_items in zip(rows[i:], items[i:]):
+            if len(a) <= len(b):
+                line.append(sign * sum([x * b.get(t, 0) for t, x in items[i]]))
+            else:
+                line.append(sign * sum([x * a.get(t, 0) for t, x in b_items]))
+        upper.append(line)
     return tuple(
         tuple([upper[j][i - j] for j in range(i)] + row) for i, row in enumerate(upper)
     )

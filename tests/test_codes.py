@@ -536,7 +536,7 @@ def test_verify_no_extension_m2_degenerate():
 
 
 def test_extension_certificate_ok():
-    for m in (3, 4, 5):
+    for m in (3, 4, 5, 6):
         assert verify_no_extension(m).ok
     assert not verify_no_extension(2).ok  # degenerate
     cert = verify_no_extension(4)
@@ -551,6 +551,27 @@ def test_extension_certificate_ok():
     for m in (-1, 0, 1):
         with pytest.raises(ValueError):
             ExtensionCertificate(m, ())
+
+
+def test_extension_certificate_checks_every_witness():
+    entries = list(verify_no_extension(4).entries)
+    # 56 copies of one genuine witness: the right count, one pair
+    assert not ExtensionCertificate(4, (entries[0],) * 56).ok
+    # row 1 where columns k and l differ in rows 0 and 1, with the weight
+    # row 1 gives: a differing row, but not the lowest
+    i, e = next(
+        (i, e) for i, e in enumerate(entries) if e.row == 0 and (e.duplicated ^ e.deleted) & 2
+    )
+    swapped = e._replace(row=1, weight=4 + ((e.duplicated >> 1) & 1) - ((e.deleted >> 1) & 1))
+    assert not ExtensionCertificate(4, tuple(entries[:i] + [swapped] + entries[i + 1 :])).ok
+    # the other off-spectrum weight, still N/2 +- 1
+    flipped = e._replace(weight=8 - e.weight)
+    assert not ExtensionCertificate(4, tuple(entries[:i] + [flipped] + entries[i + 1 :])).ok
+    # a pair dropped, another duplicated to keep the count
+    assert not ExtensionCertificate(4, tuple(entries[1:] + entries[-1:])).ok
+    # pairs outside range(N) or with k == l
+    far = ExtensionWitness(8, 0, 3, 5)
+    assert not ExtensionCertificate(4, tuple(entries[:-1] + [far])).ok
 
 
 def test_extension_certificate_refuses_half_weight():

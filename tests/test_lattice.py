@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from k3nodal import lattice
-from k3nodal.codes import LinearCode, code_d, from_generators, is_isotropic
+from k3nodal.codes import LinearCode, code_d, from_generators, is_isotropic, reed_muller
 from k3nodal.gf2 import Gf2Matrix, parse_matrix_text
 from k3nodal.lattice import (
     CodeLattice,
@@ -276,6 +276,71 @@ def test_smith_diagonal_of_isotropic_code_grams():
         assert tuple(d for d in diag if d > 1) == discriminant_group(lat).elementary_divisors
 
 
+def _scaled_triangular_basis(rng, n):
+    # triangular rows with negative entries, some scaled by 2, 3 or 4, some zero
+    basis = []
+    for i in range(n):
+        row = [0] * i + [rng.randint(-3, 3) for _ in range(n - i)]
+        if rng.random() < 0.5:
+            row = [rng.choice([2, 3, 4]) * x for x in row]
+        if rng.random() < 0.15:
+            row = [0] * n
+        basis.append(tuple(row))
+    return tuple(basis)
+
+
+def test_content_scaled_invariants_match_oracles():
+    rng = random.Random(131)
+    integral = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        lat = CodeLattice(n, rng.choice([1, -1]), _scaled_triangular_basis(rng, n))
+        gram = _true_gram(lat)
+        assert leading_principal_minors(lat) == tuple(naive_leading_minors(gram))
+        assert determinant(lat) == naive_det(gram)
+        if is_integral(lat):
+            integral += 1
+            smith = naive_smith_diagonal([[e // 2 for e in row] for row in lat.gram2])
+            if len(smith) == n:
+                group = discriminant_group(lat).elementary_divisors
+                assert group == tuple(d for d in smith if d > 1)
+            else:
+                with pytest.raises(ValueError):
+                    discriminant_group(lat)
+    assert integral >= 30
+
+
+def _no_general_smith(mat):
+    raise AssertionError("the general Smith elimination ran")
+
+
+def test_code_lattices_take_the_smith_certificate(monkeypatch):
+    monkeypatch.setattr(lattice, "_smith_diagonal", _no_general_smith)
+    rng = random.Random(139)
+    for _ in range(200):
+        c = _small_isotropic_code(rng, rng.randint(1, 12))
+        lat = gamma_from_code(c, rng.choice([1, -1]))
+        assert discriminant_group(lat).elementary_divisors == (2,) * (c.n - 2 * c.k)
+    assert discriminant_group(kummer_lattice()).elementary_divisors == (2,) * 6
+    assert discriminant_group(even_eight_lattice()).elementary_divisors == (2,) * 6
+
+
+def test_general_basis_falls_back_to_smith_elimination(monkeypatch):
+    calls = []
+    general = lattice._smith_diagonal
+
+    def counted(mat):
+        calls.append(mat)
+        return general(mat)
+
+    monkeypatch.setattr(lattice, "_smith_diagonal", counted)
+    assert discriminant_group(CodeLattice(2, 1, ((2, 0), (0, 4)))).elementary_divisors == (2, 8)
+    assert calls == [[[2, 0], [0, 8]]]
+    with pytest.raises(ValueError, match="degenerate"):
+        discriminant_group(CodeLattice(2, 1, ((1, 1), (0, 0))))
+    assert len(calls) == 2
+
+
 _INVARIANTS = {
     "determinant": determinant,
     "minors": leading_principal_minors,
@@ -366,12 +431,27 @@ def test_overlattice_roundtrip_random():
 
 
 def test_coordinates_of_solves_triangular_system():
-    lat = kummer_lattice()
+    # the Kummer lattice and rank-32 code lattices; a unit vector is no
+    # codeword of these codes, so adding one leaves the lattice
     rng = random.Random(83)
-    for _ in range(20):
-        coeffs = [rng.randint(-3, 3) for _ in range(16)]
-        vec = [sum(c * lat.basis[i][t] for i, c in enumerate(coeffs)) for t in range(16)]
-        assert lat.coordinates_of(vec) == tuple(coeffs)
+    for c in (code_d(5), reed_muller(1, 5), reed_muller(2, 5), code_d(6)):
+        n = c.n
+        for sign in (1, -1):
+            lat = gamma_from_code(c, sign)
+            for _ in range(10):
+                coeffs = [rng.randint(-3, 3) for _ in range(n)]
+                vec = [sum(a * lat.basis[i][t] for i, a in enumerate(coeffs)) for t in range(n)]
+                assert lat.coordinates_of(vec) == tuple(coeffs)
+                vec[rng.randrange(n)] += 1
+                assert lat.coordinates_of(vec) is None
+                assert not lat.contains(vec)
+
+
+def test_vector_length_must_match_rank():
+    lat = kummer_lattice()
+    for method in (lat.coordinates_of, lat.norm_of, lat.contains):
+        with pytest.raises(ValueError, match="does not match rank 16"):
+            method((1,))
 
 
 def test_format_gram():
