@@ -163,22 +163,34 @@ def _block_characters(low: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return (1 << (1 << low)) - 1, tuple(below), tuple(above)
 
 
-def _weight_classes(columns: Sequence[int], full: int) -> list[tuple[int, int]]:
-    """Split the word mask ``full`` by weight: (mask, weight) for every
-    weight present, where bit u of column j is coordinate j of word u.
+def _add_columns(planes: list[int], columns: Sequence[int]) -> None:
+    """Add the columns into counter planes, in place: plane t holds bit t
+    of every word's count of set columns, where bit u of a column is
+    coordinate j of word u.  The planes must have room for the total.
 
-    The columns are summed into ripple-carry counter planes (plane t holds
-    bit t of every word's weight), and the mask is split on each plane
-    from the top.
+    The sum is carry-save: at level t, full adders fold the vectors of
+    weight 2^t into the plane two at a time, each sending one carry of
+    weight 2^(t+1) to the next level.  That is about five word operations
+    per column, where a ripple-carry add walks every plane.
     """
-    planes = [0] * len(columns).bit_length()
-    for carry in columns:
-        t = 0
-        while carry:
-            plane = planes[t]
-            planes[t] = plane ^ carry
-            carry &= plane
-            t += 1
+    carries = columns
+    for t, plane in enumerate(planes):
+        pending, carries = carries, []
+        for i in range(1, len(pending), 2):
+            a, b = pending[i - 1], pending[i]
+            half = plane ^ a
+            carries.append((plane & a) | (half & b))
+            plane = half ^ b
+        if len(pending) & 1:
+            a = pending[-1]
+            carries.append(plane & a)
+            plane ^= a
+        planes[t] = plane
+
+
+def _split_by_planes(planes: Sequence[int], full: int) -> list[tuple[int, int]]:
+    """Split the word mask ``full`` by the counts the planes hold: (mask,
+    count) for every count present, splitting on each plane from the top."""
     parts = [(full, 0)]
     for t in reversed(range(len(planes))):
         plane, bit = planes[t], 1 << t
@@ -193,6 +205,14 @@ def _weight_classes(columns: Sequence[int], full: int) -> list[tuple[int, int]]:
     return parts
 
 
+def _weight_classes(columns: Sequence[int], full: int) -> list[tuple[int, int]]:
+    """Split the word mask ``full`` by weight: (mask, weight) for every
+    weight present, where bit u of column j is coordinate j of word u."""
+    planes = [0] * len(columns).bit_length()
+    _add_columns(planes, columns)
+    return _split_by_planes(planes, full)
+
+
 def weight_distribution(c: LinearCode) -> WeightDistribution:
     """Exact weight counts by bit-sliced enumeration.
 
@@ -200,8 +220,14 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
     For a fixed high part, coordinate j over the block of low parts is one
     int: the parity pattern of the column's low message mask, complemented
     when the high part meets the column's high mask in an odd number of
-    bits.  ``_weight_classes`` splits the block's mask by weight, and each
-    part is counted with ``int.bit_count``.
+    bits.  The columns are summed into counter planes (``_add_columns``)
+    and the block's mask is split by weight (``_split_by_planes``); each
+    part is counted with ``int.bit_count``.  Only columns with both masks
+    nonzero change from block to block.  Those with no high mask (in
+    reduced form, every pivot column of a low row) are summed once, and
+    each block's sum starts from a copy of those planes.  Those with no
+    low mask are all zeros or all ones over a block, so they shift every
+    weight in it by the number of them the high part meets oddly.
     """
     if c.k > MAX_ENUM_DIM:
         raise ResourceLimitError(
@@ -213,12 +239,26 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
     masks = _transpose_ints(c.gen.row_bits(), c.n)
     half, low_mask = low // 2, (1 << low) - 1
     half_mask = (1 << half) - 1
-    columns = [(below[m & half_mask] ^ above[(m & low_mask) >> half], m >> low) for m in masks]
+    fixed, varying, shifts = [], [], []
+    for m in masks:
+        base, high = below[m & half_mask] ^ above[(m & low_mask) >> half], m >> low
+        if not high:
+            fixed.append(base)
+        elif not base:
+            shifts.append(high)
+        else:
+            varying.append((base, high))
+    fixed_planes = [0] * (len(fixed) + len(varying)).bit_length()
+    _add_columns(fixed_planes, fixed)
     counts: dict[int, int] = {}
     for h in range(1 << (c.k - low)):
-        block = [base ^ full if (h & high).bit_count() & 1 else base for base, high in columns]
-        for part, w in _weight_classes(block, full):
-            counts[w] = counts.get(w, 0) + part.bit_count()
+        planes = fixed_planes.copy()
+        _add_columns(
+            planes, [base ^ full if (h & high).bit_count() & 1 else base for base, high in varying]
+        )
+        shift = sum((h & high).bit_count() & 1 for high in shifts)
+        for part, w in _split_by_planes(planes, full):
+            counts[w + shift] = counts.get(w + shift, 0) + part.bit_count()
     return WeightDistribution(c.n, dict(sorted(counts.items())))
 
 
@@ -457,9 +497,10 @@ class ExtensionCertificate:
         object.__setattr__(self, "block_length", 1 << (self.m - 1))
         object.__setattr__(self, "degenerate", self.m == 2)
         half = self.block_length // 2
-        for e in self.entries:
-            if e.weight not in (half - 1, half + 1):
-                raise ValueError(f"witness weight {e.weight} is not {half} +- 1")
+        allowed = {half - 1, half + 1}
+        if not {e.weight for e in self.entries} <= allowed:
+            bad = next(e.weight for e in self.entries if e.weight not in allowed)
+            raise ValueError(f"witness weight {bad} is not {half} +- 1")
 
     @property
     def ok(self) -> bool:
@@ -510,22 +551,25 @@ def verify_no_extension(m: int) -> ExtensionCertificate:
     table over all ordered pairs (k, l), k != l, is returned; iteration is
     ascending in k then l and the witness row is the first differing one,
     so the certificate is byte-reproducible.  Column k of M is the int k,
-    so that row is the lowest set bit of k XOR l, and the weight is the
-    row's weight, less its bit in column l, plus its bit in column k: O(1)
-    per pair.
+    so that row j is the lowest set bit of k XOR l, looked up in a table
+    indexed by the XOR.  Row j has weight N/2 and columns k and l differ
+    in it, so the weight is N/2 - 1 + 2 * (bit j of k), read from a list
+    of m - 1 weights per k; each k's entries are one comprehension.
     """
     if not 2 <= m <= 8:
         raise ValueError("verify_no_extension supports 2 <= m <= 8")
     nbig = 1 << (m - 1)
-    row_weights = [_coordinate_pattern(m - 1, i).bit_count() for i in range(m - 1)]
-    entries = []
+    half = nbig // 2
+    lowest = [0] + [(diff & -diff).bit_length() - 1 for diff in range(1, nbig)]
+    # the NamedTuple's own __new__ is a Python function; tuple.__new__
+    # builds the same record without that call
+    witness = functools.partial(tuple.__new__, ExtensionWitness)
+    entries: list[ExtensionWitness] = []
     for k in range(nbig):
-        for l in range(nbig):
-            if l != k:
-                diff = k ^ l
-                j = (diff & -diff).bit_length() - 1
-                w = row_weights[j] - ((l >> j) & 1) + ((k >> j) & 1)
-                entries.append(ExtensionWitness(k, l, j, w))
+        weights = [half - 1 + 2 * ((k >> j) & 1) for j in range(m - 1)]
+        entries += [
+            witness((k, l, (j := lowest[k ^ l]), weights[j])) for l in range(nbig) if l != k
+        ]
     return ExtensionCertificate(m, tuple(entries))
 
 

@@ -119,12 +119,17 @@ class RrefResult:
 def _rref_ints(rows: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form of bit-packed rows: (rows, pivot columns).
 
-    The row count is preserved and zero rows end up at the bottom.  Each
-    pivot row is XORed into every other row holding its pivot bit, and the
-    scan stops as soon as every row holds a pivot.
+    The row count is preserved and zero rows end up at the bottom, and
+    the scan stops as soon as every row holds a pivot.  Under 32 rows each
+    pivot row is XORed into every other row holding its pivot bit, one
+    column at a time; with more rows a table of row sums costs less than
+    the column steps it saves (``_rref_strips``).  The reduced echelon
+    form is unique, so both ways give the same rows and pivots.
     """
     rows = list(rows)
     nrows = len(rows)
+    if nrows >= 32:
+        return _rref_strips(rows, cols)
     pivots: list[int] = []
     for c in range(cols):
         r = len(pivots)
@@ -141,6 +146,64 @@ def _rref_ints(rows: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
         rows = [x ^ prow if x & bit else x for x in rows]
         rows[r] = prow
         pivots.append(c)
+    return rows, pivots
+
+
+def _rref_strips(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
+    """``_rref_ints`` a strip of s columns at a time (the Method of Four
+    Russians), s = floor(log2 rows) up to 8.
+
+    The rows without a pivot yet are zero left of the strip; their pivots
+    in it come from a small XOR basis keyed by the lowest bit in the
+    strip, and are reduced against each other there.  A table of all 2^s
+    sums of these pivot rows, indexed by the strip's bits (a bit without a
+    pivot doubles it), clears the strip's pivot columns of every row with
+    one XOR.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    strip = min(nrows.bit_length() - 1, 8)
+    r = c = 0
+    while r < nrows and c < cols:
+        width = min(strip, cols - c)
+        # AND before shift: the window costs its own size, not the row's
+        mask = ((1 << width) - 1) << c
+        basis: dict[int, int] = {}
+        for i in range(r, nrows):
+            x = rows[i]
+            window = (x & mask) >> c
+            while window:
+                low = window & -window
+                if low not in basis:
+                    basis[low] = x
+                    # park the source row in the next pivot slot
+                    rows[i] = rows[r + len(basis) - 1]
+                    rows[r + len(basis) - 1] = x
+                    break
+                x ^= basis[low]
+                window = (x & mask) >> c
+            if len(basis) == width:
+                break
+        if not basis:
+            c += width
+            continue
+        lows = sorted(basis)
+        for j in reversed(range(1, len(lows))):
+            high = lows[j] << c
+            prow = basis[lows[j]]
+            for low in lows[:j]:
+                if basis[low] & high:
+                    basis[low] ^= prow
+        table = [0]
+        for b in range(width):
+            prow = basis.get(1 << b)
+            table += [t ^ prow for t in table] if prow else table
+        # the parked source rows clear to zero and take the pivot rows
+        rows = [x ^ table[(x & mask) >> c] for x in rows]
+        rows[r : r + len(lows)] = [basis[low] for low in lows]
+        pivots += [c + low.bit_length() - 1 for low in lows]
+        r += len(lows)
+        c += width
     return rows, pivots
 
 
@@ -182,24 +245,36 @@ def kernel(m: Gf2Matrix) -> Gf2Matrix:
     so every reduced row has its pivot as its highest bit; the null-space
     vector of a free column f then has f as its lowest bit, and the
     vectors taken in order of f are already the reduced echelon basis.
+    Its other bits are the pivots of the reduced rows holding bit f.  One
+    transpose of the reduced rows gives, per column f, those rows as the
+    bits of an int; it is read w bits at a time (w about log2 of the free
+    column count, at most 8) through tables of the 2^w sums of the pivot
+    bits of w consecutive rows.
     """
-    width = f"0{m.cols}b"
-    flipped, pivots = _rref_ints([int(format(b, width)[::-1], 2) for b in m.row_bits()], m.cols)
-    pivot_rows = [
-        (int(format(row, width)[::-1], 2), 1 << (m.cols - 1 - p)) for row, p in zip(flipped, pivots)
-    ]
-    pivot_set = {m.cols - 1 - p for p in pivots}
+    cols = m.cols
+    width = f"0{cols}b"
+    flipped, pivots = _rref_ints([int(format(b, width)[::-1], 2) for b in m.row_bits()], cols)
+    # bit i of columns[f] is bit f of the i-th reduced row, unflipped
+    columns = _transpose_ints(flipped[: len(pivots)], cols)[::-1]
+    pivot_set = {cols - 1 - p for p in pivots}
+    free = [f for f in range(cols) if f not in pivot_set]
+    w = min(max(len(free).bit_length(), 1), 8)
+    tables = []
+    for i in range(0, len(pivots), w):
+        table = [0]
+        for p in pivots[i : i + w]:
+            bit = 1 << (cols - 1 - p)
+            table += [t | bit for t in table]
+        tables.append(table)
     basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        bit = 1 << f
-        v = bit
-        for row, pbit in pivot_rows:
-            if row & bit:
-                v |= pbit
+    wmask = (1 << w) - 1
+    for f in free:
+        holders, v = columns[f], 1 << f
+        for table in tables:
+            v |= table[holders & wmask]
+            holders >>= w
         basis.append(v)
-    return Gf2Matrix.from_ints(basis, m.cols)
+    return Gf2Matrix.from_ints(basis, cols)
 
 
 def _transpose_ints(rows: Sequence[int], cols: int) -> list[int]:

@@ -119,7 +119,12 @@ class CodeLattice:
         return tuple(_smith_diagonal([[e // 2 for e in row] for row in self.gram2]))
 
     def coordinates_of(self, vec: Sequence[int]) -> tuple[int, ...] | None:
-        """Integer coordinates of vec in the basis, or None if not a member."""
+        """Integer coordinates of vec in the basis, or None if not a member.
+
+        Back-substitution solves for row i's coordinate from entry i, so a
+        nonzero row whose diagonal entry is 0 leaves it undetermined:
+        reaching such a row raises a ValueError that names it.
+        """
         if len(vec) != self.n:
             raise ValueError(f"vector length {len(vec)} does not match rank {self.n}")
         residue = list(vec)
@@ -127,6 +132,11 @@ class CodeLattice:
         for i, row in enumerate(self._rows):
             d = row.get(i)
             if d is None:
+                if row:
+                    raise ValueError(
+                        f"basis row {i} is nonzero but its diagonal entry is 0; "
+                        "membership needs a nonzero diagonal entry in every nonzero row"
+                    )
                 coeffs.append(0)
                 continue
             q, r = divmod(residue[i], d)

@@ -4,10 +4,12 @@ Almost everything here works on plain lists of 0/1 ints (or adjacency
 lists), deliberately avoiding the bit-packed representations and
 algorithms of the package, so agreement between the two routes is
 meaningful.  ``gray_weight_distribution``, ``naive_is_rref``,
-``gray_order_bases`` and ``naive_transpose`` work on bit-packed int rows,
-but use none of the package's code: one XOR per codeword in Gray-code
-order, a pivot-column count per lead, one free-entry flip per reduced
-basis, and one shift per matrix entry.
+``gray_order_bases``, ``naive_transpose`` and ``column_rref_ints`` work
+on bit-packed int rows, but use none of the package's code: one XOR per
+codeword in Gray-code order, a pivot-column count per lead, one
+free-entry flip per reduced basis, one shift per matrix entry, and one
+column per elimination step (the package eliminates a strip of columns
+at a time).
 ``naive_permutation_equivalent`` takes two codes and reads only their
 ``n``, ``k`` and ``codewords()``; it searches lists of codeword ints, not
 the package's bit-sliced columns.
@@ -45,6 +47,32 @@ def naive_rref(rows: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
         if r == nrows:
             break
     return mat, len(pivots), pivots
+
+
+def column_rref_ints(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
+    """Reduced echelon form of bit-packed rows, one column at a time:
+    (rows, pivot columns), zero rows at the bottom.  Each pivot row is
+    XORed into every other row holding its pivot bit, and the scan stops
+    once every row holds a pivot."""
+    rows = list(rows)
+    nrows = len(rows)
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        bit = 1 << c
+        for i in range(r, nrows):
+            if rows[i] & bit:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i] = rows[r]
+        rows = [x ^ prow if x & bit else x for x in rows]
+        rows[r] = prow
+        pivots.append(c)
+    return rows, pivots
 
 
 def naive_rank(rows: list[list[int]]) -> int:

@@ -39,6 +39,7 @@ from oracles import (
     naive_is_rref,
     naive_permutation_equivalent,
     naive_reed_muller_rows,
+    naive_transpose,
     naive_weight_distribution,
     qbinom_recursive,
 )
@@ -187,6 +188,26 @@ def test_weight_distribution_matches_gray_across_blocks(k, n):
     assert c.k == k
     dist = weight_distribution(c)
     assert dist.counts == gray_weight_distribution(list(c.gen.row_bits()), n)
+    assert dist.total() == 2**k
+
+
+@pytest.mark.parametrize("k", [15, 16, 17])
+def test_weight_distribution_column_kinds_match_gray(k):
+    # [I | A] is reduced, and A holds each kind of column the block loop
+    # treats apart: no high message bits (the same in every block), no low
+    # bits (all zeros or all ones over a block), zero, repeated and mixed
+    rng = random.Random(k)
+    low_bits, high_bits = codes._BLOCK_BITS, k - codes._BLOCK_BITS
+    no_high = [rng.getrandbits(low_bits) | 1 for _ in range(4)]
+    no_low = [(rng.getrandbits(high_bits) | 1) << low_bits for _ in range(4)]
+    mixed = [rng.getrandbits(k) | 1 | (1 << (k - 1)) for _ in range(6)]
+    extra = no_high + no_low + mixed + [0, 0] + mixed[:2] + no_low[:1] + no_high[:1]
+    rng.shuffle(extra)
+    columns = [1 << i for i in range(k)] + extra
+    rows = naive_transpose(columns, k)
+    c = LinearCode(Gf2Matrix.from_ints(rows, len(columns)))
+    dist = weight_distribution(c)
+    assert dist.counts == gray_weight_distribution(rows, c.n)
     assert dist.total() == 2**k
 
 
@@ -582,8 +603,10 @@ def test_extension_certificate_refuses_half_weight():
 
 
 def _witness_table_oracle(m: int) -> list[tuple[int, int, int, int]]:
-    """Every (k, l, row, weight) on unpacked rows: the row is the first one
-    in which columns k and l differ."""
+    """Every (k, l, row, weight) from the explicit (m-1) x 2^(m-1) matrix:
+    the row is the first one in which columns k and l differ, and the
+    weight is that row's weight once column l is deleted and column k is
+    duplicated."""
     nbig = 1 << (m - 1)
     mat = [[(col >> i) & 1 for col in range(nbig)] for i in range(m - 1)]
     table = []
@@ -591,7 +614,8 @@ def _witness_table_oracle(m: int) -> list[tuple[int, int, int, int]]:
         for l in range(nbig):
             if l != k:
                 j = next(i for i in range(m - 1) if mat[i][k] != mat[i][l])
-                table.append((k, l, j, sum(mat[j]) - mat[j][l] + mat[j][k]))
+                modified = [x for col, x in enumerate(mat[j]) if col != l] + [mat[j][k]]
+                table.append((k, l, j, sum(modified)))
     return table
 
 
@@ -600,6 +624,8 @@ def test_verify_no_extension_matches_row_scan_oracle():
         cert = verify_no_extension(m)
         table = _witness_table_oracle(m)
         assert [tuple(e) for e in cert.entries] == table
+        assert all(type(e) is ExtensionWitness for e in cert.entries)
+        assert cert.ok == (m >= 3)
         expected = {
             "m": m,
             "N": 1 << (m - 1),

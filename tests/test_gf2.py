@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from k3nodal.codes import reed_muller_generators
 from k3nodal.gf2 import (
     BitVector,
     Gf2Matrix,
+    _rref_ints,
     format_matrix_text,
     is_rref,
     kernel,
@@ -12,7 +14,7 @@ from k3nodal.gf2 import (
     rref,
     transpose,
 )
-from oracles import naive_is_rref, naive_rank, naive_rref, naive_transpose
+from oracles import column_rref_ints, naive_is_rref, naive_rank, naive_rref, naive_transpose
 
 EQ2_ROWS = [
     "0101010101010101",
@@ -222,3 +224,82 @@ def test_is_rref_matches_naive_on_bit_flips():
             for j in range(m.cols):
                 flipped = rows[:i] + [rows[i] ^ (1 << j)] + rows[i + 1 :]
                 assert is_rref(Gf2Matrix.from_ints(flipped, m.cols)) == naive_is_rref(flipped)
+
+
+# ------------------------------------------- strip elimination and kernel basis
+
+# Row counts on both sides of the switch to strip elimination (32 rows) and
+# of each strip width (s = log2 rows, up to 8); column counts that are not a
+# multiple of the width.
+_ROW_COUNTS = (0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256, 257)
+_COL_COUNTS = (1, 5, 13, 37, 70)
+
+
+def _low_rank(rng, nrows, cols, rank):
+    """Rows of a random (nrows x rank) times (rank x cols) product."""
+    basis = [rng.getrandbits(cols) for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        row = 0
+        for b in basis:
+            if rng.getrandbits(1):
+                row ^= b
+        rows.append(row)
+    return rows
+
+
+def _shaped_matrices(rng):
+    """(rows, cols) over the row and column counts above, full rank and
+    rank-deficient, plus tall, wide and Reed-Muller cases."""
+    for nrows in _ROW_COUNTS:
+        for cols in _COL_COUNTS:
+            yield [rng.getrandbits(cols) for _ in range(nrows)], cols
+            yield _low_rank(rng, nrows, cols, rng.randint(1, 6)), cols
+            # duplicated and zero rows
+            base = [rng.getrandbits(cols) for _ in range(nrows // 3 + 1)]
+            rows = [rng.choice(base) for _ in range(nrows - nrows // 4)] + [0] * (nrows // 4)
+            rng.shuffle(rows)
+            yield rows, cols
+            # a band of columns no row has: whole strips without a pivot
+            band = ((1 << (cols // 2)) - 1) << (cols // 4)
+            yield [rng.getrandbits(cols) & ~band for _ in range(nrows)], cols
+            # the band only in the first rows: strip bits above the pivots
+            yield [rng.getrandbits(cols) & (~band if i >= 3 else -1) for i in range(nrows)], cols
+    yield [rng.getrandbits(1024) for _ in range(48)], 1024
+    yield [rng.getrandbits(40) for _ in range(300)], 40
+    yield _low_rank(rng, 300, 40, 12), 40
+    for degree, m in ((1, 8), (2, 6), (3, 7), (4, 8)):
+        gen = reed_muller_generators(degree, m)
+        rows = list(gen.row_bits())
+        # the generators, and their sums of pairs (rank-deficient, tall)
+        yield rows, gen.cols
+        yield rows + [rng.choice(rows) ^ rng.choice(rows) for _ in range(len(rows))], gen.cols
+
+
+def test_strip_rref_matches_column_oracle():
+    rng = random.Random(31)
+    count = 0
+    for rows, cols in _shaped_matrices(rng):
+        assert _rref_ints(rows, cols) == column_rref_ints(rows, cols)
+        count += 1
+    assert count == len(_ROW_COUNTS) * len(_COL_COUNTS) * 5 + 3 + 8
+
+
+def test_strip_rref_matches_naive_up_to_40x40():
+    rng = random.Random(37)
+    for nrows in (1, 8, 31, 32, 33, 40):
+        for cols in (1, 9, 17, 33, 40):
+            _assert_rref_matches_naive(_random_matrix(rng, nrows, cols))
+            rows = _low_rank(rng, nrows, cols, 4)
+            _assert_rref_matches_naive(Gf2Matrix.from_ints(rows, cols))
+
+
+def test_kernel_on_strip_shapes():
+    rng = random.Random(41)
+    for rows, cols in _shaped_matrices(rng):
+        ker = list(kernel(Gf2Matrix.from_ints(rows, cols)).row_bits())
+        # reduced echelon, orthogonal to every row, cols - rank rows: the
+        # reduced basis of the null space, which is unique
+        assert naive_is_rref(ker) and all(ker)
+        assert all((v & row).bit_count() % 2 == 0 for v in ker for row in rows)
+        assert len(ker) == cols - len(column_rref_ints(rows, cols)[1])

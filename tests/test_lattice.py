@@ -447,6 +447,39 @@ def test_coordinates_of_solves_triangular_system():
                 assert not lat.contains(vec)
 
 
+def test_coordinates_of_refuses_nonzero_row_with_zero_diagonal():
+    # (0, 1) is the first basis row, but back-substitution cannot see it
+    lat = CodeLattice(2, 1, ((0, 1), (0, 2)))
+    for method in (lat.coordinates_of, lat.contains):
+        with pytest.raises(ValueError, match="basis row 0 is nonzero"):
+            method((0, 1))
+
+
+def test_coordinates_of_with_zero_basis_rows():
+    # zero rows are the only rows with a zero diagonal entry: members
+    # round-trip with coordinate 0 on them, and a vector moved along the
+    # coordinate of a zero row keeps the pivot entries, so it leaves the
+    # lattice
+    rng = random.Random(89)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        basis = []
+        for i in range(n):
+            diagonal = rng.choice([-3, -2, -1, 1, 2, 3])
+            row = [0] * i + [diagonal] + [rng.randint(-2, 2) for _ in range(n - i - 1)]
+            basis.append(tuple(row) if rng.random() < 0.7 else (0,) * n)
+        zero = rng.randrange(n)
+        basis[zero] = (0,) * n
+        lat = CodeLattice(n, rng.choice([1, -1]), tuple(basis))
+        coeffs = [rng.randint(-3, 3) if any(row) else 0 for row in basis]
+        vec = [sum(a * row[t] for a, row in zip(coeffs, basis)) for t in range(n)]
+        assert lat.coordinates_of(vec) == tuple(coeffs)
+        assert lat.contains(vec)
+        vec[zero] += rng.choice([-1, 1])
+        assert lat.coordinates_of(vec) is None
+        assert not lat.contains(vec)
+
+
 def test_vector_length_must_match_rank():
     lat = kummer_lattice()
     for method in (lat.coordinates_of, lat.norm_of, lat.contains):
