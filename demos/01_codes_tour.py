@@ -16,14 +16,12 @@ print("=== Reed-Muller generators for degree <= 1 on F_2^4 ===")
 print("Columns are the binary expansions of 0..15; after the constant row")
 print("come the four coordinate functions x_0..x_3.\n")
 gens = reed_muller_generators(1, 4)
-for row in gens.rows:
-    print(row)
+print(gens)
 
 d5 = from_generators(gens)
 print(f"\nThe span is D_5: length {d5.n}, dimension {d5.k}.")
 print("Canonical (reduced echelon) generators:")
-for row in d5.gen.rows:
-    print(row)
+print(d5.gen)
 
 print("\n=== Weight spectra of the D_m family ===")
 print("Nonzero weights are always 2^(m-2) and 2^(m-1):\n")

@@ -40,7 +40,7 @@ def _read_code(path: str) -> codes.LinearCode:
 def _generators(gens: Gf2Matrix) -> _Result:
     """Independent generator rows as the {n, k, rows} schema or as text."""
     return (
-        lambda: {"n": gens.cols, "k": gens.nrows, "rows": [str(r) for r in gens.rows]},
+        lambda: {"n": gens.cols, "k": gens.nrows, "rows": str(gens).splitlines()},
         # the zero code has no generators; a single zero row keeps the
         # text format round-trippable
         lambda: str(gens) if gens.nrows else "0" * gens.cols,

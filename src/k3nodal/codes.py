@@ -51,7 +51,7 @@ class LinearCode:
     gen: Gf2Matrix
 
     def __post_init__(self) -> None:
-        if any(r.bits == 0 for r in self.gen.rows) or not is_rref(self.gen):
+        if 0 in self.gen.rows or not is_rref(self.gen):
             raise ValueError("generator matrix must be a reduced echelon basis")
         object.__setattr__(self, "n", self.gen.cols)
         object.__setattr__(self, "k", self.gen.nrows)
@@ -67,10 +67,10 @@ class LinearCode:
     @classmethod
     def repetition(cls, n: int) -> LinearCode:
         """The line spanned by the all-ones word."""
-        return cls(Gf2Matrix((BitVector.ones(n),), n))
+        return cls(Gf2Matrix(((1 << n) - 1,), n))
 
     def pivots(self) -> tuple[int, ...]:
-        return tuple((r.bits & -r.bits).bit_length() - 1 for r in self.gen.rows)
+        return tuple((r & -r).bit_length() - 1 for r in self.gen.rows)
 
     def codewords(self) -> Iterator[BitVector]:
         """All 2^k codewords in message-index order."""
@@ -101,16 +101,21 @@ def _encode(gens: Sequence[int], message: int) -> int:
     return word
 
 
-def from_generators(rows: Gf2Matrix | Sequence[BitVector]) -> LinearCode:
-    """The code spanned by the given rows, canonicalized to a reduced basis."""
-    matrix = rows if isinstance(rows, Gf2Matrix) else Gf2Matrix.from_rows(tuple(rows))
+def from_generators(matrix: Gf2Matrix) -> LinearCode:
+    """The code spanned by the rows of the matrix, canonicalized to a reduced basis."""
     reduced, pivots = _rref_ints(matrix.row_bits(), matrix.cols)
     return LinearCode(Gf2Matrix.from_ints(reduced[: len(pivots)], matrix.cols))
 
 
 def dual(c: LinearCode) -> LinearCode:
     """The orthogonal code under the coordinate dot product; dim = n - k.
-    ``kernel`` already returns the reduced echelon basis."""
+    ``kernel`` already returns the reduced echelon basis.  A basis of more
+    than MAX_GENERATOR_BITS entries, (n - k) x n, is refused before it is
+    computed."""
+    if (c.n - c.k) * c.n > MAX_GENERATOR_BITS:
+        raise ResourceLimitError(
+            f"{c.n - c.k} x {c.n} dual generator bits exceed the budget of {MAX_GENERATOR_BITS}"
+        )
     return LinearCode(kernel(c.gen))
 
 
@@ -286,11 +291,11 @@ def reed_muller_generators(max_degree: int, m: int) -> Gf2Matrix:
     # degree 0 needs no coordinate pattern
     patterns = [_coordinate_pattern(m, i) for i in range(m)] if max_degree else []
     rows = [
-        BitVector(npoints, functools.reduce(operator.and_, variables, (1 << npoints) - 1))
+        functools.reduce(operator.and_, variables, (1 << npoints) - 1)
         for degree in range(max_degree + 1)
         for variables in itertools.combinations(patterns, degree)
     ]
-    return Gf2Matrix(tuple(rows), npoints)
+    return Gf2Matrix.from_ints(rows, npoints)
 
 
 def reed_muller(max_degree: int, m: int) -> LinearCode:
@@ -358,20 +363,6 @@ def _is_d_code(c: LinearCode) -> bool:
     return len(set(_transpose_ints(c.gen.row_bits(), c.n))) == c.n
 
 
-def _bit_sliced_columns(c: LinearCode) -> list[int]:
-    """Column j of the codeword list as one 2^k-bit int whose bit u is
-    coordinate j of codeword u (message-index order): the XOR of the
-    coordinate patterns of the generator rows with a 1 in column j."""
-    columns = [0] * c.n
-    for i, row in enumerate(c.gen.row_bits()):
-        pattern = _coordinate_pattern(c.k, i)
-        while row:
-            low = row & -row
-            columns[low.bit_length() - 1] ^= pattern
-            row ^= low
-    return columns
-
-
 def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
     """Decide whether some coordinate permutation maps the codeword set of
     a onto that of b.
@@ -381,7 +372,10 @@ def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
     at depth t, words grouped by their bits on the first t source columns
     must match groups of the same size on the chosen target columns.
     Codes of different dimension are never equivalent and return False.
-    Both codeword sets are bit-sliced (``_bit_sliced_columns``), so a group
+    Both codeword sets are bit-sliced: column j is one 2^k-bit int whose
+    bit u is coordinate j of codeword u (message-index order), looked up
+    from the column's message mask in the ``_block_characters(k)`` tables
+    as ``weight_distribution`` does (k <= n/2 <= 8, one block).  So a group
     of words is one mask, a weight class comes from ``_weight_classes``,
     and a profile or a refinement step is an AND and a ``bit_count``.
     A coordinate permutation preserves the dot product, so when k > n - k
@@ -399,8 +393,12 @@ def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
         return True
     if 2 * a.k > a.n:
         a, b = dual(a), dual(b)
-    full = (1 << (1 << a.k)) - 1
-    cols_a, cols_b = _bit_sliced_columns(a), _bit_sliced_columns(b)
+    full, below, above = _block_characters(a.k)
+    half = a.k // 2
+    cols_a, cols_b = (
+        [below[m & ((1 << half) - 1)] ^ above[m >> half] for m in _transpose_ints(c.gen.rows, c.n)]
+        for c in (a, b)
+    )
     classes_a = {w: mask for mask, w in _weight_classes(cols_a, full)}
     classes_b = {w: mask for mask, w in _weight_classes(cols_b, full)}
     sizes = {w: mask.bit_count() for w, mask in classes_a.items()}

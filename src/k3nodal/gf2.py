@@ -1,15 +1,23 @@
 """Exact linear algebra over the two-element field on bit-packed data.
 
-A vector packs its coordinates into a single arbitrary-precision integer
-(bit j = coordinate j), so vector addition is XOR and the Hamming weight
-is ``int.bit_count()``.  Every value is immutable and every operation is
-a pure function, so unrestricted concurrent use is safe.
+A row packs its coordinates into a single arbitrary-precision integer
+(bit j = coordinate j), so row addition is XOR and the Hamming weight is
+``int.bit_count()``.  A ``Gf2Matrix`` holds such plain int rows and every
+kernel works on them directly; ``BitVector`` is the single-vector type
+where one vector crosses a boundary: the '0'/'1' text format and the
+codewords of a code.  Every value is immutable and every operation is a
+pure function, so unrestricted concurrent use is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+
+def _row_text(bits: int, length: int) -> str:
+    """The '0'/'1' text of a row; the first character is coordinate 0."""
+    return format(bits, f"0{length}b")[::-1]
 
 
 @dataclass(frozen=True)
@@ -60,50 +68,41 @@ class BitVector:
         return (self.bits >> j) & 1
 
     def __str__(self) -> str:
-        return format(self.bits, f"0{self.length}b")[::-1]
+        return _row_text(self.bits, self.length)
 
 
 @dataclass(frozen=True)
 class Gf2Matrix:
-    """Matrix over GF(2) stored as a tuple of equal-length rows.
+    """Matrix over GF(2) stored as a tuple of int rows, bit j = column j.
 
-    Zero-row matrices are legal; they carry the column count explicitly
-    and represent the generator set of the zero code.
+    Every row lies in [0, 2^cols).  Zero-row matrices are legal; they carry
+    the column count explicitly and represent the generator set of the
+    zero code.
     """
 
-    rows: tuple[BitVector, ...]
+    rows: tuple[int, ...]
     cols: int
 
     def __post_init__(self) -> None:
         if self.cols < 1:
             raise ValueError("column count must be positive")
-        for r in self.rows:
-            if r.length != self.cols:
-                raise ValueError("ragged rows: all rows must have the same length")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[BitVector], cols: int | None = None) -> Gf2Matrix:
-        rows = tuple(rows)
-        if cols is None:
-            if not rows:
-                raise ValueError("cols is required for an empty matrix")
-            cols = rows[0].length
-        return cls(rows, cols)
+        if self.rows and (min(self.rows) < 0 or max(self.rows) >> self.cols):
+            raise ValueError(f"rows must be ints in [0, 2^{self.cols})")
 
     @classmethod
     def from_ints(cls, bits: Iterable[int], cols: int) -> Gf2Matrix:
-        return cls(tuple(BitVector(cols, b) for b in bits), cols)
+        return cls(tuple(bits), cols)
 
     @classmethod
     def identity(cls, n: int) -> Gf2Matrix:
-        return cls(tuple(BitVector.unit(n, i) for i in range(n)), n)
+        return cls(tuple(1 << i for i in range(n)), n)
 
     @property
     def nrows(self) -> int:
         return len(self.rows)
 
     def row_bits(self) -> tuple[int, ...]:
-        return tuple(r.bits for r in self.rows)
+        return self.rows
 
     def __str__(self) -> str:
         return format_matrix_text(self)
@@ -296,8 +295,10 @@ def parse_matrix_text(text: str) -> Gf2Matrix:
     rows = [BitVector.from_string(line.strip()) for line in text.splitlines() if line.strip()]
     if not rows:
         raise ValueError("no matrix rows found")
-    return Gf2Matrix.from_rows(rows)
+    if len({r.length for r in rows}) > 1:
+        raise ValueError("ragged rows: all rows must have the same length")
+    return Gf2Matrix.from_ints([r.bits for r in rows], rows[0].length)
 
 
 def format_matrix_text(m: Gf2Matrix) -> str:
-    return "\n".join(str(r) for r in m.rows)
+    return "\n".join(_row_text(r, m.cols) for r in m.rows)

@@ -236,7 +236,7 @@ def gamma_from_code(code: LinearCode, sign: int = 1) -> CodeLattice:
         )
     by_leading: dict[int, tuple[int, ...]] = {}
     for p, row in zip(code.pivots(), code.gen.rows):
-        by_leading[p] = row.coords()
+        by_leading[p] = tuple((row >> t) & 1 for t in range(n))
     for j in range(n):
         if j not in by_leading:
             by_leading[j] = tuple(2 if t == j else 0 for t in range(n))

@@ -23,6 +23,11 @@ from fractions import Fraction
 from math import comb, gcd
 
 
+def matrix_coords(m) -> list[list[int]]:
+    """The 0/1 entries of a ``Gf2Matrix``, row by row (bit j of a row = column j)."""
+    return [[(row >> j) & 1 for j in range(m.cols)] for row in m.rows]
+
+
 def naive_rref(rows: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
     """Row reduction on unpacked 0/1 lists; returns (matrix, rank, pivots)."""
     mat = [row[:] for row in rows]

@@ -51,7 +51,7 @@ def test_criterion_1_reed_muller_fidelity(capsys):
     t0 = time.perf_counter()
     gens = reed_muller_generators(1, 4)
     elapsed = time.perf_counter() - t0
-    rows = [str(r) for r in gens.rows]
+    rows = str(gens).splitlines()
     assert rows[0] == "1" * 16
     assert rows[1:] == EQ2_ROWS
     assert elapsed < 0.001

@@ -284,17 +284,60 @@ def test_only_the_printed_rendering_is_built(capsys, monkeypatch):
     assert _capture(capsys, ["verify", "all"])[0] == 0
 
 
-def test_module_entry_point_prints_what_run_prints(capsys):
-    # ``python -m k3nodal.cli`` goes through ``main``, which no in-process test calls
+def _fresh_run(argv):
+    """(exit status, stdout, stderr) of ``python -m k3nodal.cli`` in a new interpreter."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "k3nodal.cli", "verify", "no-seventeen"],
-        capture_output=True, env=env, timeout=60,
+        [sys.executable, "-m", "k3nodal.cli", *argv], capture_output=True, env=env, timeout=60
     )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point_prints_what_run_prints(capsys):
+    # ``python -m k3nodal.cli`` goes through ``main``, which no in-process test calls
+    fresh = _fresh_run(["verify", "no-seventeen"])
     rc, out, err = _capture(capsys, ["verify", "no-seventeen"])
     assert rc == 0
-    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out.encode(), err.encode())
+    assert fresh == (rc, out.encode(), err.encode())
+
+
+def test_code_dual_budget(tmp_path, capsys):
+    # the dual of RM(1, m) has 2^m - m - 1 rows of 2^m bits: 2036 x 2048 fits
+    # MAX_GENERATOR_BITS at m = 11, 4083 x 4096 does not at m = 12
+    for m in (11, 12):
+        (tmp_path / f"rm1_{m}.txt").write_text(str(codes.reed_muller_generators(1, m)))
+    rc, out, _ = _capture(capsys, ["code", "dual", "--in", str(tmp_path / "rm1_11.txt")])
+    assert rc == 0
+    assert len(out.splitlines()) == 2036
+    t0 = time.perf_counter()
+    rc, out, err = _capture(capsys, ["code", "dual", "--in", str(tmp_path / "rm1_12.txt")])
+    assert time.perf_counter() - t0 < 1
+    assert (rc, out) == (1, "")
+    assert err == (
+        f"error: 4083 x 4096 dual generator bits exceed the budget of {codes.MAX_GENERATOR_BITS}\n"
+    )
+
+
+def test_run_keeps_no_state_between_calls(tmp_path, capsys):
+    # a good command, a usage error, a budget refusal and the good command
+    # again, in one process, each print and exit as in a new interpreter
+    good, refused = tmp_path / "d5.txt", tmp_path / "rm1_12.txt"
+    good.write_text(str(codes.reed_muller_generators(1, 4)))
+    refused.write_text(str(codes.reed_muller_generators(1, 12)))
+    calls = [
+        ["code", "dual", "--in", str(good), "--json"],
+        ["code", "rm", "--m", "4"],
+        ["code", "dual", "--in", str(refused)],
+        ["code", "dual", "--in", str(good), "--json"],
+    ]
+    results = []
+    for argv in calls:
+        rc, out, err = _capture(capsys, argv)
+        results.append((rc, out.encode(), err.encode()))
+    assert [rc for rc, _, _ in results] == [0, 1, 1, 0]
+    assert results[0] == results[3]
+    assert results == [_fresh_run(argv) for argv in calls]
 
 
 def test_byte_identical_reruns(capsys):

@@ -36,6 +36,7 @@ from oracles import (
     gray_half_weight_scan,
     gray_weight_distribution,
     macwilliams_dual_counts,
+    matrix_coords,
     naive_is_rref,
     naive_permutation_equivalent,
     naive_reed_muller_rows,
@@ -57,10 +58,6 @@ def _random_code(rng: random.Random, n: int, max_rows: int | None = None) -> Lin
     return from_generators(Gf2Matrix.from_ints([rng.getrandbits(n) for _ in range(rows)], n))
 
 
-def _coords(code: LinearCode) -> list[list[int]]:
-    return [list(r.coords()) for r in code.gen.rows]
-
-
 # ---------------------------------------------------------------- construction
 
 
@@ -69,8 +66,7 @@ def test_from_generators_examples():
     assert (c.n, c.k) == (2, 1)
     z = from_generators(Gf2Matrix((), 4))
     assert (z.n, z.k) == (4, 0)
-    rows = [BitVector.from_string(s) for s in EQ2_ROWS] + [BitVector.ones(16)]
-    c5 = from_generators(Gf2Matrix.from_rows(rows))
+    c5 = from_generators(parse_matrix_text("\n".join(EQ2_ROWS + ["1" * 16])))
     assert (c5.n, c5.k) == (16, 5)
     assert c5 == code_d(5)
 
@@ -91,15 +87,15 @@ def test_codes_are_sized_by_their_generators():
 
 def test_linear_code_repr_is_unchanged():
     assert repr(code_d(5)) == (
-        "LinearCode(n=16, k=5, gen=Gf2Matrix(rows=(BitVector(length=16, bits=38505), "
-        "BitVector(length=16, bits=43690), BitVector(length=16, bits=52428), "
-        "BitVector(length=16, bits=61680), BitVector(length=16, bits=65280)), cols=16))"
+        "LinearCode(n=16, k=5, gen=Gf2Matrix(rows=(38505, 43690, 52428, 61680, 65280), cols=16))"
     )
 
 
 def test_from_generators_ragged():
-    with pytest.raises(ValueError):
-        from_generators([BitVector.zero(2), BitVector.zero(3)])
+    # a generator row must lie in [0, 2^n)
+    for row in (-1, 0b100):
+        with pytest.raises(ValueError):
+            from_generators(Gf2Matrix.from_ints([0b10, row], 2))
 
 
 def test_codewords_message_order_and_contains():
@@ -107,7 +103,7 @@ def test_codewords_message_order_and_contains():
     words = list(c.codewords())
     assert len(words) == 8
     assert words[0].bits == 0
-    assert words[1] == c.gen.rows[0]
+    assert words[1] == BitVector(c.n, c.gen.rows[0])
     assert len({w.bits for w in words}) == 8
     for w in words:
         assert w in c
@@ -122,7 +118,7 @@ def test_dual_examples():
     assert dual(LinearCode.full(4)) == LinearCode.zero(4)
     even = dual(LinearCode.repetition(4))
     assert even.k == 3
-    assert [str(r) for r in even.gen.rows] == ["1001", "0101", "0011"]
+    assert str(even.gen).splitlines() == ["1001", "0101", "0011"]
 
 
 def test_dual_dimension_and_involution():
@@ -143,6 +139,18 @@ def test_dual_is_the_reduced_kernel():
         d = dual(c)
         assert d == from_generators(kernel(c.gen))
         assert dual(d) == c
+
+
+def test_dual_budget():
+    # the dual basis has (n - k) x n entries, at most MAX_GENERATOR_BITS
+    assert 2048 * 2048 == MAX_GENERATOR_BITS
+    assert dual(LinearCode.zero(2048)) == LinearCode.full(2048)
+    assert dual(reed_muller(1, 11)).k == 2036
+    for c in (LinearCode.zero(2049), reed_muller(1, 12), LinearCode.repetition(2049)):
+        with pytest.raises(ResourceLimitError, match="dual generator bits exceed the budget"):
+            dual(c)
+    # a code of large length and dimension still has a small dual
+    assert dual(LinearCode.full(2049)) == LinearCode.zero(2049)
 
 
 def test_is_isotropic_examples():
@@ -175,7 +183,7 @@ def test_weight_distribution_matches_naive():
     rng = random.Random(31)
     for _ in range(60):
         c = _random_code(rng, rng.randint(1, 10))
-        assert weight_distribution(c).counts == naive_weight_distribution(_coords(c), c.n)
+        assert weight_distribution(c).counts == naive_weight_distribution(matrix_coords(c.gen), c.n)
 
 
 @pytest.mark.parametrize("k,n", [(13, 40), (14, 64), (15, 33), (17, 64), (15, 300), (17, 300)])
@@ -239,8 +247,9 @@ def test_macwilliams_identity():
 
 def test_reed_muller_row_order():
     gens = reed_muller_generators(1, 4)
-    assert str(gens.rows[0]) == "1" * 16
-    assert [str(r) for r in gens.rows[1:]] == EQ2_ROWS
+    rows = str(gens).splitlines()
+    assert rows[0] == "1" * 16
+    assert rows[1:] == EQ2_ROWS
 
 
 def test_reed_muller_degenerate_orders():
@@ -259,7 +268,7 @@ def test_reed_muller_generators_match_pointwise_oracle():
     for m in range(1, 9):
         for degree in range(m + 1):
             gens = reed_muller_generators(degree, m)
-            assert [list(r.coords()) for r in gens.rows] == naive_reed_muller_rows(degree, m)
+            assert matrix_coords(gens) == naive_reed_muller_rows(degree, m)
             assert gens.cols == 1 << m
 
 
@@ -267,8 +276,8 @@ def test_reed_muller_generator_budget():
     # RM(1, 17) has 18 rows of 2^17 bits; RM(1, 18) has 19 rows of 2^18
     assert 18 << 17 <= MAX_GENERATOR_BITS < 19 << 18
     gens = reed_muller_generators(1, 17)
-    assert gens.rows[0].weight == 1 << 17
-    assert all(r.weight == 1 << 16 for r in gens.rows[1:])
+    assert gens.rows[0].bit_count() == 1 << 17
+    assert all(r.bit_count() == 1 << 16 for r in gens.rows[1:])
     for degree, m in ((1, 18), (1, 21), (1, 26), (3, 14), (0, 23)):
         with pytest.raises(ResourceLimitError):
             reed_muller_generators(degree, m)
@@ -291,7 +300,7 @@ def test_code_d_weight_spectrum(m):
     c = code_d(m)
     expected = {0: 1, 1 << (m - 2): (1 << m) - 2, 1 << (m - 1): 1}
     assert weight_distribution(c).counts == expected
-    assert naive_weight_distribution(_coords(c), c.n) == expected
+    assert naive_weight_distribution(matrix_coords(c.gen), c.n) == expected
 
 
 # ---------------------------------------------------------------- projections

@@ -14,7 +14,14 @@ from k3nodal.gf2 import (
     rref,
     transpose,
 )
-from oracles import column_rref_ints, naive_is_rref, naive_rank, naive_rref, naive_transpose
+from oracles import (
+    column_rref_ints,
+    matrix_coords,
+    naive_is_rref,
+    naive_rank,
+    naive_rref,
+    naive_transpose,
+)
 
 EQ2_ROWS = [
     "0101010101010101",
@@ -30,10 +37,10 @@ def _random_matrix(rng, nrows, ncols):
 
 def _assert_rref_matches_naive(m):
     res = rref(m)
-    naive_mat, naive_r, naive_piv = naive_rref([list(r.coords()) for r in m.rows])
+    naive_mat, naive_r, naive_piv = naive_rref(matrix_coords(m))
     assert res.rank == naive_r
     assert list(res.pivots) == naive_piv
-    assert [list(r.coords()) for r in res.matrix.rows] == naive_mat
+    assert matrix_coords(res.matrix) == naive_mat
     assert res.matrix.nrows == m.nrows
     assert is_rref(res.matrix)
 
@@ -72,21 +79,19 @@ def test_rref_identity():
 
 
 def test_rref_duplicate_rows():
-    m = Gf2Matrix.from_rows([BitVector.from_string("110"), BitVector.from_string("110")])
+    m = parse_matrix_text("110\n110")
     res = rref(m)
     assert res.rank == 1
-    nonzero = [r for r in res.matrix.rows if r.bits]
-    assert len(nonzero) == 1
-    assert str(nonzero[0]) == "110"
+    assert str(res.matrix).splitlines() == ["110", "000"]
 
 
 def test_rref_coordinate_function_matrix():
     # the four coordinate-function rows on F_2^4 are independent: columns
     # 1, 2, 4, 8 form an identity block
-    m = Gf2Matrix.from_rows([BitVector.from_string(s) for s in EQ2_ROWS])
+    m = parse_matrix_text("\n".join(EQ2_ROWS))
     res = rref(m)
     assert res.rank == 4
-    assert naive_rank([list(BitVector.from_string(s).coords()) for s in EQ2_ROWS]) == 4
+    assert naive_rank(matrix_coords(m)) == 4
 
 
 def test_rref_idempotent_and_matches_naive():
@@ -123,7 +128,7 @@ def test_kernel_reduced_basis_of_null_space(nrows, ncols):
     rng = random.Random(nrows * 1000 + ncols)
     m = _random_matrix(rng, nrows, ncols)
     ker = kernel(m)
-    assert ker.nrows == ncols - naive_rank([list(r.coords()) for r in m.rows])
+    assert ker.nrows == ncols - naive_rank(matrix_coords(m))
     assert is_rref(ker) and rref(ker).rank == ker.nrows
     for v in ker.row_bits():
         assert all((v & row).bit_count() % 2 == 0 for row in m.row_bits())
@@ -131,8 +136,8 @@ def test_kernel_reduced_basis_of_null_space(nrows, ncols):
 
 def test_kernel_examples():
     assert kernel(Gf2Matrix.identity(4)).nrows == 0
-    k = kernel(Gf2Matrix.from_rows([BitVector.from_string("11")]))
-    assert [str(r) for r in k.rows] == ["11"]
+    k = kernel(parse_matrix_text("11"))
+    assert str(k).splitlines() == ["11"]
     z = kernel(Gf2Matrix.from_ints([0, 0], 3))
     assert z.nrows == 3
 
@@ -141,9 +146,10 @@ def test_transpose():
     m = parse_matrix_text("110\n011")
     t = transpose(m)
     assert t.nrows == 3 and t.cols == 2
+    entries, transposed = matrix_coords(m), matrix_coords(t)
     for i in range(2):
         for j in range(3):
-            assert m.rows[i][j] == t.rows[j][i]
+            assert entries[i][j] == transposed[j][i]
 
 
 def test_transpose_matches_naive_oracle():
@@ -178,8 +184,13 @@ def test_matrix_text_errors():
 
 
 def test_ragged_matrix_rejected():
+    # an int row fits the column count when it lies in [0, 2^cols)
+    for row in (-1, 0b100, 0b111):
+        with pytest.raises(ValueError):
+            Gf2Matrix((0b01, row), 2)
+    assert Gf2Matrix((0b11, 0), 2).rows == (3, 0)
     with pytest.raises(ValueError):
-        Gf2Matrix((BitVector.zero(2), BitVector.zero(3)), 2)
+        parse_matrix_text("01\n011")
 
 
 def test_is_rref_rejects_unreduced():

@@ -34,7 +34,7 @@ def _random_isotropic_code(rng):
     # any subcode of an isotropic code is isotropic
     base = code_d(rng.choice([4, 5]))
     keep = [r for r in base.gen.rows if rng.random() < 0.6]
-    return from_generators(Gf2Matrix.from_rows(tuple(keep), base.n))
+    return from_generators(Gf2Matrix.from_ints(keep, base.n))
 
 
 def test_gamma_zero_code():
