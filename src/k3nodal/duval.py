@@ -244,6 +244,10 @@ def verify_all() -> SuiteReport:
 
 
 _TERM_RE = re.compile(r"^([ADE])(\d+)(?:X(\d+))?$")
+# The most digits an index or a count may have.  delta and mu are sums of
+# products of two such numbers, so every accepted configuration prints
+# within CPython's 4300-digit limit on int-to-str conversion.
+MAX_TERM_DIGITS = 2000
 
 
 @dataclass(frozen=True)
@@ -275,7 +279,8 @@ class DuValConfig:
     def parse(cls, text: str) -> DuValConfig:
         """Parse the configuration grammar: comma-separated ``<T><n>[x<count>]``
         terms with a positive count, case-insensitive, e.g. ``A1x16`` or
-        ``A2,D4x2,E7``."""
+        ``A2,D4x2,E7``.  Indices and counts have at most MAX_TERM_DIGITS
+        digits."""
         a: dict[int, int] = {}
         d: dict[int, int] = {}
         e: dict[int, int] = {}
@@ -286,6 +291,10 @@ class DuValConfig:
             match = _TERM_RE.match(term)
             if not match:
                 raise ValueError(f"cannot parse term {raw.strip()!r}")
+            if max(len(match.group(2)), len(match.group(3) or "")) > MAX_TERM_DIGITS:
+                raise ValueError(
+                    f"term {raw.strip()[:12]}... has a number of more than {MAX_TERM_DIGITS} digits"
+                )
             letter, n, count = match.group(1), int(match.group(2)), int(match.group(3) or 1)
             if count == 0:
                 raise ValueError(f"zero count in term {raw.strip()!r}")

@@ -8,9 +8,17 @@ lattice:
 - the doubled Gram matrix, as integers, from the sparse basis rows (a
   2e_j row has one entry, a lifted generator its weight); membership
   back-substitutes over the same sparse rows;
-- the determinant and every leading minor from one fraction-free
-  (Bareiss) pass on the Gram matrix with each row's content divided out,
-  the minors scaled back exactly;
+- the determinant from the triangular basis B alone, as det(gram2) =
+  sign^n det(B)^2, so the determinant, the discriminant group and the
+  JSON document run no elimination;
+- every leading minor from one fraction-free (Bareiss) pass on the Gram
+  matrix with each row's content divided out, the minors scaled back
+  exactly.  The pass packs each row, from its diagonal on, into one int
+  of signed w-bit fields and updates it with four big-int operations per
+  step.  The Gram matrix is semidefinite, so after the step with pivot p
+  every entry is at most |p| * max|G_ii| in absolute value (Cauchy-Schwarz
+  and Fischer's inequality; see ``_leading_minors_int``), and w is raised,
+  at least doubling, whenever that bound outgrows it;
 - the discriminant group from a certificate: |det| = 2^(n - r), with r
   the rank of the Gram matrix over GF(2), fixes the Smith diagonal as
   r ones and n - r twos.  Every code lattice meets it; any other
@@ -108,13 +116,14 @@ class CodeLattice:
         2^(n-r), so each is exactly 2 and the odd ones multiply to 1.
 
         A code lattice meets the condition (|det G| = 2^(n-2k) and r = 2k),
-        so only other bases reach the general elimination.
+        so only other bases reach the general elimination.  |det G| is
+        det(B)^2 / 2^n for the triangular basis B, so no Bareiss pass runs.
         """
         n = self.n
         # bit 1 of a doubled entry is the parity of the true entry
         parity_rows = [sum(1 << j for j, e in enumerate(row) if e & 2) for row in self.gram2]
         odd = len(_rref_ints(parity_rows, n)[1])
-        if abs(self._minors2[-1]) >> n == 1 << (n - odd):
+        if basis_determinant(self) ** 2 >> n == 1 << (n - odd):
             return (1,) * odd + (2,) * (n - odd)
         return tuple(_smith_diagonal([[e // 2 for e in row] for row in self.gram2]))
 
@@ -270,39 +279,113 @@ def is_even(lat: CodeLattice) -> bool:
 
 
 def _leading_minors_int(gram2: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Leading principal minors of a symmetric doubled Gram matrix, in order.
+    """Leading principal minors of a semidefinite integer matrix, in order.
 
     One fraction-free (Bareiss) pass without row swaps: the t-th pivot is
     the t-th leading principal minor.  Every step keeps the matrix
-    symmetric, so each row is stored from its diagonal onward and entry
-    (i, j), j >= i, becomes (a_ij * piv - a_0i * a_0j) // prev.
-    ``CodeLattice`` runs this once per lattice and keeps the result, which
-    serves the determinant, the minors and the definiteness test.
+    symmetric, so row r of the trailing block is stored from its diagonal
+    on, packed into one int of signed w-bit fields:
+    sum_c x_rc * 2^(w (c - r)).  A step decodes the pivot row once into
+    the suffixes S_c = sum_(j >= c) a_j * 2^(w (j - c)) that the decoding
+    shifts through and their low fields a_c, and then updates each row
+    with four big-int operations, (row * piv - a_r * S_r) // prev.  Field
+    by field that is Bareiss' (x_rc * piv - a_r * a_c) // prev; each of
+    those numerators is divisible by prev, so the packed one is too, and
+    the quotient packs the new entries.  The products may overflow their
+    fields, but only the stored rows are ever decoded.
+
+    Width lemma: if the matrix G is semidefinite and D = max |G_ii|, then
+    after the step whose pivot is the t-th leading minor p != 0, every
+    entry of the trailing block has absolute value at most |p| * D.
+    Proof: negating G multiplies each minor of order s by (-1)^s, so let
+    G be positive semidefinite.  By Bareiss' theorem, entry (i, j) is then
+    the bordered minor M_ij of the leading t x t block A with row i and
+    column j.  A is positive definite (semidefinite with det p > 0), and
+    M is p times the Schur complement of A, which is positive
+    semidefinite, so Cauchy-Schwarz gives |M_ij| <= sqrt(M_ii M_jj).
+    Fischer's inequality on the principal submatrix with diagonal blocks
+    A and G_ii gives M_ii <= p * G_ii <= p * D.
+
+    A signed w-bit field holds every integer of absolute value below
+    2^(w - 1), so before the step with pivot p the width must be at least
+    bitlen(|p| * D) + 1.  When it is not, the block is re-encoded once
+    with the width at least doubled, so there are logarithmically many
+    re-encodings and the widths follow the minors actually met, not an a
+    priori bound such as Hadamard's.  Widths are whole bytes, which makes
+    a re-encoding a byte spread (``_widen``).  The first width is twice
+    the bytes that D^2, the bound of the first step, needs, because the
+    minors grow from there.
+
+    A zero pivot ends the pass: a kernel vector of a leading block,
+    padded with zeros, is one of every larger block, so every later minor
+    is 0.  ``CodeLattice`` runs this once per lattice and keeps the
+    result.
     """
     n = len(gram2)
-    rows = [row[i:] for i, row in enumerate(gram2)]
+    bound = max((abs(gram2[i][i]) for i in range(n)), default=0)
+    size = 2 * ((bound * bound).bit_length() // 8 + 1)  # bytes per field
+    width = 8 * size
+    rows = [_pack(row[i:], width) for i, row in enumerate(gram2)]
     minors = []
     prev = 1
     for t in range(n):
-        pivot_row = rows[0]
-        piv = pivot_row[0]
+        half = 1 << (width - 1)
+        piv = ((rows[0] & (2 * half - 1)) ^ half) - half
         minors.append(piv)
         if piv == 0:
-            # gram2 = sign * B B^T is semidefinite, so a kernel vector of a
-            # leading block, padded with zeros, is one of every larger block.
             minors += [0] * (n - t - 1)
             break
-        rows = [
-            [(x * piv - a * y) // prev for x, y in zip(row, pivot_row[i:])]
-            for i, (row, a) in enumerate(zip(rows[1:], pivot_row[1:]), start=1)
-        ]
+        need = (abs(piv) * bound).bit_length() + 1
+        if need > width:
+            grown = max(-(-need // 8), 2 * size)
+            rows = _widen(rows, n - t, size, grown)
+            size, width = grown, 8 * grown
+            half = 1 << (width - 1)
+        mask = 2 * half - 1
+        s = rows[0]
+        suffixes = [s := (s + half) >> width for _ in range(n - t - 1)]
+        fields = [((s & mask) ^ half) - half for s in suffixes]
+        rows = [(r * piv - a * s) // prev for r, a, s in zip(rows[1:], fields, suffixes)]
         prev = piv
     return tuple(minors)
 
 
+def _pack(fields: Sequence[int], width: int) -> int:
+    """sum_c fields[c] * 2^(width * c), the row format of ``_leading_minors_int``."""
+    row = 0
+    for x in reversed(fields):
+        row = (row << width) + x
+    return row
+
+
+def _widen(rows: list[int], count: int, size: int, grown: int) -> list[int]:
+    """Packed rows of at most count fields, re-encoded from size to grown
+    bytes per field.
+
+    Adding 2^(w - 1) to every field (the bias) makes each one a
+    nonnegative w-bit number, so the biased row's bytes are its fields,
+    size bytes each.  Spreading them to grown bytes each and removing the
+    same bias, now one field per grown bytes, gives the wider row.  A row
+    with fewer fields has zeros above them, and zeros survive the round
+    trip, so one bias of count fields serves every row.
+    """
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    wide_bias = int.from_bytes((bytes(size - 1) + b"\x80" + bytes(grown - size)) * count, "little")
+    wide = []
+    for r in rows:
+        packed = (r + bias).to_bytes(count * size, "little")
+        spread = bytearray(count * grown)
+        for j in range(size):
+            spread[j::grown] = packed[j::size]
+        wide.append(int.from_bytes(spread, "little") - wide_bias)
+    return wide
+
+
 def determinant(lat: CodeLattice) -> Fraction:
-    """Exact determinant of the true Gram matrix: det(gram2) / 2^n."""
-    return Fraction(lat._minors2[-1], 2**lat.n)
+    """Exact determinant of the true Gram matrix, det(gram2) / 2^n, with
+    det(gram2) = det(sign * B B^T) = sign^n * det(B)^2 read off the
+    triangular basis B: no elimination."""
+    return Fraction(lat.sign**lat.n * basis_determinant(lat) ** 2, 2**lat.n)
 
 
 def basis_determinant(lat: CodeLattice) -> int:

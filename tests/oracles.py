@@ -10,6 +10,9 @@ codeword in Gray-code order, a pivot-column count per lead, one
 free-entry flip per reduced basis, one shift per matrix entry, and one
 column per elimination step (the package eliminates a strip of columns
 at a time).
+``elementwise_leading_minors`` is the package's fraction-free pass on
+plain lists of ints, one entry at a time (the package packs each row into
+one int).
 ``naive_permutation_equivalent`` takes two codes and reads only their
 ``n``, ``k`` and ``codewords()``; it searches lists of codeword ints, not
 the package's bit-sliced columns.
@@ -295,6 +298,30 @@ def naive_leading_minors(mat: list[list[Fraction]]) -> list[Fraction]:
     """Leading principal minors, each from its own elimination of the
     leading t x t block."""
     return [naive_det([row[:t] for row in mat[:t]]) for t in range(1, len(mat) + 1)]
+
+
+def elementwise_leading_minors(gram2: list[list[int]]) -> tuple[int, ...]:
+    """Leading principal minors of a semidefinite integer matrix from a
+    symmetric Bareiss pass on plain lists, entry by entry: row i kept from
+    its diagonal on, entry (i, j) becoming (a_ij * piv - a_0i * a_0j) // prev.
+    The package runs the same pass on rows packed into ints."""
+    n = len(gram2)
+    rows = [list(row[i:]) for i, row in enumerate(gram2)]
+    minors: list[int] = []
+    prev = 1
+    for t in range(n):
+        pivot_row = rows[0]
+        piv = pivot_row[0]
+        minors.append(piv)
+        if piv == 0:
+            minors += [0] * (n - t - 1)
+            break
+        rows = [
+            [(x * piv - a * y) // prev for x, y in zip(row, pivot_row[i:])]
+            for i, (row, a) in enumerate(zip(rows[1:], pivot_row[1:]), start=1)
+        ]
+        prev = piv
+    return tuple(minors)
 
 
 def naive_smith_diagonal(mat: list[list[int]]) -> list[int]:

@@ -201,6 +201,9 @@ def test_duval_classify(capsys):
         ["code", "rm", "--degree", "1", "--m", "26"],
         # 498,000 samples fit the budget, but each may sum 31 words
         ["verify", "beauville", "--m", "5", "--nmax", "1000"],
+        # a count, or a delta and mu, too long for CPython's int-to-str limit
+        ["duval", "check", "A1x" + "9" * 5000],
+        ["duval", "check", "A" + "9" * 3000 + "x" + "9" * 3000],
     ],
 )
 def test_errors_exit_one(argv, capsys):
@@ -210,6 +213,7 @@ def test_errors_exit_one(argv, capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ")
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize("m", ["20000", "1000000000"])

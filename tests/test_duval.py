@@ -94,6 +94,17 @@ def test_parse_rejects(bad):
         DuValConfig.parse(bad)
 
 
+def test_parse_bounds_the_digits_of_each_number():
+    widest = "9" * duval.MAX_TERM_DIGITS
+    report = admissible(DuValConfig.parse(f"A{widest}x{widest},A{widest}x{widest}"))
+    # every accepted configuration prints within CPython's int-to-str limit
+    assert len(str(report.mu)) == 2 * duval.MAX_TERM_DIGITS + 1
+    json.dumps(report.to_json_dict())
+    for bad in (f"A{widest}9", f"A1x{widest}9"):
+        with pytest.raises(ValueError, match="more than 2000 digits"):
+            DuValConfig.parse(bad)
+
+
 def test_delta_examples():
     assert delta(DuValConfig.parse("A1x16")) == 16
     assert delta(DuValConfig()) == 0

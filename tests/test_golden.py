@@ -4,8 +4,9 @@ Each CLI entry is the sha256 of the exit code, stdout and stderr of one
 command run in-process through ``cli.run``; each demo entry is the sha256
 of the demo's stdout.  Each digest was recorded before the change it
 guards (the rank-64 ``lattice gamma`` runs before the lattice invariants
-were cached), and pins every byte of the output that refactors of the CLI
-or the library must keep.
+were cached, the rank-256 ones before the minors were packed), and pins
+every byte of the output that refactors of the CLI or the library must
+keep.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ D5_TEXT = "\n".join(
     ]
 ) + "\n"
 
-# "D5" in an argv stands for the path of a file holding D5_TEXT, and "RM26"
+# "D5" in an argv stands for the path of a file holding D5_TEXT, "RM26"
 # for the path of a file holding what ``code rm --degree 2 --m 6`` prints
-# (an integral code lattice of rank 64)
+# (an integral code lattice of rank 64), and "RM18" for the path of a file
+# holding what ``code rm --degree 1 --m 8`` prints (a lattice of rank 256)
 GOLDEN_CLI = {
     "verify all": "61250777e1f3bea3dd60de2c8487eb4e2725d3fea450afa760f32fcb4a219485",
     "verify all --json": "ebcb6bfc5e79358fb8674689fcc36922c45a69ffafc1a0e6719cf6cd9371328b",
@@ -76,6 +78,8 @@ GOLDEN_CLI = {
     "verify beauville --m 40": "8961a9375a314d960d6bd1470ebe9ec0ca5e1a8fd06f73862f28af37d366c799",
     "lattice gamma --in RM26": "a3870570388b8a2626d7b6435b308cd915dd19e88c85e6112ff33cf2be621ff2",
     "lattice gamma --in RM26 --neg --json": "0146a3e7ba13f96ecd6c8ea61f6ba606c19e2ecd3d62881d0a81b168ae019b05",
+    "lattice gamma --in RM18": "d761af3d7dea558bde48397b56c370e06cc5d098d2c24fef777425f941054b7b",
+    "lattice gamma --in RM18 --json": "1bfcece02efc2375911f25084bcd67dde6ebc3f653ce28e7060bc32a31022fd0",
 }
 
 GOLDEN_DEMOS = {
@@ -115,7 +119,10 @@ def code_files(tmp_path, capsys):
     assert run(["code", "rm", "--degree", "2", "--m", "6"]) == 0
     rm26 = tmp_path / "rm26.txt"
     rm26.write_text(capsys.readouterr().out)
-    return {"D5": d5, "RM26": rm26}
+    assert run(["code", "rm", "--degree", "1", "--m", "8"]) == 0
+    rm18 = tmp_path / "rm18.txt"
+    rm18.write_text(capsys.readouterr().out)
+    return {"D5": d5, "RM26": rm26, "RM18": rm18}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_CLI))

@@ -22,7 +22,12 @@ from k3nodal.lattice import (
     leading_principal_minors,
     _smith_diagonal,
 )
-from oracles import naive_det, naive_leading_minors, naive_smith_diagonal
+from oracles import (
+    elementwise_leading_minors,
+    naive_det,
+    naive_leading_minors,
+    naive_smith_diagonal,
+)
 
 
 def _random_code(rng, n):
@@ -404,6 +409,153 @@ def test_positive_lattice_fails_definiteness_without_elimination():
     kummer = kummer_lattice()
     assert is_negative_definite(kummer)
     assert "_minors2" in vars(kummer)
+
+
+def test_determinant_and_json_run_no_elimination():
+    rng = random.Random(151)
+    for _ in range(20):
+        n = rng.randint(1, 16)
+        c = _small_isotropic_code(rng, n) if rng.random() < 0.5 else _random_code(rng, n)
+        for sign in (1, -1):
+            lat = gamma_from_code(c, sign)
+            doc = lat.to_json_dict()
+            assert "_minors2" not in vars(lat)
+            assert Fraction(doc["det"]["num"], doc["det"]["den"]) == Fraction(sign**n * 2**n, 4**c.k)
+            assert leading_principal_minors(lat)[-1] == determinant(lat)
+    kummer = kummer_lattice()
+    assert determinant(kummer) == 64 and discriminant_group(kummer).order == 64
+    assert "_minors2" not in vars(kummer)
+
+
+def _kernel_inputs(monkeypatch, lattices):
+    """The matrices that ``CodeLattice._minors2`` hands to the Bareiss kernel."""
+    seen = []
+    kernel = lattice._leading_minors_int
+    monkeypatch.setattr(lattice, "_leading_minors_int", lambda g: seen.append(g) or kernel(g))
+    for lat in lattices:
+        lat._minors2
+    monkeypatch.undo()
+    return seen
+
+
+def _random_subcode(rng, code, k):
+    gens = code.gen.rows
+    while True:
+        rows = []
+        for _ in range(k):
+            word = 0
+            for g in gens:
+                if rng.getrandbits(1):
+                    word ^= g
+            rows.append(word)
+        sub = from_generators(Gf2Matrix.from_ints(rows, code.n))
+        if sub.k == k:
+            return sub
+
+
+def _non_isotropic_code(rng, n, k):
+    while True:
+        c = from_generators(Gf2Matrix.from_ints([rng.getrandbits(n) for _ in range(k)], n))
+        if c.k == k and not is_isotropic(c):
+            return c
+
+
+def test_packed_minors_match_elementwise_on_workload_shapes(monkeypatch):
+    rng = random.Random(157)
+    rm15, rm25, rm26 = reed_muller(1, 5), reed_muller(2, 5), reed_muller(2, 6)
+    lattices = [
+        gamma_from_code(rm15, 1),
+        gamma_from_code(rm15, -1),
+        gamma_from_code(rm26, -1),
+        gamma_from_code(code_d(7), 1),
+    ]
+    for sign in (1, -1):
+        lattices += [
+            gamma_from_code(_random_subcode(rng, rm25, 8), sign),
+            gamma_from_code(_random_subcode(rng, rm26, 14), sign),
+            gamma_from_code(_non_isotropic_code(rng, 32, 10), sign),
+            gamma_from_code(_non_isotropic_code(rng, 64, 20), sign),
+        ]
+    for lat in lattices:
+        assert lattice._leading_minors_int(lat.gram2) == elementwise_leading_minors(lat.gram2)
+    for gram in _kernel_inputs(monkeypatch, lattices):
+        assert lattice._leading_minors_int(gram) == elementwise_leading_minors(gram)
+
+
+@pytest.mark.parametrize("r, m", [(3, 7), (1, 8)])
+def test_packed_minors_match_elementwise_at_rank_128_and_256(monkeypatch, r, m):
+    code = reed_muller(r, m)
+    lat = gamma_from_code(code, 1)
+    (gram,) = _kernel_inputs(monkeypatch, [lat])
+    assert lattice._leading_minors_int(gram) == elementwise_leading_minors(gram)
+    assert lat._minors2[-1] == determinant(lat) * 2**lat.n == 4 ** (lat.n - code.k)
+
+
+def _triangular_gram(basis, sign):
+    return [[sign * sum(x * y for x, y in zip(bi, bj)) for bj in basis] for bi in basis]
+
+
+def test_packed_minors_widen_on_large_entries(monkeypatch):
+    calls = []
+    widen = lattice._widen
+    monkeypatch.setattr(lattice, "_widen", lambda *a: calls.append(a) or widen(*a))
+    # entries up to 10^6 make the t-th minor about 40 t bits long
+    rng = random.Random(163)
+    for n in (24, 30, 36):
+        for sign in (1, -1):
+            basis = [[0] * i + [rng.randint(-(10**6), 10**6) for _ in range(n - i)] for i in range(n)]
+            gram = _triangular_gram(basis, sign)
+            calls.clear()
+            minors = lattice._leading_minors_int(gram)
+            assert len(calls) >= 3
+            assert minors == elementwise_leading_minors(gram)
+            assert minors[-1] == sign**n * naive_det(basis) ** 2
+    # a diagonal basis meets the width bound with equality
+    calls.clear()
+    minors = lattice._leading_minors_int(_triangular_gram([[3 * (i == j) for j in range(40)] for i in range(40)], 1))
+    assert len(calls) >= 3
+    assert minors == tuple(9**t for t in range(1, 41))
+
+
+def test_packed_minors_hold_the_width_bound_exactly():
+    # on D * I, with the first and last rows coupled, the entry (i, i) for
+    # 0 < i < 39 after the step with pivot p is p * D, the bound itself, so
+    # every width boundary is crossed by a tight entry
+    for d in list(range(1, 20)) + [2**a for a in range(5, 40)] + [2**a - 1 for a in range(5, 40)]:
+        gram = [[d if i == j else 0 for j in range(40)] for i in range(40)]
+        gram[0][39] = gram[39][0] = 1
+        expected = tuple(d**t for t in range(1, 40)) + (d**38 * (d * d - 1),)
+        assert lattice._leading_minors_int(gram) == expected
+
+
+def test_packed_minors_of_singular_and_small_matrices():
+    rng = random.Random(167)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        basis = []
+        for i in range(n):
+            bound = 10 ** rng.randint(0, 6)
+            row = [0] * i + [rng.randint(-bound, bound) for _ in range(n - i)]
+            roll = rng.random()
+            if roll < 0.15:
+                row = [0] * n
+            elif roll < 0.3 and i:
+                # a multiple of an earlier row that is zero up to i: a singular prefix
+                earlier = [r for r in basis if not any(r[:i])]
+                if earlier:
+                    row = [rng.choice([-2, 1, 3]) * x for x in rng.choice(earlier)]
+            elif roll < 0.45:
+                row[i] = 0
+            basis.append(row)
+        gram = _triangular_gram(basis, rng.choice([1, -1]))
+        minors = lattice._leading_minors_int(gram)
+        assert minors == elementwise_leading_minors(gram)
+        assert minors == tuple(naive_leading_minors([[Fraction(e) for e in row] for row in gram]))
+    assert lattice._leading_minors_int([[0] * 3] * 3) == (0, 0, 0)
+    # diagonal bases meet the width bound with equality
+    for b in range(1, 30):
+        gram = _triangular_gram([[b * (i == j) for j in range(7)] for i in range(7)], 1)
+        assert lattice._leading_minors_int(gram) == tuple(b ** (2 * t) for t in range(1, 8))
 
 
 def test_code_from_overlattice_examples():
