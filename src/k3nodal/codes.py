@@ -276,12 +276,17 @@ def reed_muller_generators(max_degree: int, m: int) -> Gf2Matrix:
     lexicographic order, so for max_degree = 1 the rows are the constant 1
     followed by the coordinate functions x_0, ..., x_{m-1}.  A row is the
     AND of its variables' coordinate patterns.  More than
-    MAX_GENERATOR_BITS entries in all are refused before any row is built.
+    MAX_GENERATOR_BITS entries in all are refused before any row is built:
+    a row longer than the budget on m alone, before the rows are counted.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     if not 0 <= max_degree <= m:
         raise ValueError(f"degree {max_degree} out of range for m={m}")
+    if m > MAX_GENERATOR_BITS.bit_length() - 1:  # 2^m > MAX_GENERATOR_BITS, 2^m unbuilt
+        raise ResourceLimitError(
+            f"a row of 2^{m} generator bits exceeds the budget of {MAX_GENERATOR_BITS}"
+        )
     nrows = sum(math.comb(m, degree) for degree in range(max_degree + 1))
     if nrows << m > MAX_GENERATOR_BITS:
         raise ResourceLimitError(

@@ -243,7 +243,8 @@ def verify_all() -> SuiteReport:
     return SuiteReport(tuple(checks), theorem)
 
 
-_TERM_RE = re.compile(r"^([ADE])(\d+)(?:X(\d+))?$")
+# ASCII digits only: \d would also match other Unicode decimal digits
+_TERM_RE = re.compile(r"^([ADE])([0-9]+)(?:X([0-9]+))?$")
 # The most digits an index or a count may have.  delta and mu are sums of
 # products of two such numbers, so every accepted configuration prints
 # within CPython's 4300-digit limit on int-to-str conversion.

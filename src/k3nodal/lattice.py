@@ -1,28 +1,31 @@
 """Lattices built from binary codes.
 
-``gamma_from_code`` realizes the preimage of a code under reduction
-mod 2 inside Z^n carrying the standard form scaled by 1/2 (optionally
-negated).  All Gram data is exact and each invariant is computed once per
-lattice:
+``CodeLattice(code, sign)`` is the preimage of a code under reduction mod
+2 inside Z^n, carrying the standard form scaled by 1/2 (optionally
+negated).  Its basis, sorted by leading coordinate, has one row per
+coordinate j: the lifted generator with pivot j, or 2e_j.  Each row is
+kept as a (bits, scale) pair, the row being scale times the 0/1 vector of
+bits, so every Gram entry is a popcount.  All Gram data is exact and each
+invariant is computed once per lattice:
 
-- the doubled Gram matrix, as integers, from the sparse basis rows (a
-  2e_j row has one entry, a lifted generator its weight); membership
-  back-substitutes over the same sparse rows;
+- the doubled Gram matrix, gram2_ij = sign s_i s_j |b_i & b_j|;
+  membership back-substitutes over the rows' set bits with divisor s_i;
 - the determinant from the triangular basis B alone, as det(gram2) =
   sign^n det(B)^2, so the determinant, the discriminant group and the
   JSON document run no elimination;
-- every leading minor from one fraction-free (Bareiss) pass on the Gram
-  matrix with each row's content divided out, the minors scaled back
-  exactly.  The pass packs each row, from its diagonal on, into one int
-  of signed w-bit fields and updates it with four big-int operations per
-  step.  The Gram matrix is semidefinite, so after the step with pivot p
-  every entry is at most |p| * max|G_ii| in absolute value (Cauchy-Schwarz
-  and Fischer's inequality; see ``_leading_minors_int``), and w is raised,
-  at least doubling, whenever that bound outgrows it;
+- every leading minor from one fraction-free (Bareiss) pass on the matrix
+  sign |b_i & b_j|, minor t scaled back by (s_0 ... s_(t-1))^2.  The pass
+  packs each row, from its diagonal on, into one int of signed w-bit
+  fields and updates it with four big-int operations per step.  The Gram
+  matrix is definite, so after the step with pivot p every entry is at
+  most |p| * max|G_ii| in absolute value (Cauchy-Schwarz and Fischer's
+  inequality; see ``_leading_minors_int``), and w is raised, at least
+  doubling, whenever that bound outgrows it;
 - the discriminant group from a certificate: |det| = 2^(n - r), with r
   the rank of the Gram matrix over GF(2), fixes the Smith diagonal as
-  r ones and n - r twos.  Every code lattice meets it; any other
-  integral basis falls back to an integer Smith normal form.
+  r ones and n - r twos.  For an isotropic code C the lattice is
+  Gamma(C), its dual is Gamma(C-perp) and Gamma*/Gamma is C-perp/C, an
+  elementary abelian 2-group, so the certificate always holds.
 
 The two named lattices of interest are the rank-16 lattice of sixteen
 disjoint nodal curves on a desingularized Kummer surface and the rank-8
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codes import LinearCode, ResourceLimitError, code_d, from_generators
+from .codes import LinearCode, ResourceLimitError, code_d, from_generators, is_isotropic
 from .gf2 import Gf2Matrix, _rref_ints
 
 MAX_LATTICE_RANK = 256
@@ -45,60 +48,78 @@ MAX_LATTICE_RANK = 256
 
 @dataclass(frozen=True)
 class CodeLattice:
-    """Integral-basis lattice with doubled Gram data.
+    """The lattice of a binary code, with doubled Gram data.
 
     The true Gram matrix is gram2 / 2; keeping the doubled copy as plain
     integers keeps every computation exact without a fraction type in hot
-    paths.  The basis is upper triangular with respect to the leading
-    coordinate, which makes membership a back-substitution.  The
-    constructor derives gram2 from the basis and the sign, once, so it is
-    a field but not an argument.  The sparse rows, the leading minors and
-    the Smith diagonal are computed on first use and kept on the instance;
-    they are not fields, so equality, hashing and repr are those of the
-    four fields.
+    paths.  The rank n, the dense basis and gram2 are derived from the
+    code and the sign, once, the way ``LinearCode`` derives n and k; they
+    are fields but not arguments, and equality, hashing and repr are those
+    of (code, sign).  The basis is upper triangular with respect to the
+    leading coordinate, with diagonal 1 at pivots and 2 elsewhere, which
+    makes membership a back-substitution.  The leading minors and the
+    Smith diagonal are computed on first use and kept on the instance.
+    A sign other than +1 or -1 and a rank above MAX_LATTICE_RANK are
+    refused before any basis row is built.
     """
 
-    n: int
-    sign: int
-    basis: tuple[tuple[int, ...], ...]
-    gram2: tuple[tuple[int, ...], ...] = field(init=False)
+    code: LinearCode
+    sign: int = 1
+    n: int = field(init=False, repr=False, compare=False)
+    basis: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    gram2: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("rank must be positive")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if len(self.basis) != self.n or any(len(v) != self.n for v in self.basis):
-            raise ValueError("basis must consist of n vectors of length n")
-        if any(any(row[:i]) for i, row in enumerate(self.basis)):
-            raise ValueError("basis must be triangular by leading coordinate")
-        object.__setattr__(self, "gram2", _gram2(self._rows, self.sign))
+        n = self.code.n
+        if n > MAX_LATTICE_RANK:
+            raise ResourceLimitError(
+                f"a lattice of rank {n} exceeds the rank budget of {MAX_LATTICE_RANK}"
+            )
+        if n < 1:
+            raise ValueError("rank must be positive")
+        rows = self._rows
+        basis = tuple(tuple(s * (b >> t & 1) for t in range(n)) for b, s in rows)
+        gram2 = tuple(
+            tuple(self.sign * si * sj * (bi & bj).bit_count() for bj, sj in rows) for bi, si in rows
+        )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "gram2", gram2)
 
     @functools.cached_property
-    def _rows(self) -> tuple[dict[int, int], ...]:
-        """Each basis row's nonzero entries as {coordinate: value}."""
+    def _rows(self) -> tuple[tuple[int, int], ...]:
+        """The basis rows as (bits, scale) pairs, by leading coordinate j:
+        the lifted generator with pivot j (scale 1), or 2e_j (scale 2)."""
+        by_leading = dict(zip(self.code.pivots(), self.code.gen.rows))
         return tuple(
-            {t: x for t, x in enumerate(row[i:], i) if x} for i, row in enumerate(self.basis)
+            (by_leading[j], 1) if j in by_leading else (1 << j, 2) for j in range(self.code.n)
+        )
+
+    @functools.cached_property
+    def _supports(self) -> tuple[tuple[int, ...], ...]:
+        """The coordinates of each basis row's nonzero entries (j alone for 2e_j)."""
+        return tuple(
+            (j,) if s == 2 else tuple(t for t, x in enumerate(row) if x)
+            for j, ((_, s), row) in enumerate(zip(self._rows, self.basis))
         )
 
     @functools.cached_property
     def _minors2(self) -> tuple[int, ...]:
         """Leading principal minors of gram2, from one Bareiss pass.
 
-        With c_i the gcd of basis row i (1 for a zero row) and C = diag(c),
-        gram2 = C G' C for the integer matrix G'_ij = gram2_ij / (c_i c_j),
-        so the t-th leading minor of gram2 is that of G' times
-        (c_0 ... c_(t-1))^2.  The pass runs on G', whose entries are shorter.
+        With S = diag(s) for the row scales, gram2 = S G' S for the integer
+        matrix G'_ij = sign |b_i & b_j|, so the t-th leading minor of gram2
+        is that of G' times (s_0 ... s_(t-1))^2.  The pass runs on G',
+        whose entries are shorter.
         """
-        contents = [math.gcd(*row.values()) or 1 for row in self._rows]
-        scaled = [
-            [e // (ci * cj) for e, cj in zip(row, contents)]
-            for row, ci in zip(self.gram2, contents)
-        ]
+        rows = self._rows
+        inner = [[self.sign * (bi & bj).bit_count() for bj, _ in rows] for bi, _ in rows]
         minors = []
         scale = 1
-        for d, c in zip(_leading_minors_int(scaled), contents):
-            scale *= c * c
+        for d, (_, s) in zip(_leading_minors_int(inner), rows):
+            scale *= s * s
             minors.append(d * scale)
         return tuple(minors)
 
@@ -115,46 +136,36 @@ class CodeLattice:
         ones are each at least 2 and their product divides |det G| =
         2^(n-r), so each is exactly 2 and the odd ones multiply to 1.
 
-        A code lattice meets the condition (|det G| = 2^(n-2k) and r = 2k),
-        so only other bases reach the general elimination.  |det G| is
-        det(B)^2 / 2^n for the triangular basis B, so no Bareiss pass runs.
+        The lattice of an isotropic code meets the condition: its
+        discriminant group is C-perp / C, of order |det G| = 2^(n-2k) and
+        exponent 2, so r = 2k.  A failure is a bug and raises
+        ``AssertionError``.  |det G| is det(B)^2 / 2^n for the triangular
+        basis B, so no Bareiss pass runs.
         """
         n = self.n
         # bit 1 of a doubled entry is the parity of the true entry
         parity_rows = [sum(1 << j for j, e in enumerate(row) if e & 2) for row in self.gram2]
         odd = len(_rref_ints(parity_rows, n)[1])
-        if basis_determinant(self) ** 2 >> n == 1 << (n - odd):
-            return (1,) * odd + (2,) * (n - odd)
-        return tuple(_smith_diagonal([[e // 2 for e in row] for row in self.gram2]))
+        if basis_determinant(self) ** 2 >> n != 1 << (n - odd):
+            raise AssertionError("the Smith certificate of a code lattice failed")
+        return (1,) * odd + (2,) * (n - odd)
 
     def coordinates_of(self, vec: Sequence[int]) -> tuple[int, ...] | None:
         """Integer coordinates of vec in the basis, or None if not a member.
-
-        Back-substitution solves for row i's coordinate from entry i, so a
-        nonzero row whose diagonal entry is 0 leaves it undetermined:
-        reaching such a row raises a ValueError that names it.
-        """
+        Back-substitution solves for row i's coordinate from entry i, with
+        the row's scale as divisor, and subtracts the row over its support."""
         if len(vec) != self.n:
             raise ValueError(f"vector length {len(vec)} does not match rank {self.n}")
         residue = list(vec)
         coeffs = []
-        for i, row in enumerate(self._rows):
-            d = row.get(i)
-            if d is None:
-                if row:
-                    raise ValueError(
-                        f"basis row {i} is nonzero but its diagonal entry is 0; "
-                        "membership needs a nonzero diagonal entry in every nonzero row"
-                    )
-                coeffs.append(0)
-                continue
-            q, r = divmod(residue[i], d)
+        for i, ((_, s), support) in enumerate(zip(self._rows, self._supports)):
+            q, r = divmod(residue[i], s)
             if r:
                 return None
             coeffs.append(q)
             if q:
-                for t, x in row.items():
-                    residue[t] -= q * x
+                for t in support:
+                    residue[t] -= q * s
         return tuple(coeffs) if not any(residue) else None
 
     def contains(self, vec: Sequence[int]) -> bool:
@@ -168,7 +179,7 @@ class CodeLattice:
 
     def to_json_dict(self) -> dict:
         """The lattice as a JSON document; ``elementary_divisors`` is None
-        when the lattice is not integral or is degenerate (det = 0)."""
+        when the lattice is not integral."""
         det = determinant(self)
         return {
             "n": self.n,
@@ -176,30 +187,9 @@ class CodeLattice:
             "gram2": [list(r) for r in self.gram2],
             "det": {"num": det.numerator, "den": det.denominator},
             "elementary_divisors": (
-                list(discriminant_group(self).elementary_divisors)
-                if det and is_integral(self)
-                else None
+                list(discriminant_group(self).elementary_divisors) if is_integral(self) else None
             ),
         }
-
-
-def _gram2(rows: Sequence[dict[int, int]], sign: int) -> tuple[tuple[int, ...], ...]:
-    """Doubled Gram matrix sign * B B^T from the basis rows' nonzero
-    entries: the products on and right of the diagonal, each summed over
-    the shorter of the two supports, mirrored below it."""
-    items = [tuple(row.items()) for row in rows]
-    upper = []
-    for i, a in enumerate(rows):
-        line = []
-        for b, b_items in zip(rows[i:], items[i:]):
-            if len(a) <= len(b):
-                line.append(sign * sum([x * b.get(t, 0) for t, x in items[i]]))
-            else:
-                line.append(sign * sum([x * a.get(t, 0) for t, x in b_items]))
-        upper.append(line)
-    return tuple(
-        tuple([upper[j][i - j] for j in range(i)] + row) for i, row in enumerate(upper)
-    )
 
 
 @dataclass(frozen=True)
@@ -236,20 +226,7 @@ def gamma_from_code(code: LinearCode, sign: int = 1) -> CodeLattice:
     index in Z^n is visibly 2^(n-k) and det(gram) = sign^n * 2^(n-2k).
     Ranks above MAX_LATTICE_RANK are refused before any basis is built.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    n = code.n
-    if n > MAX_LATTICE_RANK:
-        raise ResourceLimitError(
-            f"a lattice of rank {n} exceeds the rank budget of {MAX_LATTICE_RANK}"
-        )
-    by_leading: dict[int, tuple[int, ...]] = {}
-    for p, row in zip(code.pivots(), code.gen.rows):
-        by_leading[p] = tuple((row >> t) & 1 for t in range(n))
-    for j in range(n):
-        if j not in by_leading:
-            by_leading[j] = tuple(2 if t == j else 0 for t in range(n))
-    return CodeLattice(n, sign, tuple(by_leading[j] for j in range(n)))
+    return CodeLattice(code, sign)
 
 
 def kummer_lattice() -> CodeLattice:
@@ -266,8 +243,9 @@ def even_eight_lattice() -> CodeLattice:
 
 def is_integral(lat: CodeLattice) -> bool:
     """True when the true Gram matrix is integral, equivalently when the
-    source code is isotropic."""
-    return all(e % 2 == 0 for row in lat.gram2 for e in row)
+    source code is isotropic: a 2e_j row pairs evenly with every row, and
+    two lifted generators pair to half their overlap."""
+    return is_isotropic(lat.code)
 
 
 def is_even(lat: CodeLattice) -> bool:
@@ -279,7 +257,7 @@ def is_even(lat: CodeLattice) -> bool:
 
 
 def _leading_minors_int(gram2: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Leading principal minors of a semidefinite integer matrix, in order.
+    """Leading principal minors of a definite integer matrix, in order.
 
     One fraction-free (Bareiss) pass without row swaps: the t-th pivot is
     the t-th leading principal minor.  Every step keeps the matrix
@@ -316,9 +294,9 @@ def _leading_minors_int(gram2: Sequence[Sequence[int]]) -> tuple[int, ...]:
     the bytes that D^2, the bound of the first step, needs, because the
     minors grow from there.
 
-    A zero pivot ends the pass: a kernel vector of a leading block,
-    padded with zeros, is one of every larger block, so every later minor
-    is 0.  ``CodeLattice`` runs this once per lattice and keeps the
+    Each pivot divides the next step, so every leading minor but the last
+    must be nonzero: the matrix must be definite, as the Gram matrix of a
+    basis is.  ``CodeLattice`` runs this once per lattice and keeps the
     result.
     """
     n = len(gram2)
@@ -332,9 +310,6 @@ def _leading_minors_int(gram2: Sequence[Sequence[int]]) -> tuple[int, ...]:
         half = 1 << (width - 1)
         piv = ((rows[0] & (2 * half - 1)) ^ half) - half
         minors.append(piv)
-        if piv == 0:
-            minors += [0] * (n - t - 1)
-            break
         need = (abs(piv) * bound).bit_length() + 1
         if need > width:
             grown = max(-(-need // 8), 2 * size)
@@ -390,8 +365,9 @@ def determinant(lat: CodeLattice) -> Fraction:
 
 def basis_determinant(lat: CodeLattice) -> int:
     """Determinant of the basis matrix; its absolute value is the index in Z^n.
-    The basis is triangular, so this is the product of its diagonal."""
-    return math.prod(lat.basis[i][i] for i in range(lat.n))
+    The basis is triangular, so this is the product of its diagonal, the
+    row scales."""
+    return math.prod(s for _, s in lat._rows)
 
 
 def leading_principal_minors(lat: CodeLattice) -> tuple[Fraction, ...]:
@@ -408,81 +384,12 @@ def is_negative_definite(lat: CodeLattice) -> bool:
     return all(d != 0 and (d > 0) == (t % 2 == 0) for t, d in enumerate(lat._minors2, start=1))
 
 
-def _smith_diagonal(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Exact integer elimination, pivoting on the first entry (row by row) of
-    smallest nonzero absolute value; restarts whenever a division leaves a
-    remainder (the remainder is strictly smaller, so the process
-    terminates).  Returned entries are nonnegative and each divides the
-    next.
-    """
-    a = [list(r) for r in mat]
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    diag: list[int] = []
-    t = 0
-    while t < min(nr, nc):
-        best = None
-        least = 0
-        for i in range(t, nr):
-            row = a[i]
-            for j in range(t, nc):
-                x = abs(row[j])
-                if x and (best is None or x < least):
-                    best, least = (i, j), x
-                    if x == 1:
-                        break
-            if least == 1:
-                break
-        if best is None:
-            break
-        bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
-        pivot_row = a[t]
-        p = pivot_row[t]
-        restart = False
-        for i in range(t + 1, nr):
-            row = a[i]
-            if row[t]:
-                q = row[t] // p
-                if q:
-                    a[i] = row = [x - q * y for x, y in zip(row, pivot_row)]
-                if row[t]:
-                    restart = True
-        if restart:
-            continue
-        # column t is now zero outside row t, so a column operation changes
-        # row t alone: x - (x // p) * p is x % p
-        tail = [x % p for x in pivot_row[t + 1 :]]
-        pivot_row[t + 1 :] = tail
-        if any(tail):
-            continue
-        if least != 1:
-            offender = next(
-                (i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 :])), None
-            )
-            if offender is not None:
-                a[t] = [x + y for x, y in zip(pivot_row, a[offender])]
-                continue
-        diag.append(least)
-        t += 1
-    return diag
-
-
 def discriminant_group(lat: CodeLattice) -> DiscriminantGroup:
     """Cokernel of the integral true Gram matrix as a product of cyclic
     groups, from the Smith normal form."""
     if not is_integral(lat):
         raise ValueError("discriminant group requires an integral lattice")
-    diag = lat._smith
-    if len(diag) < lat.n or any(d == 0 for d in diag):
-        raise ValueError("degenerate Gram matrix has no finite discriminant group")
-    return DiscriminantGroup(tuple(d for d in diag if d > 1))
+    return DiscriminantGroup(tuple(d for d in lat._smith if d > 1))
 
 
 def code_from_overlattice(n: int, gens: Iterable[Sequence[Fraction | int]]) -> LinearCode:

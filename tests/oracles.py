@@ -13,6 +13,9 @@ at a time).
 ``elementwise_leading_minors`` is the package's fraction-free pass on
 plain lists of ints, one entry at a time (the package packs each row into
 one int).
+``naive_code_lattice`` builds a code lattice's basis as dense 0/1 lifts
+plus 2e_j rows and its Gram matrix from dense dot products (the package
+keeps each row as bits and a scale and counts overlaps).
 ``naive_permutation_equivalent`` takes two codes and reads only their
 ``n``, ``k`` and ``codewords()``; it searches lists of codeword ints, not
 the package's bit-sliced columns.
@@ -294,6 +297,21 @@ def naive_det(mat: list[list[Fraction]]) -> Fraction:
     return det
 
 
+def naive_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a nonsingular matrix by Gauss-Jordan elimination on [A | I]."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    for c in range(n):
+        pivot_row = next(i for i in range(c, n) if a[i][c])
+        a[c], a[pivot_row] = a[pivot_row], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [row[n:] for row in a]
+
+
 def naive_leading_minors(mat: list[list[Fraction]]) -> list[Fraction]:
     """Leading principal minors, each from its own elimination of the
     leading t x t block."""
@@ -322,6 +340,22 @@ def elementwise_leading_minors(gram2: list[list[int]]) -> tuple[int, ...]:
         ]
         prev = piv
     return tuple(minors)
+
+
+def naive_code_lattice(code, sign: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The basis and doubled Gram matrix of the lattice of integer vectors
+    reducing mod 2 into the code, built densely: each reduced generator
+    lifted to a 0/1 row, 2e_j for every coordinate j that leads none, the
+    rows sorted by leading coordinate, and gram2 = sign * B B^T.  Reads only
+    the code's ``n`` and generator rows."""
+    n = code.n
+    by_leading = {}
+    for bits in code.gen.rows:
+        row = [(bits >> t) & 1 for t in range(n)]
+        by_leading[row.index(1)] = row
+    basis = [by_leading.get(j) or [2 * (t == j) for t in range(n)] for j in range(n)]
+    gram2 = [[sign * sum(x * y for x, y in zip(a, b)) for b in basis] for a in basis]
+    return basis, gram2
 
 
 def naive_smith_diagonal(mat: list[list[int]]) -> list[int]:

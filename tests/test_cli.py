@@ -204,6 +204,11 @@ def test_duval_classify(capsys):
         # a count, or a delta and mu, too long for CPython's int-to-str limit
         ["duval", "check", "A1x" + "9" * 5000],
         ["duval", "check", "A" + "9" * 3000 + "x" + "9" * 3000],
+        # Arabic-Indic and fullwidth digits are not ASCII digits
+        ["duval", "check", "A\u0661\u0666"],
+        ["duval", "check", "A1x\uff11\uff16"],
+        # refused on m alone, before the binomials are summed
+        ["code", "rm", "--degree", "8000", "--m", "16000"],
     ],
 )
 def test_errors_exit_one(argv, capsys):
@@ -214,6 +219,10 @@ def test_errors_exit_one(argv, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "set_int_max_str_digits" not in err
+    if argv[:2] == ["duval", "check"] and not argv[2].isascii():
+        assert err.startswith("error: cannot parse term")
+    if argv[:2] == ["code", "rm"] and "16000" in argv:
+        assert f"budget of {codes.MAX_GENERATOR_BITS}" in err
 
 
 @pytest.mark.parametrize("m", ["20000", "1000000000"])

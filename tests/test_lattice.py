@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,12 +21,14 @@ from k3nodal.lattice import (
     is_negative_definite,
     kummer_lattice,
     leading_principal_minors,
-    _smith_diagonal,
 )
 from oracles import (
     elementwise_leading_minors,
+    naive_code_lattice,
     naive_det,
+    naive_inverse,
     naive_leading_minors,
+    naive_rank,
     naive_smith_diagonal,
 )
 
@@ -161,8 +164,6 @@ def test_discriminant_order_equals_determinant():
 def test_negative_definite():
     assert is_negative_definite(kummer_lattice())
     assert not is_negative_definite(gamma_from_code(code_d(5), 1))
-    degenerate = CodeLattice(1, 1, ((0,),))
-    assert not is_negative_definite(degenerate)
 
 
 def test_leading_minors_alternate():
@@ -216,30 +217,6 @@ def test_leading_minors_match_oracle_rank_64():
         assert is_negative_definite(lat) == _alternates_from_negative(minors) == (sign == -1)
 
 
-def test_leading_minors_of_singular_lattices():
-    rng = random.Random(103)
-    for _ in range(200):
-        n = rng.randint(1, 10)
-        basis = []
-        for i in range(n):
-            row = [0] * i + [rng.randint(-2, 2) for _ in range(n - i)]
-            if rng.random() < 0.3:
-                row = [0] * n
-            basis.append(tuple(row))
-        if all(any(row) for row in basis):
-            basis[rng.randrange(n)] = (0,) * n
-        sign = rng.choice([1, -1])
-        gram2 = tuple(
-            tuple(sign * sum(x * y for x, y in zip(bi, bj)) for bj in basis) for bi in basis
-        )
-        lat = CodeLattice(n, sign, tuple(basis))
-        assert lat.gram2 == gram2
-        assert basis_determinant(lat) == naive_det(lat.basis)
-        minors = _check_against_oracle(lat)
-        assert not any(minors[minors.index(0) :])
-        assert not is_negative_definite(lat)
-
-
 def _small_isotropic_code(rng, n):
     # random even-weight words orthogonal to every word already taken
     rows = []
@@ -250,100 +227,79 @@ def _small_isotropic_code(rng, n):
     return from_generators(Gf2Matrix.from_ints(rows, n))
 
 
-def test_smith_diagonal_matches_determinantal_divisors():
-    rng = random.Random(107)
-    assert _smith_diagonal([]) == naive_smith_diagonal([]) == []
-    for _ in range(300):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        bound = rng.choice([1, 2, 6, 40])
-        density = rng.random()
-        mat = [
-            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(nc)]
-            for _ in range(nr)
-        ]
-        if rng.random() < 0.3:
-            mat[rng.randrange(nr)] = [0] * nc
-        if rng.random() < 0.3:
-            j = rng.randrange(nc)
-            for row in mat:
-                row[j] = 0
-        assert _smith_diagonal(mat) == naive_smith_diagonal(mat)
-
-
 def test_smith_diagonal_of_isotropic_code_grams():
     rng = random.Random(109)
     for _ in range(40):
         c = _small_isotropic_code(rng, rng.randint(1, 6))
         lat = gamma_from_code(c, rng.choice([1, -1]))
         gram = [[e // 2 for e in row] for row in lat.gram2]
-        diag = _smith_diagonal(gram)
-        assert diag == naive_smith_diagonal(gram)
+        diag = naive_smith_diagonal(gram)
         assert tuple(d for d in diag if d > 1) == discriminant_group(lat).elementary_divisors
 
 
-def _scaled_triangular_basis(rng, n):
-    # triangular rows with negative entries, some scaled by 2, 3 or 4, some zero
-    basis = []
-    for i in range(n):
-        row = [0] * i + [rng.randint(-3, 3) for _ in range(n - i)]
-        if rng.random() < 0.5:
-            row = [rng.choice([2, 3, 4]) * x for x in row]
-        if rng.random() < 0.15:
-            row = [0] * n
-        basis.append(tuple(row))
-    return tuple(basis)
-
-
-def test_content_scaled_invariants_match_oracles():
-    rng = random.Random(131)
-    integral = 0
-    for _ in range(150):
-        n = rng.randint(1, 6)
-        lat = CodeLattice(n, rng.choice([1, -1]), _scaled_triangular_basis(rng, n))
-        gram = _true_gram(lat)
-        assert leading_principal_minors(lat) == tuple(naive_leading_minors(gram))
-        assert determinant(lat) == naive_det(gram)
-        if is_integral(lat):
-            integral += 1
-            smith = naive_smith_diagonal([[e // 2 for e in row] for row in lat.gram2])
-            if len(smith) == n:
-                group = discriminant_group(lat).elementary_divisors
-                assert group == tuple(d for d in smith if d > 1)
-            else:
-                with pytest.raises(ValueError):
-                    discriminant_group(lat)
-    assert integral >= 30
-
-
-def _no_general_smith(mat):
-    raise AssertionError("the general Smith elimination ran")
-
-
-def test_code_lattices_take_the_smith_certificate(monkeypatch):
-    monkeypatch.setattr(lattice, "_smith_diagonal", _no_general_smith)
+def test_code_lattices_take_the_smith_certificate():
+    # naive_smith_diagonal takes factorial time beyond n = 6, so the Smith
+    # diagonal is pinned by two other oracles: the cokernel of the true
+    # Gram matrix G has order |det G| and exponent the lcm of the
+    # denominators of G^-1, and an exponent of at most 2 leaves only
+    # ones and twos
     rng = random.Random(139)
     for _ in range(200):
         c = _small_isotropic_code(rng, rng.randint(1, 12))
         lat = gamma_from_code(c, rng.choice([1, -1]))
+        gram = [[Fraction(e // 2) for e in row] for row in lat.gram2]
+        order = abs(naive_det(gram))
+        exponent = math.lcm(*(x.denominator for row in naive_inverse(gram) for x in row))
+        assert order == 2 ** (c.n - 2 * c.k) and exponent <= 2
         assert discriminant_group(lat).elementary_divisors == (2,) * (c.n - 2 * c.k)
     assert discriminant_group(kummer_lattice()).elementary_divisors == (2,) * 6
     assert discriminant_group(even_eight_lattice()).elementary_divisors == (2,) * 6
 
 
-def test_general_basis_falls_back_to_smith_elimination(monkeypatch):
-    calls = []
-    general = lattice._smith_diagonal
+def test_failed_smith_certificate_raises(monkeypatch):
+    # the certificate holds for every code lattice; if it ever failed,
+    # nothing would fall back silently
+    lat = kummer_lattice()
+    monkeypatch.setattr(lattice, "basis_determinant", lambda lat: 2**10)
+    with pytest.raises(AssertionError, match="Smith certificate"):
+        discriminant_group(lat)
 
-    def counted(mat):
-        calls.append(mat)
-        return general(mat)
 
-    monkeypatch.setattr(lattice, "_smith_diagonal", counted)
-    assert discriminant_group(CodeLattice(2, 1, ((2, 0), (0, 4)))).elementary_divisors == (2, 8)
-    assert calls == [[[2, 0], [0, 8]]]
-    with pytest.raises(ValueError, match="degenerate"):
-        discriminant_group(CodeLattice(2, 1, ((1, 1), (0, 0))))
-    assert len(calls) == 2
+def test_code_lattice_is_its_code_and_sign():
+    rng = random.Random(141)
+    for _ in range(40):
+        c = _random_code(rng, rng.randint(1, 16))
+        for sign in (1, -1):
+            lat = CodeLattice(c, sign)
+            assert lat == gamma_from_code(c, sign) and hash(lat) == hash(gamma_from_code(c, sign))
+            assert lat != CodeLattice(c, -sign)
+            assert repr(lat) == f"CodeLattice(code={c!r}, sign={sign})"
+    assert CodeLattice(code_d(5)) == gamma_from_code(code_d(5), 1)
+    with pytest.raises(ValueError, match="sign"):
+        CodeLattice(code_d(5), 2)
+
+
+def test_code_lattice_matches_naive_construction():
+    rng = random.Random(143)
+    for n in range(1, 65):
+        c = _random_code(rng, n)
+        gens = [[(row >> t) & 1 for t in range(n)] for row in c.gen.rows]
+        for sign in (1, -1):
+            lat = gamma_from_code(c, sign)
+            basis, gram2 = naive_code_lattice(c, sign)
+            assert lat.basis == tuple(map(tuple, basis))
+            assert lat.gram2 == tuple(map(tuple, gram2))
+            minors = elementwise_leading_minors(gram2)
+            assert leading_principal_minors(lat) == tuple(
+                Fraction(d, 2**t) for t, d in enumerate(minors, start=1)
+            )
+            for _ in range(4):
+                coeffs = [rng.randint(-3, 3) for _ in range(n)]
+                vec = [sum(a * row[t] for a, row in zip(coeffs, basis)) for t in range(n)]
+                assert lat.coordinates_of(vec) == tuple(coeffs)
+                vec[rng.randrange(n)] += rng.choice([-1, 1])
+                member = naive_rank(gens + [[x % 2 for x in vec]]) == c.k
+                assert (lat.coordinates_of(vec) is not None) == lat.contains(vec) == member
 
 
 _INVARIANTS = {
@@ -367,37 +323,17 @@ def _invariants_in_order(lat, order):
 
 def test_invariants_do_not_depend_on_call_order():
     rng = random.Random(113)
-    degenerate = (CodeLattice, (2, 1, ((1, 1), (0, 0))))
-    lattices = [degenerate]
     for _ in range(40):
         n = rng.randint(1, 16)
         c = _small_isotropic_code(rng, n) if rng.random() < 0.5 else _random_code(rng, n)
-        lattices.append((gamma_from_code, (c, rng.choice([1, -1]))))
-    for build, args in lattices:
-        first, second = build(*args), build(*args)
+        sign = rng.choice([1, -1])
+        first, second = gamma_from_code(c, sign), gamma_from_code(c, sign)
         order = list(_INVARIANTS)  # the determinant first, the JSON document last
         a = _invariants_in_order(first, order)
         b = _invariants_in_order(second, order[::-1])
         assert a == b
         assert first == second and hash(first) == hash(second)
-        assert repr(first) == repr(second) == repr(build(*args))
-        if (build, args) == degenerate:
-            error = ("ValueError", "degenerate Gram matrix has no finite discriminant group")
-            assert a["discriminant_group"] == error
-
-
-def test_gamma_builds_its_gram_matrix_once(monkeypatch):
-    calls = []
-    gram2 = lattice._gram2
-
-    def counted(basis, sign):
-        calls.append(sign)
-        return gram2(basis, sign)
-
-    monkeypatch.setattr(lattice, "_gram2", counted)
-    lat = gamma_from_code(code_d(5), -1)
-    assert calls == [-1]
-    assert lat == kummer_lattice() and is_negative_definite(lat)
+        assert repr(first) == repr(second) == repr(gamma_from_code(c, sign))
 
 
 def test_positive_lattice_fails_definiteness_without_elimination():
@@ -536,22 +472,14 @@ def test_packed_minors_of_singular_and_small_matrices():
         for i in range(n):
             bound = 10 ** rng.randint(0, 6)
             row = [0] * i + [rng.randint(-bound, bound) for _ in range(n - i)]
-            roll = rng.random()
-            if roll < 0.15:
-                row = [0] * n
-            elif roll < 0.3 and i:
-                # a multiple of an earlier row that is zero up to i: a singular prefix
-                earlier = [r for r in basis if not any(r[:i])]
-                if earlier:
-                    row = [rng.choice([-2, 1, 3]) * x for x in rng.choice(earlier)]
-            elif roll < 0.45:
-                row[i] = 0
+            row[i] = row[i] or bound
             basis.append(row)
         gram = _triangular_gram(basis, rng.choice([1, -1]))
         minors = lattice._leading_minors_int(gram)
         assert minors == elementwise_leading_minors(gram)
         assert minors == tuple(naive_leading_minors([[Fraction(e) for e in row] for row in gram]))
-    assert lattice._leading_minors_int([[0] * 3] * 3) == (0, 0, 0)
+    # a matrix singular only in full size: nothing divides by the last pivot
+    assert lattice._leading_minors_int([[1, 1, 1], [1, 2, 2], [1, 2, 2]]) == (1, 1, 0)
     # diagonal bases meet the width bound with equality
     for b in range(1, 30):
         gram = _triangular_gram([[b * (i == j) for j in range(7)] for i in range(7)], 1)
@@ -599,39 +527,6 @@ def test_coordinates_of_solves_triangular_system():
                 assert not lat.contains(vec)
 
 
-def test_coordinates_of_refuses_nonzero_row_with_zero_diagonal():
-    # (0, 1) is the first basis row, but back-substitution cannot see it
-    lat = CodeLattice(2, 1, ((0, 1), (0, 2)))
-    for method in (lat.coordinates_of, lat.contains):
-        with pytest.raises(ValueError, match="basis row 0 is nonzero"):
-            method((0, 1))
-
-
-def test_coordinates_of_with_zero_basis_rows():
-    # zero rows are the only rows with a zero diagonal entry: members
-    # round-trip with coordinate 0 on them, and a vector moved along the
-    # coordinate of a zero row keeps the pivot entries, so it leaves the
-    # lattice
-    rng = random.Random(89)
-    for _ in range(200):
-        n = rng.randint(1, 9)
-        basis = []
-        for i in range(n):
-            diagonal = rng.choice([-3, -2, -1, 1, 2, 3])
-            row = [0] * i + [diagonal] + [rng.randint(-2, 2) for _ in range(n - i - 1)]
-            basis.append(tuple(row) if rng.random() < 0.7 else (0,) * n)
-        zero = rng.randrange(n)
-        basis[zero] = (0,) * n
-        lat = CodeLattice(n, rng.choice([1, -1]), tuple(basis))
-        coeffs = [rng.randint(-3, 3) if any(row) else 0 for row in basis]
-        vec = [sum(a * row[t] for a, row in zip(coeffs, basis)) for t in range(n)]
-        assert lat.coordinates_of(vec) == tuple(coeffs)
-        assert lat.contains(vec)
-        vec[zero] += rng.choice([-1, 1])
-        assert lat.coordinates_of(vec) is None
-        assert not lat.contains(vec)
-
-
 def test_vector_length_must_match_rank():
     lat = kummer_lattice()
     for method in (lat.coordinates_of, lat.norm_of, lat.contains):
@@ -656,12 +551,3 @@ def test_json_dict():
     non_integral = gamma_from_code(LinearCode.full(2)).to_json_dict()
     assert non_integral["elementary_divisors"] is None
     assert non_integral["det"] == {"num": 1, "den": 4}
-    degenerate = CodeLattice(2, 1, ((1, 1), (0, 0)))
-    assert is_integral(degenerate)
-    assert degenerate.to_json_dict() == {
-        "n": 2,
-        "sign": 1,
-        "gram2": [[2, 0], [0, 0]],
-        "det": {"num": 0, "den": 1},
-        "elementary_divisors": None,
-    }
