@@ -13,14 +13,20 @@ invariant is computed once per lattice:
 - the determinant from the triangular basis B alone, as det(gram2) =
   sign^n det(B)^2, so the determinant, the discriminant group and the
   JSON document run no elimination;
-- every leading minor from one fraction-free (Bareiss) pass on the matrix
-  sign |b_i & b_j|, minor t scaled back by (s_0 ... s_(t-1))^2.  The pass
-  packs each row, from its diagonal on, into one int of signed w-bit
-  fields and updates it with four big-int operations per step.  The Gram
-  matrix is definite, so after the step with pivot p every entry is at
-  most |p| * max|G_ii| in absolute value (Cauchy-Schwarz and Fischer's
-  inequality; see ``_leading_minors_int``), and w is raised, at least
-  doubling, whenever that bound outgrows it;
+- every leading minor without an n x n elimination.  The basis Q of 0/1
+  rows is unit upper triangular, so minor t of sign Q Q^T is
+  sign^t det(M_t), M_t = I + A_t A_t^T for the k_t generators with pivot
+  < t cut to the coordinates >= t; minor t of gram2 is that times
+  (s_0 ... s_(t-1))^2.  One walk over the coordinates keeps det(M_t) and
+  the adjugate of M_t, its rows packed into ints of signed fields: a
+  unit coordinate is a rank-one downdate, a generator borders M_t, and
+  each is an exact fraction-free Sherman-Morrison step of four big-int
+  operations per row.  M_t >= I bounds every adjugate entry by det(M_t),
+  so the field width follows the determinants.  Minors t > n - k come
+  from the same walk on the complementary side, from the last
+  coordinate, with the columns of Q at the non-pivots as generators
+  (Jacobi's identity), so either walk holds at most min(k, n - k) rows
+  and the minors cost O(n min(k, n - k)^2) row operations;
 - the discriminant group from a certificate: |det| = 2^(n - r), with r
   the rank of the Gram matrix over GF(2), fixes the Smith diagonal as
   r ones and n - r twos.  For an isotropic code C the lattice is
@@ -41,7 +47,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .codes import LinearCode, ResourceLimitError, code_d, from_generators, is_isotropic
-from .gf2 import Gf2Matrix, _rref_ints
+from .gf2 import Gf2Matrix, _rref_ints, _transpose_ints
 
 MAX_LATTICE_RANK = 256
 
@@ -80,10 +86,15 @@ class CodeLattice:
         if n < 1:
             raise ValueError("rank must be positive")
         rows = self._rows
-        basis = tuple(tuple(s * (b >> t & 1) for t in range(n)) for b, s in rows)
-        gram2 = tuple(
-            tuple(self.sign * si * sj * (bi & bj).bit_count() for bj, sj in rows) for bi, si in rows
-        )
+        width, digits = f"0{n}b", {s: bytes.maketrans(b"01", bytes([0, s])) for s in (1, 2)}
+        basis = tuple(tuple(format(b, width)[::-1].encode().translate(digits[s])) for b, s in rows)
+        # each entry is computed once, for j >= i, and mirrored
+        gram = [[0] * n for _ in range(n)]
+        for i, (bi, si) in enumerate(rows):
+            scale, row = self.sign * si, gram[i]
+            for j, (bj, sj) in enumerate(rows[i:], i):
+                row[j] = gram[j][i] = scale * sj * (bi & bj).bit_count()
+        gram2 = tuple(map(tuple, gram))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "gram2", gram2)
@@ -107,20 +118,42 @@ class CodeLattice:
 
     @functools.cached_property
     def _minors2(self) -> tuple[int, ...]:
-        """Leading principal minors of gram2, from one Bareiss pass.
+        """Leading principal minors of gram2, from ``_bordered_dets``.
 
-        With S = diag(s) for the row scales, gram2 = S G' S for the integer
-        matrix G'_ij = sign |b_i & b_j|, so the t-th leading minor of gram2
-        is that of G' times (s_0 ... s_(t-1))^2.  The pass runs on G',
-        whose entries are shorter.
+        With Q the 0/1 basis (rows b_i) and S = diag(s) for the row scales,
+        gram2 = sign S Q Q^T S, so minor t of gram2 is sign^t det(Q_t Q_t^T)
+        (s_0 ... s_(t-1))^2 for the first t rows Q_t.  Subtracting the unit
+        rows e_j (j < t) from the generators turns Q_t into [I_t | A] with
+        A zero on the unit rows, so det(Q_t Q_t^T) = det(I + A_t A_t^T) for
+        the generators with pivot < t cut to the coordinates >= t: the walk
+        on the code's own generators.
+
+        The other side: Q = I + H with H^2 = 0, so Q^-1 = I - H, and
+        Jacobi's identity on Q Q^T (of determinant 1) gives
+        det(Q_t Q_t^T) = det(V V^T) for the last n - t rows V of Q^-T.  Up
+        to the signs of rows and columns, which no principal minor sees,
+        row x of Q^-T is e_x at a pivot and column x of Q elsewhere.  Those
+        rows have the code lattice's shape in reversed coordinates, with
+        the n - k non-pivots as pivots, so the walk from the last
+        coordinate gives det(Q_t Q_t^T) after its step at coordinate t.
+
+        Before coordinate t the forward walk holds the pivots below t and
+        the backward walk the non-pivots from t on; there are no more of
+        the first exactly when t <= n - k.  So the minors up to n - k come
+        from the forward walk and the rest from the backward one, and
+        neither holds more than min(k, n - k) rows.
         """
-        rows = self._rows
-        inner = [[self.sign * (bi & bj).bit_count() for bj, _ in rows] for bi, _ in rows]
+        rows, n = self._rows, self.n
+        split = min(n - self.code.k, n - 1)  # det(M_n) = 1 needs no walk
+        cols = _transpose_ints([b for b, _ in rows], n)
+        forward = _bordered_dets([(b, s == 1) for b, s in rows[:split]])
+        backward = _bordered_dets([(cols[x], rows[x][1] == 2) for x in range(n - 1, split, -1)])
+        dets = forward[1:] + backward[::-1]
         minors = []
         scale = 1
-        for d, (_, s) in zip(_leading_minors_int(inner), rows):
+        for t, (d, (_, s)) in enumerate(zip(dets, rows), start=1):
             scale *= s * s
-            minors.append(d * scale)
+            minors.append(self.sign**t * d * scale)
         return tuple(minors)
 
     @functools.cached_property
@@ -140,7 +173,7 @@ class CodeLattice:
         discriminant group is C-perp / C, of order |det G| = 2^(n-2k) and
         exponent 2, so r = 2k.  A failure is a bug and raises
         ``AssertionError``.  |det G| is det(B)^2 / 2^n for the triangular
-        basis B, so no Bareiss pass runs.
+        basis B, so no elimination runs.
         """
         n = self.n
         # bit 1 of a doubled entry is the parity of the true entry
@@ -256,95 +289,80 @@ def is_even(lat: CodeLattice) -> bool:
     return all(lat.gram2[i][i] % 4 == 0 for i in range(lat.n))
 
 
-def _leading_minors_int(gram2: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Leading principal minors of a definite integer matrix, in order.
+def _bordered_dets(walk: Iterable[tuple[int, bool]]) -> list[int]:
+    """det(M_t) for M_t = I + A_t A_t^T before a walk over the coordinates
+    of a code lattice basis (1) and after each of its steps.
 
-    One fraction-free (Bareiss) pass without row swaps: the t-th pivot is
-    the t-th leading principal minor.  Every step keeps the matrix
-    symmetric, so row r of the trailing block is stored from its diagonal
-    on, packed into one int of signed w-bit fields:
-    sum_c x_rc * 2^(w (c - r)).  A step decodes the pivot row once into
-    the suffixes S_c = sum_(j >= c) a_j * 2^(w (j - c)) that the decoding
-    shifts through and their low fields a_c, and then updates each row
-    with four big-int operations, (row * piv - a_r * S_r) // prev.  Field
-    by field that is Bareiss' (x_rc * piv - a_r * a_c) // prev; each of
-    those numerators is divisible by prev, so the packed one is too, and
-    the quotient packs the new entries.  The products may overflow their
-    fields, but only the stored rows are ever decoded.
+    Step t carries (word, grows).  A generator (grows) has its pivot at t
+    and bits only at later coordinates, none at another generator's pivot;
+    otherwise word is the bit of coordinate t.  A_t holds the generators
+    met so far, cut to the coordinates after t.  A unit coordinate drops
+    column c of A (c_i = |g_i & word|): M' = M - c c^T.  A generator g
+    borders M with b_i = |g_i & g| and corner delta = |g|.  With D = det M,
+    N = adj M and u = N c (b for a border), both are Sherman-Morrison
+    steps, exact and fraction-free:
 
-    Width lemma: if the matrix G is semidefinite and D = max |G_ii|, then
-    after the step whose pivot is the t-th leading minor p != 0, every
-    entry of the trailing block has absolute value at most |p| * D.
-    Proof: negating G multiplies each minor of order s by (-1)^s, so let
-    G be positive semidefinite.  By Bareiss' theorem, entry (i, j) is then
-    the bordered minor M_ij of the leading t x t block A with row i and
-    column j.  A is positive definite (semidefinite with det p > 0), and
-    M is p times the Schur complement of A, which is positive
-    semidefinite, so Cauchy-Schwarz gives |M_ij| <= sqrt(M_ii M_jj).
-    Fischer's inequality on the principal submatrix with diagonal blocks
-    A and G_ii gives M_ii <= p * G_ii <= p * D.
+        D' = D delta - c . u   (delta = 1 for a unit coordinate),
+        adj M' = (D' N + u u^T) / D, bordered by the row (-u, D).
 
-    A signed w-bit field holds every integer of absolute value below
-    2^(w - 1), so before the step with pivot p the width must be at least
-    bitlen(|p| * D) + 1.  When it is not, the block is re-encoded once
-    with the width at least doubled, so there are logarithmically many
-    re-encodings and the widths follow the minors actually met, not an a
-    priori bound such as Hadamard's.  Widths are whole bytes, which makes
-    a re-encoding a byte spread (``_widen``).  The first width is twice
-    the bytes that D^2, the bound of the first step, needs, because the
-    minors grow from there.
+    The rows of N are packed into ints of signed w-bit fields,
+    sum_j N_ij 2^(w j), so U = sum c_j N_j packs u, and a row is updated
+    with four big-int operations, (N_i D' + u_i U) // D;
+    every field's numerator is divisible by D, so the packed one is too,
+    and subtracting D 2^(w k) from U adds the border field -u_i.  A step
+    whose c is zero changes nothing and is skipped.
 
-    Each pivot divides the next step, so every leading minor but the last
-    must be nonzero: the matrix must be definite, as the Gram matrix of a
-    basis is.  ``CodeLattice`` runs this once per lattice and keeps the
-    result.
+    Width lemma: M_t >= I, so 0 < M_t^-1 <= I and every entry of
+    N = D M^-1 has absolute value at most D, and |u_i| <= D ||c||.  A
+    signed w-bit field holds every integer of absolute value below
+    2^(w - 1).  So the width is checked twice per step: against the bound
+    on u before u is formed, and against D' before the new rows are.  A
+    check that fails re-encodes the rows once with the width at least
+    doubled (``_widen``), so there are logarithmically many re-encodings.
     """
-    n = len(gram2)
-    bound = max((abs(gram2[i][i]) for i in range(n)), default=0)
-    size = 2 * ((bound * bound).bit_length() // 8 + 1)  # bytes per field
-    width = 8 * size
-    rows = [_pack(row[i:], width) for i, row in enumerate(gram2)]
-    minors = []
-    prev = 1
-    for t in range(n):
-        half = 1 << (width - 1)
-        piv = ((rows[0] & (2 * half - 1)) ^ half) - half
-        minors.append(piv)
-        need = (abs(piv) * bound).bit_length() + 1
-        if need > width:
-            grown = max(-(-need // 8), 2 * size)
-            rows = _widen(rows, n - t, size, grown)
-            size, width = grown, 8 * grown
-            half = 1 << (width - 1)
-        mask = 2 * half - 1
-        s = rows[0]
-        suffixes = [s := (s + half) >> width for _ in range(n - t - 1)]
-        fields = [((s & mask) ^ half) - half for s in suffixes]
-        rows = [(r * piv - a * s) // prev for r, a, s in zip(rows[1:], fields, suffixes)]
-        prev = piv
-    return tuple(minors)
+    gens: list[int] = []
+    rows: list[int] = []
+    det, size = 1, 1  # bytes per field
+    dets = [det]
+    for word, grows in walk:
+        c = [(g & word).bit_count() for g in gens]
+        if grows or any(c):
+            k = len(rows)
+            need = det.bit_length() + (sum(x * x for x in c).bit_length() + 1) // 2 + 1
+            if need > 8 * size:
+                rows, size = _widen(rows, k, size, need)
+            packed = sum(x * r for x, r in zip(c, rows) if x)
+            raw = (packed + _bias(k, size)).to_bytes(k * size, "little")
+            half = 1 << (8 * size - 1)
+            u = [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, k * size, size)]
+            new = det * word.bit_count() - sum(x * y for x, y in zip(c, u))
+            if new.bit_length() + 1 > 8 * size:
+                rows, size = _widen(rows + [packed], k, size, new.bit_length() + 1)
+                packed = rows.pop()
+            if grows:
+                packed -= det << (8 * size * k)
+            rows = [(r * new + a * packed) // det for r, a in zip(rows, u)]
+            if grows:
+                rows.append(-packed)
+                gens.append(word)
+            det = new
+        dets.append(det)
+    return dets
 
 
-def _pack(fields: Sequence[int], width: int) -> int:
-    """sum_c fields[c] * 2^(width * c), the row format of ``_leading_minors_int``."""
-    row = 0
-    for x in reversed(fields):
-        row = (row << width) + x
-    return row
+def _bias(count: int, size: int) -> int:
+    """2^(w - 1) in each of count fields of size bytes: adding it makes
+    every signed field a nonnegative w-bit number."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
 
 
-def _widen(rows: list[int], count: int, size: int, grown: int) -> list[int]:
-    """Packed rows of at most count fields, re-encoded from size to grown
-    bytes per field.
-
-    Adding 2^(w - 1) to every field (the bias) makes each one a
-    nonnegative w-bit number, so the biased row's bytes are its fields,
-    size bytes each.  Spreading them to grown bytes each and removing the
-    same bias, now one field per grown bytes, gives the wider row.  A row
-    with fewer fields has zeros above them, and zeros survive the round
-    trip, so one bias of count fields serves every row.
-    """
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+def _widen(rows: list[int], count: int, size: int, need: int) -> tuple[list[int], int]:
+    """Packed rows of count fields, re-encoded from size bytes per field to
+    grown, at least 2 * size and need bits, and grown.  With the bias
+    added, a row's bytes are its fields; spreading them to grown bytes
+    each and removing the same bias gives the wider row."""
+    grown = max(-(-need // 8), 2 * size)
+    bias = _bias(count, size)
     wide_bias = int.from_bytes((bytes(size - 1) + b"\x80" + bytes(grown - size)) * count, "little")
     wide = []
     for r in rows:
@@ -353,7 +371,7 @@ def _widen(rows: list[int], count: int, size: int, grown: int) -> list[int]:
         for j in range(size):
             spread[j::grown] = packed[j::size]
         wide.append(int.from_bytes(spread, "little") - wide_bias)
-    return wide
+    return wide, grown
 
 
 def determinant(lat: CodeLattice) -> Fraction:

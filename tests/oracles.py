@@ -321,8 +321,7 @@ def naive_leading_minors(mat: list[list[Fraction]]) -> list[Fraction]:
 def elementwise_leading_minors(gram2: list[list[int]]) -> tuple[int, ...]:
     """Leading principal minors of a semidefinite integer matrix from a
     symmetric Bareiss pass on plain lists, entry by entry: row i kept from
-    its diagonal on, entry (i, j) becoming (a_ij * piv - a_0i * a_0j) // prev.
-    The package runs the same pass on rows packed into ints."""
+    its diagonal on, entry (i, j) becoming (a_ij * piv - a_0i * a_0j) // prev."""
     n = len(gram2)
     rows = [list(row[i:]) for i, row in enumerate(gram2)]
     minors: list[int] = []

@@ -363,15 +363,24 @@ def test_determinant_and_json_run_no_elimination():
     assert "_minors2" not in vars(kummer)
 
 
-def _kernel_inputs(monkeypatch, lattices):
-    """The matrices that ``CodeLattice._minors2`` hands to the Bareiss kernel."""
-    seen = []
-    kernel = lattice._leading_minors_int
-    monkeypatch.setattr(lattice, "_leading_minors_int", lambda g: seen.append(g) or kernel(g))
-    for lat in lattices:
-        lat._minors2
-    monkeypatch.undo()
-    return seen
+def _expected_minors2(code, sign):
+    """Leading minors of gram2 from the elementwise Bareiss oracle on
+    sign |b_i & b_j| for the 0/1 rows b_i of the naive basis, minor t
+    scaled back by the squared product of the first t row scales."""
+    basis, _ = naive_code_lattice(code, sign)
+    bits = [sum(x // row[i] << t for t, x in enumerate(row)) for i, row in enumerate(basis)]
+    inner = [[sign * (a & b).bit_count() for b in bits] for a in bits]
+    minors, scale = [], 1
+    for row, d in zip(basis, elementwise_leading_minors(inner)):
+        scale *= row[len(minors)] ** 2
+        minors.append(d * scale)
+    return tuple(minors)
+
+
+def _check_minors(code, sign):
+    lat = gamma_from_code(code, sign)
+    assert lat._minors2 == _expected_minors2(code, sign)
+    assert lat._minors2[-1] == determinant(lat) * 2**lat.n == sign**lat.n * 4 ** (lat.n - code.k)
 
 
 def _random_subcode(rng, code, k):
@@ -389,101 +398,73 @@ def _random_subcode(rng, code, k):
             return sub
 
 
-def _non_isotropic_code(rng, n, k):
+def _code_of_dimension(rng, n, k):
     while True:
         c = from_generators(Gf2Matrix.from_ints([rng.getrandbits(n) for _ in range(k)], n))
-        if c.k == k and not is_isotropic(c):
+        if c.k == k:
             return c
 
 
-def test_packed_minors_match_elementwise_on_workload_shapes(monkeypatch):
+def _non_isotropic_code(rng, n, k):
+    while True:
+        c = _code_of_dimension(rng, n, k)
+        if not is_isotropic(c):
+            return c
+
+
+def test_code_minors_match_elementwise_on_workload_shapes():
     rng = random.Random(157)
-    rm15, rm25, rm26 = reed_muller(1, 5), reed_muller(2, 5), reed_muller(2, 6)
-    lattices = [
-        gamma_from_code(rm15, 1),
-        gamma_from_code(rm15, -1),
-        gamma_from_code(rm26, -1),
-        gamma_from_code(code_d(7), 1),
+    rm25, rm26 = reed_muller(2, 5), reed_muller(2, 6)
+    codes = [
+        reed_muller(1, 5),
+        _random_subcode(rng, rm25, 8),
+        _non_isotropic_code(rng, 32, 10),
+        rm26,
+        code_d(7),
+        _random_subcode(rng, rm26, 14),
+        _non_isotropic_code(rng, 64, 20),
     ]
-    for sign in (1, -1):
-        lattices += [
-            gamma_from_code(_random_subcode(rng, rm25, 8), sign),
-            gamma_from_code(_random_subcode(rng, rm26, 14), sign),
-            gamma_from_code(_non_isotropic_code(rng, 32, 10), sign),
-            gamma_from_code(_non_isotropic_code(rng, 64, 20), sign),
-        ]
-    for lat in lattices:
-        assert lattice._leading_minors_int(lat.gram2) == elementwise_leading_minors(lat.gram2)
-    for gram in _kernel_inputs(monkeypatch, lattices):
-        assert lattice._leading_minors_int(gram) == elementwise_leading_minors(gram)
+    for code in codes:
+        for sign in (1, -1):
+            _check_minors(code, sign)
+
+
+def test_code_minors_match_elementwise_for_every_dimension():
+    # k <= n/2 walks mostly forward over the generators, k > n/2 mostly
+    # backward over the columns at the non-pivots
+    rng = random.Random(163)
+    for n in list(range(1, 13)) + [24, 40]:
+        for k in range(n + 1):
+            _check_minors(_code_of_dimension(rng, n, k), rng.choice([1, -1]))
 
 
 @pytest.mark.parametrize("r, m", [(3, 7), (1, 8)])
-def test_packed_minors_match_elementwise_at_rank_128_and_256(monkeypatch, r, m):
-    code = reed_muller(r, m)
-    lat = gamma_from_code(code, 1)
-    (gram,) = _kernel_inputs(monkeypatch, [lat])
-    assert lattice._leading_minors_int(gram) == elementwise_leading_minors(gram)
-    assert lat._minors2[-1] == determinant(lat) * 2**lat.n == 4 ** (lat.n - code.k)
+def test_code_minors_match_elementwise_on_reed_muller(r, m):
+    _check_minors(reed_muller(r, m), 1)
 
 
-def _triangular_gram(basis, sign):
-    return [[sign * sum(x * y for x, y in zip(bi, bj)) for bj in basis] for bi in basis]
-
-
-def test_packed_minors_widen_on_large_entries(monkeypatch):
-    calls = []
+def test_code_minors_widen_at_both_checkpoints(monkeypatch):
+    # the checkpoint on u re-encodes the k adjugate rows; the one on the
+    # new determinant re-encodes them together with the packed u
+    fired = []
     widen = lattice._widen
-    monkeypatch.setattr(lattice, "_widen", lambda *a: calls.append(a) or widen(*a))
-    # entries up to 10^6 make the t-th minor about 40 t bits long
-    rng = random.Random(163)
-    for n in (24, 30, 36):
-        for sign in (1, -1):
-            basis = [[0] * i + [rng.randint(-(10**6), 10**6) for _ in range(n - i)] for i in range(n)]
-            gram = _triangular_gram(basis, sign)
-            calls.clear()
-            minors = lattice._leading_minors_int(gram)
-            assert len(calls) >= 3
-            assert minors == elementwise_leading_minors(gram)
-            assert minors[-1] == sign**n * naive_det(basis) ** 2
-    # a diagonal basis meets the width bound with equality
-    calls.clear()
-    minors = lattice._leading_minors_int(_triangular_gram([[3 * (i == j) for j in range(40)] for i in range(40)], 1))
-    assert len(calls) >= 3
-    assert minors == tuple(9**t for t in range(1, 41))
-
-
-def test_packed_minors_hold_the_width_bound_exactly():
-    # on D * I, with the first and last rows coupled, the entry (i, i) for
-    # 0 < i < 39 after the step with pivot p is p * D, the bound itself, so
-    # every width boundary is crossed by a tight entry
-    for d in list(range(1, 20)) + [2**a for a in range(5, 40)] + [2**a - 1 for a in range(5, 40)]:
-        gram = [[d if i == j else 0 for j in range(40)] for i in range(40)]
-        gram[0][39] = gram[39][0] = 1
-        expected = tuple(d**t for t in range(1, 40)) + (d**38 * (d * d - 1),)
-        assert lattice._leading_minors_int(gram) == expected
-
-
-def test_packed_minors_of_singular_and_small_matrices():
-    rng = random.Random(167)
-    for _ in range(300):
-        n = rng.randint(1, 7)
-        basis = []
-        for i in range(n):
-            bound = 10 ** rng.randint(0, 6)
-            row = [0] * i + [rng.randint(-bound, bound) for _ in range(n - i)]
-            row[i] = row[i] or bound
-            basis.append(row)
-        gram = _triangular_gram(basis, rng.choice([1, -1]))
-        minors = lattice._leading_minors_int(gram)
-        assert minors == elementwise_leading_minors(gram)
-        assert minors == tuple(naive_leading_minors([[Fraction(e) for e in row] for row in gram]))
-    # a matrix singular only in full size: nothing divides by the last pivot
-    assert lattice._leading_minors_int([[1, 1, 1], [1, 2, 2], [1, 2, 2]]) == (1, 1, 0)
-    # diagonal bases meet the width bound with equality
-    for b in range(1, 30):
-        gram = _triangular_gram([[b * (i == j) for j in range(7)] for i in range(7)], 1)
-        assert lattice._leading_minors_int(gram) == tuple(b ** (2 * t) for t in range(1, 8))
+    monkeypatch.setattr(
+        lattice, "_widen", lambda rows, count, *a: fired.append(len(rows) - count) or widen(rows, count, *a)
+    )
+    # generators with disjoint supports make u = 0 while they are bordered
+    # on, so only the determinant, 9^t, outgrows a width there
+    disjoint = [1 << i | 255 << (5 + 8 * i) for i in range(5)]
+    _check_minors(from_generators(Gf2Matrix.from_ints(disjoint, 45)), -1)
+    assert 1 in fired
+    fired.clear()
+    # a determinant of 243 takes 9 bits, one more than the first width:
+    # a check one bit short leaves it in a signed 8-bit field
+    sparse = [0x1021, 0x4102, 0xC0204, 0x80008, 0x81040, 0x108080, 0x1400]
+    _check_minors(from_generators(Gf2Matrix.from_ints(sparse, 21)), 1)
+    assert fired == [1]
+    fired.clear()
+    _check_minors(reed_muller(2, 6), -1)
+    assert 0 in fired
 
 
 def test_code_from_overlattice_examples():
