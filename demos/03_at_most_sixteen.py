@@ -27,7 +27,7 @@ for k in (4, 8, 12, 16, 20):
 
 print("\nStep 2: sixteen curves force the code D_5.")
 cons = nodal_code_constraints(16)
-print(f"  dimension >= 16 - 22/2 = {code_dim_lower_bound(16, 22)}")
+print(f"  dimension >= 16 - 22/2 = {code_dim_lower_bound(16)}")
 print(f"  allowed nonzero weights: {cons.allowed_nonzero_weights}")
 print(f"  so all nonzero weights reach half of 16 = 2^4, the extremal length;")
 print(f"  the forced code is {cons.forced_code_name} "

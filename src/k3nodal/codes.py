@@ -22,11 +22,12 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .gf2 import BitVector, Gf2Matrix, _rref_ints, _transpose_ints, is_rref, kernel
+from .gf2 import Gf2Matrix, _rref_ints, _transpose_ints, is_rref, kernel
 
 MAX_ENUM_DIM = 28
+MAX_ENUM_BITS = 1 << 34
 MAX_GENERATOR_BITS = 1 << 22
 MAX_PERM_SEARCH_LEN = 16
 MAX_EXHAUSTIVE_DIM = 4
@@ -61,10 +62,6 @@ class LinearCode:
         return cls(Gf2Matrix((), n))
 
     @classmethod
-    def full(cls, n: int) -> LinearCode:
-        return cls(Gf2Matrix.identity(n))
-
-    @classmethod
     def repetition(cls, n: int) -> LinearCode:
         """The line spanned by the all-ones word."""
         return cls(Gf2Matrix(((1 << n) - 1,), n))
@@ -72,33 +69,15 @@ class LinearCode:
     def pivots(self) -> tuple[int, ...]:
         return tuple((r & -r).bit_length() - 1 for r in self.gen.rows)
 
-    def codewords(self) -> Iterator[BitVector]:
-        """All 2^k codewords in message-index order."""
-        gens = self.gen.row_bits()
-        for u in range(1 << self.k):
-            yield BitVector(self.n, _encode(gens, u))
-
-    def contains(self, word: BitVector) -> bool:
-        if word.length != self.n:
-            raise ValueError(f"word length {word.length} does not match code length {self.n}")
-        bits = word.bits
+    def contains(self, word: int) -> bool:
+        """True when the bit-packed word lies in the code; a word outside
+        [0, 2^n) is refused."""
+        if word < 0 or word >> self.n:
+            raise ValueError(f"word does not fit the code length {self.n}")
         for row, p in zip(self.gen.row_bits(), self.pivots()):
-            if (bits >> p) & 1:
-                bits ^= row
-        return bits == 0
-
-    def __contains__(self, word: BitVector) -> bool:
-        return self.contains(word)
-
-
-def _encode(gens: Sequence[int], message: int) -> int:
-    """The codeword sum of the generator rows selected by the message bits."""
-    word = 0
-    while message:
-        low = message & -message
-        word ^= gens[low.bit_length() - 1]
-        message ^= low
-    return word
+            if (word >> p) & 1:
+                word ^= row
+        return word == 0
 
 
 def from_generators(matrix: Gf2Matrix) -> LinearCode:
@@ -232,11 +211,18 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
     reduced form, every pivot column of a low row) are summed once, and
     each block's sum starts from a copy of those planes.  Those with no
     low mask are all zeros or all ones over a block, so they shift every
-    weight in it by the number of them the high part meets oddly.
+    weight in it by the number of them the high part meets oddly.  The
+    cost grows as n 2^k: more than 2^MAX_ENUM_DIM codewords, or more than
+    MAX_ENUM_BITS codeword bits, are refused before any block is built.
     """
     if c.k > MAX_ENUM_DIM:
         raise ResourceLimitError(
             f"enumerating 2^{c.k} codewords exceeds the 2^{MAX_ENUM_DIM} budget"
+        )
+    if c.n << c.k > MAX_ENUM_BITS:
+        raise ResourceLimitError(
+            f"enumerating 2^{c.k} codewords of length {c.n} exceeds the budget of "
+            f"2^{MAX_ENUM_BITS.bit_length() - 1} codeword bits"
         )
     low = min(c.k, _BLOCK_BITS)
     full, below, above = _block_characters(low)
@@ -363,7 +349,7 @@ def _is_d_code(c: LinearCode) -> bool:
     has 2^(m-1) points; 2^(m-1) distinct columns cover it once each, as
     the columns of D_m do in a suitable basis.  O(n m) work.
     """
-    if c.k < 2 or c.n != 1 << (c.k - 1) or BitVector.ones(c.n) not in c:
+    if c.k < 2 or c.n != 1 << (c.k - 1) or not c.contains((1 << c.n) - 1):
         return False
     return len(set(_transpose_ints(c.gen.row_bits(), c.n))) == c.n
 

@@ -76,14 +76,12 @@ def classify_even_set(k: int) -> EvenSetClass:
     return EvenSetClass(k, CoverVerdict.IMPOSSIBLE, None)
 
 
-def code_dim_lower_bound(n: int, b2: int = K3_B2) -> int:
-    """Lower bound n - b2/2 (clamped at 0) for the dimension of the code
-    of n disjoint nodal curves on a surface with second Betti number b2."""
+def code_dim_lower_bound(n: int) -> int:
+    """Lower bound n - b2/2 (clamped at 0), b2 = 22, for the dimension of
+    the code of n disjoint nodal curves on a K3 surface."""
     if n < 0:
         raise ValueError("curve count must be nonnegative")
-    if b2 < 0 or b2 % 2:
-        raise ValueError("b2 must be an even nonnegative integer")
-    return max(0, n - b2 // 2)
+    return max(0, n - K3_B2 // 2)
 
 
 @dataclass(frozen=True)

@@ -2,73 +2,15 @@
 
 A row packs its coordinates into a single arbitrary-precision integer
 (bit j = coordinate j), so row addition is XOR and the Hamming weight is
-``int.bit_count()``.  A ``Gf2Matrix`` holds such plain int rows and every
-kernel works on them directly; ``BitVector`` is the single-vector type
-where one vector crosses a boundary: the '0'/'1' text format and the
-codewords of a code.  Every value is immutable and every operation is a
-pure function, so unrestricted concurrent use is safe.
+``int.bit_count()``.  A ``Gf2Matrix`` holds such plain int rows, from the
+'0'/'1' text format to every kernel.  Every value is immutable and every
+operation is a pure function, so unrestricted concurrent use is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-
-def _row_text(bits: int, length: int) -> str:
-    """The '0'/'1' text of a row; the first character is coordinate 0."""
-    return format(bits, f"0{length}b")[::-1]
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """Element of GF(2)^length with coordinates packed into ``bits``."""
-
-    length: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("vector length must be positive")
-        if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("bits do not fit the declared length")
-
-    @classmethod
-    def zero(cls, length: int) -> BitVector:
-        return cls(length, 0)
-
-    @classmethod
-    def ones(cls, length: int) -> BitVector:
-        return cls(length, (1 << length) - 1)
-
-    @classmethod
-    def unit(cls, length: int, i: int) -> BitVector:
-        """Standard basis vector e_i."""
-        if not 0 <= i < length:
-            raise ValueError(f"unit index {i} out of range for length {length}")
-        return cls(length, 1 << i)
-
-    @classmethod
-    def from_string(cls, text: str) -> BitVector:
-        """Parse a row of '0'/'1' characters; the first character is coordinate 0."""
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError(f"not a 0/1 row: {text!r}")
-        return cls(len(text), int(text[::-1], 2))
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self.bits >> j) & 1 for j in range(self.length))
-
-    def __getitem__(self, j: int) -> int:
-        if not 0 <= j < self.length:
-            raise IndexError(j)
-        return (self.bits >> j) & 1
-
-    def __str__(self) -> str:
-        return _row_text(self.bits, self.length)
 
 
 @dataclass(frozen=True)
@@ -92,10 +34,6 @@ class Gf2Matrix:
     @classmethod
     def from_ints(cls, bits: Iterable[int], cols: int) -> Gf2Matrix:
         return cls(tuple(bits), cols)
-
-    @classmethod
-    def identity(cls, n: int) -> Gf2Matrix:
-        return cls(tuple(1 << i for i in range(n)), n)
 
     @property
     def nrows(self) -> int:
@@ -284,21 +222,21 @@ def _transpose_ints(rows: Sequence[int], cols: int) -> list[int]:
     return [int(text[p::cols] or "0", 2) for p in range(cols - 1, -1, -1)]
 
 
-def transpose(m: Gf2Matrix) -> Gf2Matrix:
-    if m.nrows == 0:
-        raise ValueError("cannot transpose a matrix with no rows")
-    return Gf2Matrix.from_ints(_transpose_ints(m.row_bits(), m.cols), m.nrows)
-
-
 def parse_matrix_text(text: str) -> Gf2Matrix:
-    """Parse the text matrix format: one '0'/'1' row per line, blank lines ignored."""
-    rows = [BitVector.from_string(line.strip()) for line in text.splitlines() if line.strip()]
-    if not rows:
+    """Parse the text matrix format: one '0'/'1' row per line, blank lines
+    ignored; the first character of a row is coordinate 0."""
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if not lines:
         raise ValueError("no matrix rows found")
-    if len({r.length for r in rows}) > 1:
+    for line in lines:
+        if set(line) - {"0", "1"}:
+            raise ValueError(f"not a 0/1 row: {line!r}")
+    if len({len(line) for line in lines}) > 1:
         raise ValueError("ragged rows: all rows must have the same length")
-    return Gf2Matrix.from_ints([r.bits for r in rows], rows[0].length)
+    return Gf2Matrix.from_ints([int(line[::-1], 2) for line in lines], len(lines[0]))
 
 
 def format_matrix_text(m: Gf2Matrix) -> str:
-    return "\n".join(_row_text(r, m.cols) for r in m.rows)
+    """The text matrix format of ``parse_matrix_text``."""
+    width = f"0{m.cols}b"
+    return "\n".join(format(r, width)[::-1] for r in m.rows)

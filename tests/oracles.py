@@ -17,14 +17,14 @@ one int).
 plus 2e_j rows and its Gram matrix from dense dot products (the package
 keeps each row as bits and a scale and counts overlaps).
 ``naive_permutation_equivalent`` takes two codes and reads only their
-``n``, ``k`` and ``codewords()``; it searches lists of codeword ints, not
-the package's bit-sliced columns.
+``n``, ``k`` and generator rows; it searches lists of codeword ints
+(``span_ints``), not the package's bit-sliced columns.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import comb, gcd
 
@@ -100,6 +100,15 @@ def naive_codewords(gen_rows: list[list[int]], n: int) -> list[list[int]]:
             if bit:
                 word = [(x + y) % 2 for x, y in zip(word, row)]
         words.append(word)
+    return words
+
+
+def span_ints(rows: Iterable[int]) -> list[int]:
+    """Every sum of a subset of bit-packed rows, the list doubled once per
+    row; the rows need not be independent."""
+    words = [0]
+    for row in rows:
+        words += [w ^ row for w in words]
     return words
 
 
@@ -183,8 +192,8 @@ def naive_permutation_equivalent(a, b) -> bool:
     """
     if a.n != b.n or a.k != b.k:
         return False
-    words_a = [w.bits for w in a.codewords()]
-    words_b = [w.bits for w in b.codewords()]
+    words_a = span_ints(a.gen.rows)
+    words_b = span_ints(b.gen.rows)
     if sorted(words_a) == sorted(words_b):
         return True
     bucket_a: dict[int, list[int]] = {}

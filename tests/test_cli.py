@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,6 +10,10 @@ import pytest
 
 from k3nodal import cli, codes, duval, lattice
 from k3nodal.cli import run
+
+# stands for a file of a random [4096, 24] code, written by the test: 2^24
+# codewords fit the dimension budget, 4096 x 2^24 codeword bits do not
+WIDE_CODE = "<random [4096, 24] code>"
 
 EQ2_ROWS = [
     "0101010101010101",
@@ -209,9 +214,16 @@ def test_duval_classify(capsys):
         ["duval", "check", "A1x\uff11\uff16"],
         # refused on m alone, before the binomials are summed
         ["code", "rm", "--degree", "8000", "--m", "16000"],
+        ["code", "weights", "--in", WIDE_CODE],
     ],
 )
-def test_errors_exit_one(argv, capsys):
+def test_errors_exit_one(argv, capsys, tmp_path):
+    wide = WIDE_CODE in argv
+    if wide:
+        rng = random.Random(4096)
+        path = tmp_path / "wide.txt"
+        path.write_text("\n".join(format(rng.getrandbits(4096), "04096b") for _ in range(24)))
+        argv = [str(path) if a == WIDE_CODE else a for a in argv]
     t0 = time.perf_counter()
     rc, out, err = _capture(capsys, argv)
     assert time.perf_counter() - t0 < 1
@@ -223,6 +235,11 @@ def test_errors_exit_one(argv, capsys):
         assert err.startswith("error: cannot parse term")
     if argv[:2] == ["code", "rm"] and "16000" in argv:
         assert f"budget of {codes.MAX_GENERATOR_BITS}" in err
+    if wide:
+        assert err == (
+            "error: enumerating 2^24 codewords of length 4096 exceeds the budget of "
+            "2^34 codeword bits\n"
+        )
 
 
 @pytest.mark.parametrize("m", ["20000", "1000000000"])

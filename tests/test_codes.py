@@ -31,7 +31,7 @@ from k3nodal.codes import (
     verify_no_extension,
     weight_distribution,
 )
-from k3nodal.gf2 import BitVector, Gf2Matrix, _rref_ints, kernel, parse_matrix_text, transpose
+from k3nodal.gf2 import Gf2Matrix, _rref_ints, _transpose_ints, kernel, parse_matrix_text
 from oracles import (
     gray_half_weight_scan,
     gray_weight_distribution,
@@ -43,6 +43,7 @@ from oracles import (
     naive_transpose,
     naive_weight_distribution,
     qbinom_recursive,
+    span_ints,
 )
 
 EQ2_ROWS = [
@@ -51,6 +52,10 @@ EQ2_ROWS = [
     "0000111100001111",
     "0000000011111111",
 ]
+
+
+def _full_code(n: int) -> LinearCode:
+    return LinearCode(Gf2Matrix.from_ints([1 << i for i in range(n)], n))
 
 
 def _random_code(rng: random.Random, n: int, max_rows: int | None = None) -> LinearCode:
@@ -73,7 +78,7 @@ def test_from_generators_examples():
 
 def test_codes_are_sized_by_their_generators():
     rng = random.Random(19)
-    codes = [LinearCode.zero(5), LinearCode.full(5), LinearCode.repetition(5), code_d(4)]
+    codes = [LinearCode.zero(5), _full_code(5), LinearCode.repetition(5), code_d(4)]
     codes += [_random_code(rng, rng.randint(1, 30)) for _ in range(40)]
     codes += [dual(c) for c in codes]
     for c in codes:
@@ -98,24 +103,27 @@ def test_from_generators_ragged():
             from_generators(Gf2Matrix.from_ints([0b10, row], 2))
 
 
-def test_codewords_message_order_and_contains():
-    c = code_d(3)
-    words = list(c.codewords())
-    assert len(words) == 8
-    assert words[0].bits == 0
-    assert words[1] == BitVector(c.n, c.gen.rows[0])
-    assert len({w.bits for w in words}) == 8
-    for w in words:
-        assert w in c
-    assert BitVector.from_string("1000") not in c
+def test_contains_every_codeword_and_refuses_out_of_range_words():
+    rng = random.Random(17)
+    cases = [code_d(3), LinearCode.zero(4), _full_code(3)]
+    cases += [_random_code(rng, rng.randint(1, 9)) for _ in range(40)]
+    for c in cases:
+        words = set(span_ints(c.gen.rows))
+        assert len(words) == 2**c.k
+        assert all(c.contains(w) == (w in words) for w in range(1 << c.n))
+        for word in (-1, 1 << c.n, -(1 << c.n), 1 << (c.n + 40)):
+            with pytest.raises(ValueError, match=f"word does not fit the code length {c.n}"):
+                c.contains(word)
+    assert not code_d(3).contains(0b0001)
+    assert code_d(3).contains(0b1111)
 
 
 # ---------------------------------------------------------------- duality
 
 
 def test_dual_examples():
-    assert dual(LinearCode.zero(4)) == LinearCode.full(4)
-    assert dual(LinearCode.full(4)) == LinearCode.zero(4)
+    assert dual(LinearCode.zero(4)) == _full_code(4)
+    assert dual(_full_code(4)) == LinearCode.zero(4)
     even = dual(LinearCode.repetition(4))
     assert even.k == 3
     assert str(even.gen).splitlines() == ["1001", "0101", "0011"]
@@ -133,7 +141,7 @@ def test_dual_dimension_and_involution():
 
 def test_dual_is_the_reduced_kernel():
     rng = random.Random(29)
-    codes = [LinearCode.zero(1), LinearCode.zero(9), LinearCode.full(1), LinearCode.full(9)]
+    codes = [LinearCode.zero(1), LinearCode.zero(9), _full_code(1), _full_code(9)]
     codes += [_random_code(rng, rng.randint(1, 40)) for _ in range(120)]
     for c in codes:
         d = dual(c)
@@ -144,13 +152,13 @@ def test_dual_is_the_reduced_kernel():
 def test_dual_budget():
     # the dual basis has (n - k) x n entries, at most MAX_GENERATOR_BITS
     assert 2048 * 2048 == MAX_GENERATOR_BITS
-    assert dual(LinearCode.zero(2048)) == LinearCode.full(2048)
+    assert dual(LinearCode.zero(2048)) == _full_code(2048)
     assert dual(reed_muller(1, 11)).k == 2036
     for c in (LinearCode.zero(2049), reed_muller(1, 12), LinearCode.repetition(2049)):
         with pytest.raises(ResourceLimitError, match="dual generator bits exceed the budget"):
             dual(c)
     # a code of large length and dimension still has a small dual
-    assert dual(LinearCode.full(2049)) == LinearCode.zero(2049)
+    assert dual(_full_code(2049)) == LinearCode.zero(2049)
 
 
 def test_is_isotropic_examples():
@@ -175,7 +183,7 @@ def test_isotropic_implies_even_weights():
 
 def test_weight_distribution_examples():
     assert weight_distribution(LinearCode.repetition(8)).counts == {0: 1, 8: 1}
-    assert weight_distribution(LinearCode.full(2)).counts == {0: 1, 1: 2, 2: 1}
+    assert weight_distribution(_full_code(2)).counts == {0: 1, 1: 2, 2: 1}
     assert weight_distribution(code_d(5)).counts == {0: 1, 8: 30, 16: 1}
 
 
@@ -220,7 +228,7 @@ def test_weight_distribution_column_kinds_match_gray(k):
 
 
 def test_weight_distribution_special_codes_match_gray():
-    for c in (LinearCode.zero(5), LinearCode.full(12), LinearCode.repetition(8),
+    for c in (LinearCode.zero(5), _full_code(12), LinearCode.repetition(8),
               LinearCode.repetition(300)):
         dist = weight_distribution(c)
         assert dist.counts == gray_weight_distribution(list(c.gen.row_bits()), c.n)
@@ -228,8 +236,17 @@ def test_weight_distribution_special_codes_match_gray():
 
 
 def test_weight_distribution_budget():
-    with pytest.raises(ResourceLimitError):
-        weight_distribution(LinearCode.full(29))
+    with pytest.raises(ResourceLimitError, match="exceeds the 2\\^28 budget"):
+        weight_distribution(_full_code(29))
+    # the cost grows as n 2^k: [I | A] codes past 2^34 codeword bits are
+    # refused before any block is built
+    rng = random.Random(23)
+    assert codes.MAX_ENUM_BITS == 1 << 34
+    for n, k in ((4096, 24), (65, 28), (4097, 22)):
+        rows = [(1 << i) | (rng.getrandbits(n - k) << k) for i in range(k)]
+        c = LinearCode(Gf2Matrix.from_ints(rows, n))
+        with pytest.raises(ResourceLimitError, match="budget of 2\\^34 codeword bits"):
+            weight_distribution(c)
 
 
 def test_macwilliams_identity():
@@ -255,7 +272,7 @@ def test_reed_muller_row_order():
 def test_reed_muller_degenerate_orders():
     rep = reed_muller(0, 3)
     assert rep == LinearCode.repetition(8)
-    assert reed_muller(3, 3) == LinearCode.full(8)
+    assert reed_muller(3, 3) == _full_code(8)
     with pytest.raises(ValueError):
         reed_muller(4, 3)
     with pytest.raises(ValueError):
@@ -288,7 +305,7 @@ def test_reed_muller_generator_budget():
 def test_code_d_family():
     d5 = code_d(5)
     assert (d5.n, d5.k) == (16, 5)
-    assert code_d(2) == LinearCode.full(2)
+    assert code_d(2) == _full_code(2)
     assert weight_distribution(code_d(2)).counts == {0: 1, 1: 2, 2: 1}
     assert sorted(weight_distribution(code_d(4)).nonzero_weights()) == [4, 8]
     with pytest.raises(ValueError):
@@ -339,7 +356,9 @@ def test_project_matches_bruteforce():
         keep = rng.sample(range(n), size)
         expected = from_generators(
             Gf2Matrix.from_ints(
-                [sum(w[j] << t for t, j in enumerate(keep)) for w in c.codewords()], size
+                [sum(((w >> j) & 1) << t for t, j in enumerate(keep))
+                 for w in span_ints(c.gen.rows)],
+                size,
             )
         )
         assert project(c, keep) == expected
@@ -481,8 +500,8 @@ def test_permutation_equivalent_matches_list_oracle():
     a = from_generators(parse_matrix_text("101000\n010001\n000110"))
     b = from_generators(parse_matrix_text("100111\n010111\n001111"))
     assert weight_distribution(a) == weight_distribution(b)
-    assert sorted(Counter(transpose(a.gen).row_bits()).values()) == [2, 2, 2]
-    assert sorted(Counter(transpose(b.gen).row_bits()).values()) == [1, 1, 1, 3]
+    assert sorted(Counter(_transpose_ints(a.gen.rows, a.n)).values()) == [2, 2, 2]
+    assert sorted(Counter(_transpose_ints(b.gen.rows, b.n)).values()) == [1, 1, 1, 3]
     pairs.append((a, _shuffled(b, rng)))
     # e8+e8 and d16+ share the weight enumerator of doubly-even self-dual
     # codes of length 16, and each has all its columns alike, so the column

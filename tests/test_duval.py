@@ -47,12 +47,13 @@ def test_classify_sweep():
 
 
 def test_code_dim_lower_bound():
-    assert code_dim_lower_bound(16, 22) == 5
-    assert code_dim_lower_bound(17, 22) == 6
-    assert code_dim_lower_bound(8, 22) == 0
-    assert code_dim_lower_bound(10) == 0  # default b2 = 22
+    # n - 22/2, clamped at 0
+    assert code_dim_lower_bound(16) == 5
+    assert code_dim_lower_bound(17) == 6
+    assert code_dim_lower_bound(8) == 0
+    assert code_dim_lower_bound(11) == 0
     with pytest.raises(ValueError):
-        code_dim_lower_bound(4, 21)
+        code_dim_lower_bound(-1)
 
 
 def test_nodal_code_constraints():

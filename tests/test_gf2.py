@@ -4,15 +4,14 @@ import pytest
 
 from k3nodal.codes import reed_muller_generators
 from k3nodal.gf2 import (
-    BitVector,
     Gf2Matrix,
     _rref_ints,
+    _transpose_ints,
     format_matrix_text,
     is_rref,
     kernel,
     parse_matrix_text,
     rref,
-    transpose,
 )
 from oracles import (
     column_rref_ints,
@@ -45,33 +44,12 @@ def _assert_rref_matches_naive(m):
     assert is_rref(res.matrix)
 
 
-def test_bitvector_validation():
-    with pytest.raises(ValueError):
-        BitVector(0, 0)
-    with pytest.raises(ValueError):
-        BitVector(3, 8)
-    with pytest.raises(ValueError):
-        BitVector.from_string("01x")
-    v = BitVector.from_string("0110")
-    assert v.weight == 2
-    assert v.coords() == (0, 1, 1, 0)
-    assert [v[j] for j in range(4)] == [0, 1, 1, 0]
-    assert str(v) == "0110"
-
-
-def test_bitvector_text_roundtrip():
-    rng = random.Random(11)
-    for n in (1, 2, 7, 64, 65, 1000, 1 << 14):
-        v = BitVector(n, rng.getrandbits(n))
-        text = str(v)
-        assert text == "".join(str(v[j]) for j in range(n))
-        assert BitVector.from_string(text) == v
-    assert str(BitVector(5, 0)) == "00000"
-    assert BitVector.from_string("00001") == BitVector.unit(5, 4)
+def _identity(n):
+    return Gf2Matrix.from_ints([1 << i for i in range(n)], n)
 
 
 def test_rref_identity():
-    eye = Gf2Matrix.identity(3)
+    eye = _identity(3)
     res = rref(eye)
     assert res.matrix == eye
     assert res.rank == 3
@@ -135,7 +113,7 @@ def test_kernel_reduced_basis_of_null_space(nrows, ncols):
 
 
 def test_kernel_examples():
-    assert kernel(Gf2Matrix.identity(4)).nrows == 0
+    assert kernel(_identity(4)).nrows == 0
     k = kernel(parse_matrix_text("11"))
     assert str(k).splitlines() == ["11"]
     z = kernel(Gf2Matrix.from_ints([0, 0], 3))
@@ -144,7 +122,7 @@ def test_kernel_examples():
 
 def test_transpose():
     m = parse_matrix_text("110\n011")
-    t = transpose(m)
+    t = Gf2Matrix.from_ints(_transpose_ints(m.row_bits(), m.cols), m.nrows)
     assert t.nrows == 3 and t.cols == 2
     entries, transposed = matrix_coords(m), matrix_coords(t)
     for i in range(2):
@@ -158,12 +136,11 @@ def test_transpose_matches_naive_oracle():
     shapes += [(rng.randint(1, 70), rng.randint(1, 70)) for _ in range(60)]
     for nrows, cols in shapes:
         rows = [rng.getrandbits(cols) for _ in range(nrows)]
-        t = transpose(Gf2Matrix.from_ints(rows, cols))
-        assert (t.nrows, t.cols) == (cols, nrows)
-        assert list(t.row_bits()) == naive_transpose(rows, cols)
-        assert transpose(t).row_bits() == tuple(rows)
-    with pytest.raises(ValueError):
-        transpose(Gf2Matrix((), 3))
+        t = _transpose_ints(rows, cols)
+        assert t == naive_transpose(rows, cols)
+        assert _transpose_ints(t, nrows) == rows
+    # no rows: every column is the empty, zero, int
+    assert _transpose_ints([], 3) == naive_transpose([], 3) == [0, 0, 0]
 
 
 def test_matrix_text_roundtrip():
@@ -172,15 +149,27 @@ def test_matrix_text_roundtrip():
     assert m.nrows == 2 and m.cols == 4
     assert format_matrix_text(m) == "0101\n1100"
     assert parse_matrix_text(format_matrix_text(m)) == m
+    # the first character is coordinate 0, at every length
+    rng = random.Random(11)
+    for n in (1, 2, 7, 64, 65, 1000, 1 << 14):
+        rows = [rng.getrandbits(n) for _ in range(3)] + [0, 1 << (n - 1)]
+        m = Gf2Matrix.from_ints(rows, n)
+        text = format_matrix_text(m)
+        assert text.splitlines() == [
+            "".join(str(c) for c in row) for row in matrix_coords(m)
+        ]
+        assert parse_matrix_text(text) == m
+    assert format_matrix_text(Gf2Matrix.from_ints([0, 1 << 4], 5)) == "00000\n00001"
 
 
 def test_matrix_text_errors():
-    with pytest.raises(ValueError):
-        parse_matrix_text("")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no matrix rows found"):
+        parse_matrix_text("\n \n")
+    with pytest.raises(ValueError, match="ragged rows"):
         parse_matrix_text("01\n011")
-    with pytest.raises(ValueError):
-        parse_matrix_text("0a1")
+    # a non-0/1 row is refused before the lengths are compared
+    with pytest.raises(ValueError, match="not a 0/1 row: '0a1'"):
+        parse_matrix_text("01\n0a1\n1")
 
 
 def test_ragged_matrix_rejected():
@@ -225,7 +214,7 @@ def test_rref_duplicate_and_zero_rows_match_naive():
 
 def test_is_rref_matches_naive_on_bit_flips():
     rng = random.Random(29)
-    reduced = [Gf2Matrix.identity(4), Gf2Matrix.from_ints([0b0110, 0], 4)]
+    reduced = [_identity(4), Gf2Matrix.from_ints([0b0110, 0], 4)]
     for nrows, ncols in ((3, 7), (5, 9), (6, 6), (4, 12)):
         reduced.append(rref(_random_matrix(rng, nrows, ncols)).matrix)
     for m in reduced:

@@ -33,6 +33,10 @@ from oracles import (
 )
 
 
+def _full_code(n):
+    return LinearCode(Gf2Matrix.from_ints([1 << i for i in range(n)], n))
+
+
 def _random_code(rng, n):
     rows = rng.randint(0, n)
     return from_generators(Gf2Matrix.from_ints([rng.getrandbits(n) for _ in range(rows)], n))
@@ -116,7 +120,7 @@ def test_determinant_examples():
     assert determinant(gamma_from_code(LinearCode.zero(2))) == 4
     assert determinant(kummer_lattice()) == 64
     for n in (1, 2, 3):
-        assert determinant(gamma_from_code(LinearCode.full(n))) == Fraction(1, 2**n)
+        assert determinant(gamma_from_code(_full_code(n))) == Fraction(1, 2**n)
 
 
 def test_determinant_formula_random():
@@ -145,7 +149,7 @@ def test_discriminant_group_examples():
     assert discriminant_group(gamma_from_code(LinearCode.zero(3))).elementary_divisors == (2, 2, 2)
     assert str(discriminant_group(kummer_lattice())) == "Z/2 x Z/2 x Z/2 x Z/2 x Z/2 x Z/2"
     with pytest.raises(ValueError):
-        discriminant_group(gamma_from_code(LinearCode.full(2)))
+        discriminant_group(gamma_from_code(_full_code(2)))
 
 
 def test_discriminant_order_equals_determinant():
@@ -529,6 +533,6 @@ def test_json_dict():
     assert payload["det"] == {"num": 64, "den": 1}
     assert payload["elementary_divisors"] == [2, 2, 2, 2, 2, 2]
     assert len(payload["gram2"]) == 16
-    non_integral = gamma_from_code(LinearCode.full(2)).to_json_dict()
+    non_integral = gamma_from_code(_full_code(2)).to_json_dict()
     assert non_integral["elementary_divisors"] is None
     assert non_integral["det"] == {"num": 1, "den": 4}
