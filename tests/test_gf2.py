@@ -149,7 +149,10 @@ def test_matrix_text_roundtrip():
     assert m.nrows == 2 and m.cols == 4
     assert format_matrix_text(m) == "0101\n1100"
     assert parse_matrix_text(format_matrix_text(m)) == m
-    # the first character is coordinate 0, at every length
+
+
+def test_bitvector_text_roundtrip():
+    # a bit vector is an int row; its first character is coordinate 0, at every length
     rng = random.Random(11)
     for n in (1, 2, 7, 64, 65, 1000, 1 << 14):
         rows = [rng.getrandbits(n) for _ in range(3)] + [0, 1 << (n - 1)]
@@ -160,6 +163,7 @@ def test_matrix_text_roundtrip():
         ]
         assert parse_matrix_text(text) == m
     assert format_matrix_text(Gf2Matrix.from_ints([0, 1 << 4], 5)) == "00000\n00001"
+    assert parse_matrix_text("00001").rows == (1 << 4,)
 
 
 def test_matrix_text_errors():
