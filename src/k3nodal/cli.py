@@ -110,13 +110,20 @@ def _format_beauville(report: codes.BeauvilleReport) -> str:
         lines.append(
             f"n={s.n} subspaces={s.examined} expected={expected} qualifying={s.qualifying}"
         )
+    # an n_max below 2^(m-1) leaves the extremal length unscanned
+    reached = report.n_max >= report.extremal_n
     extremal = f"extremal length {report.extremal_n}: {report.extremal_count} codes"
-    lines.append(extremal if report.counterexamples else f"{extremal}, all equivalent to D_{report.m}")
+    if not reached:
+        lines.append(f"extremal length {report.extremal_n}: not reached (n_max={report.n_max})")
+    else:
+        lines.append(extremal if report.counterexamples else f"{extremal}, all equivalent to D_{report.m}")
     if report.counterexamples:
         lines.extend(f"COUNTEREXAMPLE {c}" for c in report.counterexamples)
         lines.append("REFUTED")
-    else:
+    elif reached:
         lines.append("VERIFIED: minimal length is 2^(m-1), equality forces D_m")
+    else:
+        lines.append(f"VERIFIED: no qualifying code up to n_max={report.n_max}")
     return "\n".join(lines)
 
 

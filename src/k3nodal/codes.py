@@ -74,8 +74,8 @@ class LinearCode:
         [0, 2^n) is refused."""
         if word < 0 or word >> self.n:
             raise ValueError(f"word does not fit the code length {self.n}")
-        for row, p in zip(self.gen.row_bits(), self.pivots()):
-            if (word >> p) & 1:
+        for row in self.gen.rows:
+            if word & row & -row:  # the row's pivot bit
                 word ^= row
         return word == 0
 

@@ -9,7 +9,9 @@ bits, so every Gram entry is a popcount.  All Gram data is exact and each
 invariant is computed once per lattice:
 
 - the doubled Gram matrix, gram2_ij = sign s_i s_j |b_i & b_j|;
-  membership back-substitutes over the rows' set bits with divisor s_i;
+- membership from the parity word alone: the lattice is
+  {x in Z^n : x mod 2 in C}, so x is a member exactly when the word of
+  its odd coordinates is a codeword;
 - the determinant from the triangular basis B alone, as det(gram2) =
   sign^n det(B)^2, so the determinant, the discriminant group and the
   JSON document run no elimination;
@@ -41,7 +43,10 @@ lattice of an even eight-set.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -63,7 +68,7 @@ class CodeLattice:
     are fields but not arguments, and equality, hashing and repr are those
     of (code, sign).  The basis is upper triangular with respect to the
     leading coordinate, with diagonal 1 at pivots and 2 elsewhere, which
-    makes membership a back-substitution.  The leading minors and the
+    makes coordinates a back-substitution.  The leading minors and the
     Smith diagonal are computed on first use and kept on the instance.
     A sign other than +1 or -1 and a rank above MAX_LATTICE_RANK are
     refused before any basis row is built.
@@ -109,6 +114,11 @@ class CodeLattice:
         )
 
     @functools.cached_property
+    def _cols(self) -> list[int]:
+        """The columns of the 0/1 basis: bit i of column j is bit j of row i."""
+        return _transpose_ints([b for b, _ in self._rows], self.n)
+
+    @functools.cached_property
     def _supports(self) -> tuple[tuple[int, ...], ...]:
         """The coordinates of each basis row's nonzero entries (j alone for 2e_j)."""
         return tuple(
@@ -145,7 +155,7 @@ class CodeLattice:
         """
         rows, n = self._rows, self.n
         split = min(n - self.code.k, n - 1)  # det(M_n) = 1 needs no walk
-        cols = _transpose_ints([b for b, _ in rows], n)
+        cols = self._cols
         forward = _bordered_dets([(b, s == 1) for b, s in rows[:split]])
         backward = _bordered_dets([(cols[x], rows[x][1] == 2) for x in range(n - 1, split, -1)])
         dets = forward[1:] + backward[::-1]
@@ -174,10 +184,23 @@ class CodeLattice:
         exponent 2, so r = 2k.  A failure is a bug and raises
         ``AssertionError``.  |det G| is det(B)^2 / 2^n for the triangular
         basis B, so no elimination runs.
+
+        G mod 2 comes from the basis bits, with P the mask of the pivots.
+        The row of 2e_j pairs oddly with the generator of pivot p exactly
+        when that generator has bit j, so it is column j of the basis cut
+        to P; it pairs evenly with every 2e_i.  A generator b pairs
+        oddly with 2e_j at its bits outside P, and with a generator g when
+        |b & g|, even for an isotropic code, is 2 mod 4.
         """
-        n = self.n
-        # bit 1 of a doubled entry is the parity of the true entry
-        parity_rows = [sum(1 << j for j, e in enumerate(row) if e & 2) for row in self.gram2]
+        rows, cols, n = self._rows, self._cols, self.n
+        pivots = [(j, b) for j, (b, s) in enumerate(rows) if s == 1]
+        mask = sum(1 << j for j, _ in pivots)
+        parity_rows = [
+            cols[j] & mask
+            if s == 2
+            else b & ~mask | sum(((b & g).bit_count() >> 1 & 1) << p for p, g in pivots)
+            for j, (b, s) in enumerate(rows)
+        ]
         odd = len(_rref_ints(parity_rows, n)[1])
         if basis_determinant(self) ** 2 >> n != 1 << (n - odd):
             raise AssertionError("the Smith certificate of a code lattice failed")
@@ -202,13 +225,18 @@ class CodeLattice:
         return tuple(coeffs) if not any(residue) else None
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return self.coordinates_of(vec) is not None
+        """True when vec lies in the lattice {x in Z^n : x mod 2 in C}: its
+        parity word, bit j the parity of vec[j] (read as the '0'/'1' text
+        of the coordinates, last first), is a codeword."""
+        if len(vec) != self.n:
+            raise ValueError(f"vector length {len(vec)} does not match rank {self.n}")
+        return self.code.contains(int(bytes(map((48).__or__, map((1).__and__, reversed(vec)))), 2))
 
     def norm_of(self, vec: Sequence[int]) -> Fraction:
         """Value of the form on an ambient integer vector."""
         if len(vec) != self.n:
             raise ValueError(f"vector length {len(vec)} does not match rank {self.n}")
-        return Fraction(self.sign * sum(x * x for x in vec), 2)
+        return Fraction(self.sign * sum(map(operator.mul, vec, vec)), 2)
 
     def to_json_dict(self) -> dict:
         """The lattice as a JSON document; ``elementary_divisors`` is None
@@ -325,17 +353,16 @@ def _bordered_dets(walk: Iterable[tuple[int, bool]]) -> list[int]:
     det, size = 1, 1  # bytes per field
     dets = [det]
     for word, grows in walk:
-        c = [(g & word).bit_count() for g in gens]
+        c = list(map(int.bit_count, map(word.__and__, gens)))
         if grows or any(c):
             k = len(rows)
-            need = det.bit_length() + (sum(x * x for x in c).bit_length() + 1) // 2 + 1
+            need = det.bit_length() + (sum(map(operator.mul, c, c)).bit_length() + 1) // 2 + 1
             if need > 8 * size:
                 rows, size = _widen(rows, k, size, need)
-            packed = sum(x * r for x, r in zip(c, rows) if x)
-            raw = (packed + _bias(k, size)).to_bytes(k * size, "little")
-            half = 1 << (8 * size - 1)
-            u = [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, k * size, size)]
-            new = det * word.bit_count() - sum(x * y for x, y in zip(c, u))
+            # c is the 0/1 column of a unit coordinate
+            packed = sum(map(operator.mul, c, rows)) if grows else sum(itertools.compress(rows, c))
+            u = _fields(packed, k, size)
+            new = det * word.bit_count() - sum(map(operator.mul, c, u))
             if new.bit_length() + 1 > 8 * size:
                 rows, size = _widen(rows + [packed], k, size, new.bit_length() + 1)
                 packed = rows.pop()
@@ -348,6 +375,30 @@ def _bordered_dets(walk: Iterable[tuple[int, bool]]) -> list[int]:
             det = new
         dets.append(det)
     return dets
+
+
+def _fields(packed: int, count: int, size: int) -> Sequence[int]:
+    """The count signed fields of size bytes of a packed row, lowest first.
+
+    With the bias added and then flipped off again by an XOR, each field
+    holds its value in two's complement.  Fields of 1, 2, 4 or 8 bytes are
+    read by one memoryview cast of the native-order bytes, 16-byte fields
+    as pairs of 8-byte words (unsigned low, signed high), and any other
+    width by one slice per field.  The native bytes of a big-endian host
+    are those of a little-endian one reversed, fields and words included,
+    so reading them backwards gives the same values on either byte order.
+    """
+    bias = _bias(count, size)
+    twos = (packed + bias) ^ bias
+    if size in (1, 2, 4, 8, 16):
+        view = memoryview(twos.to_bytes(count * size, sys.byteorder))
+        step = 1 if sys.byteorder == "little" else -1
+        if size < 16:
+            return view.cast("bhiq"[size.bit_length() - 1])[::step]
+        low, high = view.cast("Q")[::step][0::2], view.cast("q")[::step][1::2]
+        return list(map(operator.add, low, map(operator.lshift, high, itertools.repeat(64))))
+    raw = twos.to_bytes(count * size, "little")
+    return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, count * size, size)]
 
 
 def _bias(count: int, size: int) -> int:

@@ -126,6 +126,27 @@ def test_verify_beauville_json(capsys):
     assert payload["per_n"][0] == {"n": 2, "subspaces": 1, "expected": 1, "qualifying": 1}
 
 
+@pytest.mark.parametrize("m, n_max, mode", [(4, 5, "exhaustive"), (5, 6, "sampled")])
+def test_verify_beauville_below_the_extremal_length_claims_only_its_scan(m, n_max, mode, capsys):
+    # no length from n_max + 1 to 2^(m-1) was scanned, so the text claims
+    # neither the minimal length nor the equality case
+    argv = ["verify", "beauville", "--m", str(m), "--nmax", str(n_max)]
+    rc, out, _ = _capture(capsys, argv)
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == f"beauville m={m} n_max={n_max} mode={mode}"
+    assert lines[-2:] == [
+        f"extremal length {2 ** (m - 1)}: not reached (n_max={n_max})",
+        f"VERIFIED: no qualifying code up to n_max={n_max}",
+    ]
+    assert "equivalent" not in out and "2^(m-1)" not in out
+    # the JSON document and the exit status are those of the report
+    rc, out, _ = _capture(capsys, argv + ["--json"])
+    assert rc == 0
+    assert json.loads(out) == codes.verify_beauville(m, n_max).to_json_dict()
+    assert json.loads(out)["extremal"] == {"n": 2 ** (m - 1), "count": 0}
+
+
 def test_verify_beauville_refuted_does_not_claim_equivalence(capsys, monkeypatch):
     monkeypatch.setattr(codes, "_is_d_code", lambda c: False)
     rc, out, _ = _capture(capsys, ["verify", "beauville", "--m", "4", "--nmax", "8"])

@@ -306,6 +306,46 @@ def test_code_lattice_matches_naive_construction():
                 assert (lat.coordinates_of(vec) is not None) == lat.contains(vec) == member
 
 
+@pytest.mark.parametrize("r, m", [(2, 7), (3, 8)])
+def test_membership_matches_oracle_at_large_rank(r, m):
+    # lifted codewords shifted by even vectors, so odd entries run down
+    # to -5, then one coordinate bumped, and vectors of random entries
+    rng = random.Random(167 + m)
+    c = reed_muller(r, m)
+    n = c.n
+    gens = [[(row >> t) & 1 for t in range(n)] for row in c.gen.rows]
+    for sign in (1, -1):
+        lat = gamma_from_code(c, sign)
+        vecs = []
+        for _ in range(6):
+            word = 0
+            for g in c.gen.rows:
+                word ^= g * rng.getrandbits(1)
+            vec = [(word >> t & 1) + 2 * rng.randint(-3, 3) for t in range(n)]
+            vecs.append(list(vec))
+            vec[rng.randrange(n)] += rng.choice([-1, 1])
+            vecs.append(vec)
+            vecs.append([rng.randint(-5, 5) for _ in range(n)])
+        assert any(x < 0 and x % 2 for vec in vecs for x in vec)
+        members = [naive_rank(gens + [[x % 2 for x in vec]]) == c.k for vec in vecs]
+        assert [lat.contains(vec) for vec in vecs] == members
+        assert members.count(True) >= 6
+        for vec, member in zip(vecs, members):
+            assert (lat.coordinates_of(vec) is not None) == member
+
+
+def test_smith_certificate_at_large_rank():
+    rng = random.Random(173)
+    rm37 = reed_muller(3, 7)
+    codes = [reed_muller(2, 6), reed_muller(3, 8), rm37]
+    codes += [_random_subcode(rng, rm37, k) for k in (1, 20, 47, 63)]
+    for c in codes:
+        assert is_isotropic(c) and 64 <= c.n <= 256
+        for sign in (1, -1):
+            lat = gamma_from_code(c, sign)
+            assert discriminant_group(lat).elementary_divisors == (2,) * (c.n - 2 * c.k)
+
+
 _INVARIANTS = {
     "determinant": determinant,
     "minors": leading_principal_minors,
@@ -469,6 +509,40 @@ def test_code_minors_widen_at_both_checkpoints(monkeypatch):
     fired.clear()
     _check_minors(reed_muller(2, 6), -1)
     assert 0 in fired
+
+
+def test_code_minors_decode_every_field_width(monkeypatch):
+    # the decode reads 1-, 2-, 4- and 8-byte fields by a cast, 16-byte
+    # fields as word pairs and wider ones by slices; a random [96, 48]
+    # code takes its determinants past 128 bits, and the workload codes
+    # stop at 16 bytes
+    widths = {1}
+    widen = lattice._widen
+
+    def spy(rows, count, size, need):
+        rows, grown = widen(rows, count, size, need)
+        widths.add(grown)
+        return rows, grown
+
+    monkeypatch.setattr(lattice, "_widen", spy)
+    rng = random.Random(179)
+    for n, k in ((64, 22), (80, 40), (96, 48)):
+        _check_minors(_code_of_dimension(rng, n, k), rng.choice([1, -1]))
+    assert {1, 2, 4, 8, 16} <= widths and max(widths) > 16
+
+
+def test_fields_decode_matches_from_bytes():
+    rng = random.Random(181)
+    for size in (1, 2, 3, 4, 5, 8, 12, 16, 17, 32):
+        half = 1 << (8 * size - 1)
+        for count in (0, 1, 2, 7):
+            values = [rng.randrange(-half, half) for _ in range(count)]
+            values[:2] = [-half, half - 1][:count]
+            packed = sum(v << (8 * size * j) for j, v in enumerate(values))
+            raw = (packed + lattice._bias(count, size)).to_bytes(count * size, "little")
+            expected = [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
+            assert expected == values
+            assert list(lattice._fields(packed, count, size)) == expected
 
 
 def test_code_from_overlattice_examples():
