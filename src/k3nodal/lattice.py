@@ -185,26 +185,33 @@ class CodeLattice:
         ``AssertionError``.  |det G| is det(B)^2 / 2^n for the triangular
         basis B, so no elimination runs.
 
-        G mod 2 comes from the basis bits, with P the mask of the pivots.
-        The row of 2e_j pairs oddly with the generator of pivot p exactly
-        when that generator has bit j, so it is column j of the basis cut
-        to P; it pairs evenly with every 2e_i.  A generator b pairs
-        oddly with 2e_j at its bits outside P, and with a generator g when
-        |b & g|, even for an isotropic code, is 2 mod 4.
+        G mod 2 comes from the basis bits (``_parity_rows``).
         """
-        rows, cols, n = self._rows, self._cols, self.n
+        n = self.n
+        odd = len(_rref_ints(self._parity_rows(), n)[1])
+        if basis_determinant(self) ** 2 >> n != 1 << (n - odd):
+            raise AssertionError("the Smith certificate of a code lattice failed")
+        return (1,) * odd + (2,) * (n - odd)
+
+    def _parity_rows(self) -> list[int]:
+        """The rows of G mod 2 as bit-packed ints, for an isotropic code.
+
+        They come from the basis bits, with P the mask of the pivots.  The
+        row of 2e_j pairs oddly with the generator of pivot p exactly when
+        that generator has bit j, so it is column j of the basis cut to P;
+        it pairs evenly with every 2e_i.  A generator b pairs oddly with
+        2e_j at its bits outside P, and with a generator g when |b & g|,
+        even for an isotropic code, is 2 mod 4.
+        """
+        rows, cols = self._rows, self._cols
         pivots = [(j, b) for j, (b, s) in enumerate(rows) if s == 1]
         mask = sum(1 << j for j, _ in pivots)
-        parity_rows = [
+        return [
             cols[j] & mask
             if s == 2
             else b & ~mask | sum(((b & g).bit_count() >> 1 & 1) << p for p, g in pivots)
             for j, (b, s) in enumerate(rows)
         ]
-        odd = len(_rref_ints(parity_rows, n)[1])
-        if basis_determinant(self) ** 2 >> n != 1 << (n - odd):
-            raise AssertionError("the Smith certificate of a code lattice failed")
-        return (1,) * odd + (2,) * (n - odd)
 
     def coordinates_of(self, vec: Sequence[int]) -> tuple[int, ...] | None:
         """Integer coordinates of vec in the basis, or None if not a member.
@@ -227,10 +234,17 @@ class CodeLattice:
     def contains(self, vec: Sequence[int]) -> bool:
         """True when vec lies in the lattice {x in Z^n : x mod 2 in C}: its
         parity word, bit j the parity of vec[j] (read as the '0'/'1' text
-        of the coordinates, last first), is a codeword."""
+        of the coordinates, last first), is a codeword.  A vector with an
+        entry that is not an integer type (a Fraction, a float) has no
+        parity word and is solved for by ``coordinates_of``."""
         if len(vec) != self.n:
             raise ValueError(f"vector length {len(vec)} does not match rank {self.n}")
-        return self.code.contains(int(bytes(map((48).__or__, map((1).__and__, reversed(vec)))), 2))
+        try:
+            bits = map(operator.and_, reversed(vec), itertools.repeat(1))
+            text = bytes(map(operator.or_, bits, itertools.repeat(48)))
+        except TypeError:
+            return self.coordinates_of(vec) is not None
+        return self.code.contains(int(text, 2))
 
     def norm_of(self, vec: Sequence[int]) -> Fraction:
         """Value of the form on an ambient integer vector."""
@@ -381,23 +395,15 @@ def _fields(packed: int, count: int, size: int) -> Sequence[int]:
     """The count signed fields of size bytes of a packed row, lowest first.
 
     With the bias added and then flipped off again by an XOR, each field
-    holds its value in two's complement.  Fields of 1, 2, 4 or 8 bytes are
-    read by one memoryview cast of the native-order bytes, 16-byte fields
-    as pairs of 8-byte words (unsigned low, signed high), and any other
-    width by one slice per field.  The native bytes of a big-endian host
-    are those of a little-endian one reversed, fields and words included,
-    so reading them backwards gives the same values on either byte order.
+    holds its value in two's complement.  On a little-endian host, fields
+    of 1, 2, 4 or 8 bytes are read by one memoryview cast; any other
+    width, and every width on a big-endian host, by one slice per field.
     """
     bias = _bias(count, size)
     twos = (packed + bias) ^ bias
-    if size in (1, 2, 4, 8, 16):
-        view = memoryview(twos.to_bytes(count * size, sys.byteorder))
-        step = 1 if sys.byteorder == "little" else -1
-        if size < 16:
-            return view.cast("bhiq"[size.bit_length() - 1])[::step]
-        low, high = view.cast("Q")[::step][0::2], view.cast("q")[::step][1::2]
-        return list(map(operator.add, low, map(operator.lshift, high, itertools.repeat(64))))
     raw = twos.to_bytes(count * size, "little")
+    if sys.byteorder == "little" and size in (1, 2, 4, 8):
+        return memoryview(raw).cast("bhiq"[size.bit_length() - 1])
     return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, count * size, size)]
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -346,6 +347,45 @@ def test_smith_certificate_at_large_rank():
             assert discriminant_group(lat).elementary_divisors == (2,) * (c.n - 2 * c.k)
 
 
+def test_contains_entries_of_other_number_types():
+    # entries with no parity (Fractions, floats) are solved for by
+    # coordinates_of: integral ones answer as the ints do, a half-integral
+    # entry is never a member
+    c = code_d(5)
+    lat = gamma_from_code(c, -1)
+    word = c.gen.rows[1]
+    vec = [(word >> t & 1) - 2 * (t % 3) for t in range(c.n)]
+    assert lat.contains(vec)
+    for kind in (Fraction, float):
+        same = list(map(kind, vec))
+        assert lat.contains(same)
+        same[3] += 1
+        assert not lat.contains(same)
+    half = list(map(Fraction, vec))
+    half[0] += Fraction(1, 2)
+    assert lat.coordinates_of(half) is None
+    assert not lat.contains(half)
+    assert not lat.contains([x + 0.5 for x in vec])
+
+
+def test_parity_rows_are_the_gram_matrix_mod_2():
+    # RM(2,6) has generators overlapping in 2 mod 4 coordinates, and the
+    # subcodes of the singly even code of 32 disjoint pairs have words of
+    # weight 2 mod 4, so the |b & g| / 2 parities are exercised
+    rng = random.Random(191)
+    rm37 = reed_muller(3, 7)
+    pairs = from_generators(Gf2Matrix.from_ints([3 << (2 * i) for i in range(32)], 64))
+    codes = [reed_muller(2, 6), reed_muller(3, 8), pairs]
+    codes += [_random_subcode(rng, rm37, k) for k in (1, 20, 47, 63)]
+    codes += [_random_subcode(rng, pairs, k) for k in (5, 17, 31)]
+    for c in codes:
+        assert is_isotropic(c)
+        for sign in (1, -1):
+            lat = gamma_from_code(c, sign)
+            expected = [sum(1 << j for j, e in enumerate(row) if e & 2) for row in lat.gram2]
+            assert lat._parity_rows() == expected
+
+
 _INVARIANTS = {
     "determinant": determinant,
     "minors": leading_principal_minors,
@@ -512,10 +552,10 @@ def test_code_minors_widen_at_both_checkpoints(monkeypatch):
 
 
 def test_code_minors_decode_every_field_width(monkeypatch):
-    # the decode reads 1-, 2-, 4- and 8-byte fields by a cast, 16-byte
-    # fields as word pairs and wider ones by slices; a random [96, 48]
-    # code takes its determinants past 128 bits, and the workload codes
-    # stop at 16 bytes
+    # on a little-endian host the decode reads 1-, 2-, 4- and 8-byte
+    # fields by a cast and wider ones by slices; a random [96, 48] code
+    # takes its determinants past 128 bits, and the workload codes stop
+    # at 16 bytes
     widths = {1}
     widen = lattice._widen
 
@@ -531,7 +571,10 @@ def test_code_minors_decode_every_field_width(monkeypatch):
     assert {1, 2, 4, 8, 16} <= widths and max(widths) > 16
 
 
-def test_fields_decode_matches_from_bytes():
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+def test_fields_decode_matches_from_bytes(monkeypatch, byteorder):
+    # a big-endian host reads every width by slices
+    monkeypatch.setattr(lattice, "sys", types.SimpleNamespace(byteorder=byteorder))
     rng = random.Random(181)
     for size in (1, 2, 3, 4, 5, 8, 12, 16, 17, 32):
         half = 1 << (8 * size - 1)
