@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Tour of the binary-code layer: Reed-Muller evaluation codes, the
-affine-functions family D_m, weight spectra, duality and projections."""
+affine-functions family D_m, weight spectra, duality and puncturing."""
 
 from k3nodal import (
+    Gf2Matrix,
     code_d,
     dual,
     is_isotropic,
-    project,
     reed_muller_generators,
     weight_distribution,
 )
@@ -35,7 +35,8 @@ d5_dual = dual(d5)
 print(f"dim D_5 = {d5.k}, dim dual = {d5_dual.k}, sum = {d5.k + d5_dual.k} = length")
 
 print("\n=== Dropping a coordinate breaks the spectrum ===")
-p = project(d5, range(15))
+# puncture: mask the generators to the first 15 coordinates
+p = from_generators(Gf2Matrix.from_ints([g & 0x7FFF for g in d5.gen.rows], 15))
 print(f"projection of D_5 to 15 coordinates has nonzero weights "
       f"{sorted(weight_distribution(p).nonzero_weights())}")
 print("weight 7 appears: once a weight-8 word loses a supported coordinate,")

@@ -5,11 +5,12 @@ Gram data, and the two named lattices (Kummer and even-eight)."""
 from fractions import Fraction
 
 from k3nodal import (
+    Gf2Matrix,
     LinearCode,
-    code_from_overlattice,
     determinant,
     discriminant_group,
     even_eight_lattice,
+    from_generators,
     gamma_from_code,
     is_even,
     is_integral,
@@ -49,6 +50,8 @@ print(f"rank {eight.n}, determinant {determinant(eight)}, "
 
 print("\n=== Round trip: overlattice back to its code ===")
 halves = [[Fraction(x, 2) for x in v] for v in gamma_from_code(LinearCode.repetition(8)).basis]
-recovered = code_from_overlattice(8, halves)
+# the class of a half vector in (1/2 L)/L = F_2^8: its doubled entries mod 2
+classes = [sum(1 << j for j, x in enumerate(v) if 2 * x % 2) for v in halves]
+recovered = from_generators(Gf2Matrix.from_ints(classes, 8))
 print(f"halving the even-eight basis and reducing mod the unit lattice "
       f"recovers the line code: {recovered == LinearCode.repetition(8)}")

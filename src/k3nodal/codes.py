@@ -1,6 +1,6 @@
 """Binary linear codes: Reed-Muller construction, the affine-functions
-family D_m, duality, isotropy, exact weight enumeration, coordinate
-projections, and two exhaustively verified extremal facts:
+family D_m, duality, isotropy, exact weight enumeration, and two
+exhaustively verified extremal facts:
 
 * ``verify_beauville`` checks, over every dimension-m subspace of F_2^n,
   that a code whose nonzero weights all reach half the length needs
@@ -300,33 +300,6 @@ def code_d(m: int) -> LinearCode:
     if m < 2:
         raise ValueError("D_m requires m >= 2")
     return reed_muller(1, m - 1)
-
-
-def _validate_coords(n: int, coords: Sequence[int]) -> tuple[int, ...]:
-    keep = tuple(coords)
-    if not keep:
-        raise ValueError("coordinate subset must be nonempty")
-    if len(set(keep)) != len(keep):
-        raise ValueError("coordinate subset contains duplicates")
-    for j in keep:
-        if not 0 <= j < n:
-            raise ValueError(f"coordinate {j} out of range for length {n}")
-    return keep
-
-
-def _restrict_bits(bits: int, keep: Sequence[int]) -> int:
-    out = 0
-    for t, j in enumerate(keep):
-        if (bits >> j) & 1:
-            out |= 1 << t
-    return out
-
-
-def project(c: LinearCode, coords: Sequence[int]) -> LinearCode:
-    """Restriction of every codeword to the given coordinates (puncturing)."""
-    keep = _validate_coords(c.n, coords)
-    rows = [_restrict_bits(g, keep) for g in c.gen.row_bits()]
-    return from_generators(Gf2Matrix.from_ints(rows, len(keep)))
 
 
 def is_isomorphic_to_d(c: LinearCode) -> bool:

@@ -33,7 +33,8 @@ invariant is computed once per lattice:
   the rank of the Gram matrix over GF(2), fixes the Smith diagonal as
   r ones and n - r twos.  For an isotropic code C the lattice is
   Gamma(C), its dual is Gamma(C-perp) and Gamma*/Gamma is C-perp/C, an
-  elementary abelian 2-group, so the certificate always holds.
+  elementary abelian 2-group of order 2^(n - 2k), so r = 2k, and r is
+  read off the k x (n - k) block of generator bits at the non-pivots.
 
 The two named lattices of interest are the rank-16 lattice of sixteen
 disjoint nodal curves on a desingularized Kummer surface and the rank-8
@@ -51,8 +52,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codes import LinearCode, ResourceLimitError, code_d, from_generators, is_isotropic
-from .gf2 import Gf2Matrix, _rref_ints, _transpose_ints
+from .codes import LinearCode, ResourceLimitError, code_d, is_isotropic
+from .gf2 import _rref_ints, _transpose_ints
 
 MAX_LATTICE_RANK = 256
 
@@ -67,9 +68,9 @@ class CodeLattice:
     code and the sign, once, the way ``LinearCode`` derives n and k; they
     are fields but not arguments, and equality, hashing and repr are those
     of (code, sign).  The basis is upper triangular with respect to the
-    leading coordinate, with diagonal 1 at pivots and 2 elsewhere, which
-    makes coordinates a back-substitution.  The leading minors and the
-    Smith diagonal are computed on first use and kept on the instance.
+    leading coordinate, with diagonal 1 at pivots and 2 elsewhere, so its
+    determinant is the product of the row scales.  The leading minors and
+    the Smith diagonal are computed on first use and kept on the instance.
     A sign other than +1 or -1 and a rank above MAX_LATTICE_RANK are
     refused before any basis row is built.
     """
@@ -114,19 +115,6 @@ class CodeLattice:
         )
 
     @functools.cached_property
-    def _cols(self) -> list[int]:
-        """The columns of the 0/1 basis: bit i of column j is bit j of row i."""
-        return _transpose_ints([b for b, _ in self._rows], self.n)
-
-    @functools.cached_property
-    def _supports(self) -> tuple[tuple[int, ...], ...]:
-        """The coordinates of each basis row's nonzero entries (j alone for 2e_j)."""
-        return tuple(
-            (j,) if s == 2 else tuple(t for t, x in enumerate(row) if x)
-            for j, ((_, s), row) in enumerate(zip(self._rows, self.basis))
-        )
-
-    @functools.cached_property
     def _minors2(self) -> tuple[int, ...]:
         """Leading principal minors of gram2, from ``_bordered_dets``.
 
@@ -155,7 +143,7 @@ class CodeLattice:
         """
         rows, n = self._rows, self.n
         split = min(n - self.code.k, n - 1)  # det(M_n) = 1 needs no walk
-        cols = self._cols
+        cols = _transpose_ints([b for b, _ in rows], n)  # bit i of column j is bit j of row i
         forward = _bordered_dets([(b, s == 1) for b, s in rows[:split]])
         backward = _bordered_dets([(cols[x], rows[x][1] == 2) for x in range(n - 1, split, -1)])
         dets = forward[1:] + backward[::-1]
@@ -179,71 +167,41 @@ class CodeLattice:
         ones are each at least 2 and their product divides |det G| =
         2^(n-r), so each is exactly 2 and the odd ones multiply to 1.
 
-        The lattice of an isotropic code meets the condition: its
-        discriminant group is C-perp / C, of order |det G| = 2^(n-2k) and
-        exponent 2, so r = 2k.  A failure is a bug and raises
-        ``AssertionError``.  |det G| is det(B)^2 / 2^n for the triangular
-        basis B, so no elimination runs.
-
-        G mod 2 comes from the basis bits (``_parity_rows``).
+        The rank comes from the code's bits.  Let N be the generator bits
+        at the non-pivots: k rows of n - k bits.  With the unit rows 2e_j
+        first, G mod 2 is [[0, N^T], [N, X]]: two unit rows pair to
+        2 delta_ij, a unit row 2e_j pairs with a generator to its bit j,
+        and X holds the generator-generator parities.  When rank N = k,
+        the unit columns clear X, so r = 2k whatever X holds, and the
+        certificate asks |det G| = 2^(n-2k).  For an isotropic code C both
+        hold: a nonzero sum of generators that vanished off the pivots
+        would pair oddly with a generator it contains, and the
+        discriminant group C-perp / C has order 2^(n-2k) and exponent 2.
+        A failure is a bug and raises ``AssertionError``.  |det G| is
+        det(B)^2 / 2^n for the triangular basis B, so no n x n elimination
+        runs.
         """
-        n = self.n
-        odd = len(_rref_ints(self._parity_rows(), n)[1])
-        if basis_determinant(self) ** 2 >> n != 1 << (n - odd):
+        n, k, mask = self.n, self.code.k, sum(1 << j for j in self.code.pivots())
+        if len(_rref_ints([g & ~mask for g in self.code.gen.rows], n)[1]) != k:
+            raise AssertionError("the Smith certificate of a code lattice failed: rank N < k")
+        if basis_determinant(self) ** 2 >> n != 1 << (n - 2 * k):
             raise AssertionError("the Smith certificate of a code lattice failed")
-        return (1,) * odd + (2,) * (n - odd)
-
-    def _parity_rows(self) -> list[int]:
-        """The rows of G mod 2 as bit-packed ints, for an isotropic code.
-
-        They come from the basis bits, with P the mask of the pivots.  The
-        row of 2e_j pairs oddly with the generator of pivot p exactly when
-        that generator has bit j, so it is column j of the basis cut to P;
-        it pairs evenly with every 2e_i.  A generator b pairs oddly with
-        2e_j at its bits outside P, and with a generator g when |b & g|,
-        even for an isotropic code, is 2 mod 4.
-        """
-        rows, cols = self._rows, self._cols
-        pivots = [(j, b) for j, (b, s) in enumerate(rows) if s == 1]
-        mask = sum(1 << j for j, _ in pivots)
-        return [
-            cols[j] & mask
-            if s == 2
-            else b & ~mask | sum(((b & g).bit_count() >> 1 & 1) << p for p, g in pivots)
-            for j, (b, s) in enumerate(rows)
-        ]
-
-    def coordinates_of(self, vec: Sequence[int]) -> tuple[int, ...] | None:
-        """Integer coordinates of vec in the basis, or None if not a member.
-        Back-substitution solves for row i's coordinate from entry i, with
-        the row's scale as divisor, and subtracts the row over its support."""
-        if len(vec) != self.n:
-            raise ValueError(f"vector length {len(vec)} does not match rank {self.n}")
-        residue = list(vec)
-        coeffs = []
-        for i, ((_, s), support) in enumerate(zip(self._rows, self._supports)):
-            q, r = divmod(residue[i], s)
-            if r:
-                return None
-            coeffs.append(q)
-            if q:
-                for t in support:
-                    residue[t] -= q * s
-        return tuple(coeffs) if not any(residue) else None
+        return (1,) * (2 * k) + (2,) * (n - 2 * k)
 
     def contains(self, vec: Sequence[int]) -> bool:
         """True when vec lies in the lattice {x in Z^n : x mod 2 in C}: its
         parity word, bit j the parity of vec[j] (read as the '0'/'1' text
         of the coordinates, last first), is a codeword.  A vector with an
-        entry that is not an integer type (a Fraction, a float) has no
-        parity word and is solved for by ``coordinates_of``."""
+        entry that is not an integer type (a Fraction, a float) is a member
+        only when every entry is integral (x % 1 == 0, which is false for
+        inf and nan), and then exactly when its int copy is."""
         if len(vec) != self.n:
             raise ValueError(f"vector length {len(vec)} does not match rank {self.n}")
         try:
             bits = map(operator.and_, reversed(vec), itertools.repeat(1))
             text = bytes(map(operator.or_, bits, itertools.repeat(48)))
         except TypeError:
-            return self.coordinates_of(vec) is not None
+            return all(x % 1 == 0 for x in vec) and self.contains([int(x) for x in vec])
         return self.code.contains(int(text, 2))
 
     def norm_of(self, vec: Sequence[int]) -> Fraction:
@@ -465,28 +423,6 @@ def discriminant_group(lat: CodeLattice) -> DiscriminantGroup:
     if not is_integral(lat):
         raise ValueError("discriminant group requires an integral lattice")
     return DiscriminantGroup(tuple(d for d in lat._smith if d > 1))
-
-
-def code_from_overlattice(n: int, gens: Iterable[Sequence[Fraction | int]]) -> LinearCode:
-    """Image code of a half-integral overlattice in (1/2 L)/L = F_2^n.
-
-    Each generator must have all coordinates in (1/2)Z; its class mod L is
-    read off by doubling and reducing mod 2.
-    """
-    rows = []
-    for g in gens:
-        g = tuple(g)
-        if len(g) != n:
-            raise ValueError(f"generator length {len(g)} does not match n={n}")
-        bits = 0
-        for j, x in enumerate(g):
-            doubled = Fraction(x) * 2
-            if doubled.denominator != 1:
-                raise ValueError(f"coordinate {x} is not half-integral")
-            if int(doubled) % 2:
-                bits |= 1 << j
-        rows.append(bits)
-    return from_generators(Gf2Matrix.from_ints(rows, n))
 
 
 def format_gram(lat: CodeLattice) -> str:

@@ -112,6 +112,12 @@ def span_ints(rows: Iterable[int]) -> list[int]:
     return words
 
 
+def permute_bits(word: int, perm: list[int]) -> int:
+    """The word with its coordinates permuted one bit at a time: bit t of
+    the result is bit perm[t] of word."""
+    return sum(((word >> j) & 1) << t for t, j in enumerate(perm))
+
+
 def naive_weight_distribution(gen_rows: list[list[int]], n: int) -> dict[int, int]:
     counts: dict[int, int] = {}
     for word in naive_codewords(gen_rows, n):

@@ -24,7 +24,6 @@ from k3nodal.codes import (
     is_isomorphic_to_d,
     is_isotropic,
     permutation_equivalent,
-    project,
     reed_muller,
     reed_muller_generators,
     verify_beauville,
@@ -42,6 +41,7 @@ from oracles import (
     naive_reed_muller_rows,
     naive_transpose,
     naive_weight_distribution,
+    permute_bits,
     qbinom_recursive,
     span_ints,
 )
@@ -320,51 +320,12 @@ def test_code_d_weight_spectrum(m):
     assert naive_weight_distribution(matrix_coords(c.gen), c.n) == expected
 
 
-# ---------------------------------------------------------------- projections
-
-
-def test_project_examples():
-    d5 = code_d(5)
-    assert project(d5, range(16)) == d5
-    p15 = project(d5, range(15))
-    assert 7 in weight_distribution(p15).nonzero_weights()
-    assert project(LinearCode.repetition(8), [0, 1]) == LinearCode.repetition(2)
-
-
-@pytest.mark.parametrize("m", range(2, 7))
-def test_project_identity_all_coordinates(m):
-    c = code_d(m)
-    assert project(c, range(c.n)) == c
-
-
-def test_project_validation():
-    c = code_d(3)
-    with pytest.raises(ValueError):
-        project(c, [])
-    with pytest.raises(ValueError):
-        project(c, [0, 0])
-    with pytest.raises(ValueError):
-        project(c, [4])
-
-
-def test_project_matches_bruteforce():
-    rng = random.Random(41)
-    for _ in range(50):
-        n = rng.randint(2, 10)
-        c = _random_code(rng, n)
-        size = rng.randint(1, n)
-        keep = rng.sample(range(n), size)
-        expected = from_generators(
-            Gf2Matrix.from_ints(
-                [sum(((w >> j) & 1) << t for t, j in enumerate(keep))
-                 for w in span_ints(c.gen.rows)],
-                size,
-            )
-        )
-        assert project(c, keep) == expected
-
-
 # ---------------------------------------------------------------- equivalence
+
+
+def _permuted(c: LinearCode, perm: list[int]) -> LinearCode:
+    """The code with coordinate t of each word read from coordinate perm[t]."""
+    return from_generators(Gf2Matrix.from_ints([permute_bits(g, perm) for g in c.gen.rows], c.n))
 
 
 def test_is_isomorphic_to_d_examples():
@@ -379,7 +340,7 @@ def test_permutation_equivalent_examples():
     d4 = code_d(4)
     assert permutation_equivalent(d4, d4)
     assert not permutation_equivalent(LinearCode.zero(2), LinearCode.repetition(2))
-    reversed_d4 = project(d4, list(reversed(range(8))))
+    reversed_d4 = _permuted(d4, list(reversed(range(8))))
     assert permutation_equivalent(d4, reversed_d4)
     # same parameters and weights can still fail: two [4,1] codes with
     # different weights
@@ -395,7 +356,7 @@ def test_permutation_equivalent_respects_permuted_copies():
         c = _random_code(rng, n)
         perm = list(range(n))
         rng.shuffle(perm)
-        assert permutation_equivalent(c, project(c, perm))
+        assert permutation_equivalent(c, _permuted(c, perm))
 
 
 def test_permutation_equivalent_budget():
@@ -419,7 +380,7 @@ def test_characterization_matches_permutation_oracle():
     for m in (2, 3, 4, 5):
         perm = list(range(1 << (m - 1)))
         rng.shuffle(perm)
-        shuffled = project(code_d(m), perm)
+        shuffled = _permuted(code_d(m), perm)
         assert is_isomorphic_to_d(shuffled)
         assert permutation_equivalent(shuffled, code_d(m))
     assert cases > 0
@@ -428,7 +389,7 @@ def test_characterization_matches_permutation_oracle():
 def _shuffled(c: LinearCode, rng: random.Random) -> LinearCode:
     perm = list(range(c.n))
     rng.shuffle(perm)
-    return project(c, perm)
+    return _permuted(c, perm)
 
 
 def _column_copied(c: LinearCode, src: int, dst: int) -> LinearCode:

@@ -11,7 +11,6 @@ from k3nodal.gf2 import Gf2Matrix, parse_matrix_text
 from k3nodal.lattice import (
     CodeLattice,
     basis_determinant,
-    code_from_overlattice,
     determinant,
     discriminant_group,
     even_eight_lattice,
@@ -301,10 +300,10 @@ def test_code_lattice_matches_naive_construction():
             for _ in range(4):
                 coeffs = [rng.randint(-3, 3) for _ in range(n)]
                 vec = [sum(a * row[t] for a, row in zip(coeffs, basis)) for t in range(n)]
-                assert lat.coordinates_of(vec) == tuple(coeffs)
+                assert lat.contains(vec)
                 vec[rng.randrange(n)] += rng.choice([-1, 1])
                 member = naive_rank(gens + [[x % 2 for x in vec]]) == c.k
-                assert (lat.coordinates_of(vec) is not None) == lat.contains(vec) == member
+                assert lat.contains(vec) == member
 
 
 @pytest.mark.parametrize("r, m", [(2, 7), (3, 8)])
@@ -331,8 +330,6 @@ def test_membership_matches_oracle_at_large_rank(r, m):
         members = [naive_rank(gens + [[x % 2 for x in vec]]) == c.k for vec in vecs]
         assert [lat.contains(vec) for vec in vecs] == members
         assert members.count(True) >= 6
-        for vec, member in zip(vecs, members):
-            assert (lat.coordinates_of(vec) is not None) == member
 
 
 def test_smith_certificate_at_large_rank():
@@ -348,9 +345,9 @@ def test_smith_certificate_at_large_rank():
 
 
 def test_contains_entries_of_other_number_types():
-    # entries with no parity (Fractions, floats) are solved for by
-    # coordinates_of: integral ones answer as the ints do, a half-integral
-    # entry is never a member
+    # entries with no parity (Fractions, floats): integral ones answer as
+    # the ints do, and a half-integral, infinite or nan entry is never a
+    # member
     c = code_d(5)
     lat = gamma_from_code(c, -1)
     word = c.gen.rows[1]
@@ -363,27 +360,52 @@ def test_contains_entries_of_other_number_types():
         assert not lat.contains(same)
     half = list(map(Fraction, vec))
     half[0] += Fraction(1, 2)
-    assert lat.coordinates_of(half) is None
     assert not lat.contains(half)
     assert not lat.contains([x + 0.5 for x in vec])
+    for odd in (math.inf, -math.inf, math.nan):
+        assert not lat.contains([odd] + list(map(float, vec[1:])))
+        assert not lat.contains(vec[:-1] + [odd])
 
 
-def test_parity_rows_are_the_gram_matrix_mod_2():
+def test_gram_mod_2_has_the_certificate_structure():
+    # the structure the Smith certificate reads: with G = gram2 // 2, the
+    # unit x unit block of G mod 2 is zero, the unit x generator block is
+    # the generator bits N at the non-pivots, and G mod 2 has rank 2k.
     # RM(2,6) has generators overlapping in 2 mod 4 coordinates, and the
     # subcodes of the singly even code of 32 disjoint pairs have words of
-    # weight 2 mod 4, so the |b & g| / 2 parities are exercised
+    # weight 2 mod 4, so the generator x generator block is not zero
     rng = random.Random(191)
     rm37 = reed_muller(3, 7)
     pairs = from_generators(Gf2Matrix.from_ints([3 << (2 * i) for i in range(32)], 64))
     codes = [reed_muller(2, 6), reed_muller(3, 8), pairs]
     codes += [_random_subcode(rng, rm37, k) for k in (1, 20, 47, 63)]
     codes += [_random_subcode(rng, pairs, k) for k in (5, 17, 31)]
+    odd_pairs = 0
     for c in codes:
         assert is_isotropic(c)
+        pivots = c.pivots()
+        units = [j for j in range(c.n) if j not in pivots]
+        block = [[g >> j & 1 for j in units] for g in c.gen.rows]
         for sign in (1, -1):
-            lat = gamma_from_code(c, sign)
-            expected = [sum(1 << j for j, e in enumerate(row) if e & 2) for row in lat.gram2]
-            assert lat._parity_rows() == expected
+            g2 = [[e // 2 % 2 for e in row] for row in gamma_from_code(c, sign).gram2]
+            assert all(g2[i][j] == 0 for i in units for j in units)
+            assert [[g2[p][j] for j in units] for p in pivots] == block
+            assert [[g2[j][p] for j in units] for p in pivots] == block
+            odd_pairs += sum(g2[p][q] for p in pivots for q in pivots)
+            assert naive_rank(g2) == 2 * c.k
+    assert odd_pairs > 0
+
+
+def test_smith_certificate_fails_when_the_non_pivot_block_is_rank_deficient():
+    # non-isotropic codes whose generator bits at the non-pivots have rank
+    # below k: the full code of length 2 (no non-pivots) and the span of
+    # 100 (its generator is its pivot alone); reading the whole generator
+    # instead of its non-pivot bits would pass the span of 100
+    for c in (_full_code(2), from_generators(parse_matrix_text("100"))):
+        assert not is_isotropic(c)
+        for sign in (1, -1):
+            with pytest.raises(AssertionError, match="Smith certificate"):
+                CodeLattice(c, sign)._smith
 
 
 _INVARIANTS = {
@@ -588,31 +610,7 @@ def test_fields_decode_matches_from_bytes(monkeypatch, byteorder):
             assert list(lattice._fields(packed, count, size)) == expected
 
 
-def test_code_from_overlattice_examples():
-    d5 = code_d(5)
-    lat = gamma_from_code(d5, 1)
-    halves = [[Fraction(x, 2) for x in v] for v in lat.basis]
-    assert code_from_overlattice(16, halves) == d5
-    units = [[1 if t == i else 0 for t in range(4)] for i in range(4)]
-    assert code_from_overlattice(4, units) == LinearCode.zero(4)
-    assert code_from_overlattice(8, [[Fraction(1, 2)] * 8]) == LinearCode.repetition(8)
-    with pytest.raises(ValueError):
-        code_from_overlattice(2, [[Fraction(1, 3), 0]])
-    with pytest.raises(ValueError):
-        code_from_overlattice(3, [[Fraction(1, 2), 0]])
-
-
-def test_overlattice_roundtrip_random():
-    rng = random.Random(79)
-    for _ in range(60):
-        n = rng.randint(1, 12)
-        c = _random_code(rng, n)
-        lat = gamma_from_code(c, 1)
-        halves = [[Fraction(x, 2) for x in v] for v in lat.basis]
-        assert code_from_overlattice(n, halves) == c
-
-
-def test_coordinates_of_solves_triangular_system():
+def test_contains_lattice_vectors_and_not_a_unit_step_off():
     # the Kummer lattice and rank-32 code lattices; a unit vector is no
     # codeword of these codes, so adding one leaves the lattice
     rng = random.Random(83)
@@ -623,15 +621,14 @@ def test_coordinates_of_solves_triangular_system():
             for _ in range(10):
                 coeffs = [rng.randint(-3, 3) for _ in range(n)]
                 vec = [sum(a * lat.basis[i][t] for i, a in enumerate(coeffs)) for t in range(n)]
-                assert lat.coordinates_of(vec) == tuple(coeffs)
+                assert lat.contains(vec)
                 vec[rng.randrange(n)] += 1
-                assert lat.coordinates_of(vec) is None
                 assert not lat.contains(vec)
 
 
 def test_vector_length_must_match_rank():
     lat = kummer_lattice()
-    for method in (lat.coordinates_of, lat.norm_of, lat.contains):
+    for method in (lat.norm_of, lat.contains):
         with pytest.raises(ValueError, match="does not match rank 16"):
             method((1,))
 
