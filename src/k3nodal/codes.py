@@ -545,15 +545,21 @@ class SubspaceCount:
 
 @dataclass(frozen=True)
 class BeauvilleReport:
-    """Outcome of scanning dimension-m codes for the half-weight bound."""
+    """Outcome of scanning dimension-m codes for the half-weight bound.  The
+    scan mode (exhaustive up to MAX_EXHAUSTIVE_DIM, sampled above) and the
+    extremal length 2^(m-1) are read from m, not passed."""
 
     m: int
     n_max: int
-    mode: str
+    mode: str = field(init=False)
     per_n: tuple[SubspaceCount, ...]
-    extremal_n: int
+    extremal_n: int = field(init=False)
     extremal_count: int
     counterexamples: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", "exhaustive" if self.m <= MAX_EXHAUSTIVE_DIM else "sampled")
+        object.__setattr__(self, "extremal_n", 1 << (self.m - 1))
 
     @property
     def ok(self) -> bool:
@@ -715,7 +721,6 @@ def verify_beauville(
     per_n: list[SubspaceCount] = []
     counterexamples: list[str] = []
     extremal_count = 0
-    mode = "exhaustive" if exhaustive else "sampled"
 
     def handle_qualifying(rows: list[int], n: int) -> None:
         nonlocal extremal_count
@@ -735,9 +740,7 @@ def verify_beauville(
             expected = gaussian_binomial(n, m)
             planned += expected
             if planned > SUBSPACE_BUDGET:
-                partial = BeauvilleReport(
-                    m, n_max, mode, tuple(per_n), extremal_n, extremal_count, tuple(counterexamples)
-                )
+                partial = BeauvilleReport(m, n_max, tuple(per_n), extremal_count, tuple(counterexamples))
                 raise ResourceLimitError(
                     f"scanning {planned} subspaces exceeds the budget of {SUBSPACE_BUDGET}",
                     partial=partial,
@@ -766,6 +769,4 @@ def verify_beauville(
                     handle_qualifying(_rref_ints(rows, n)[0], n)
             per_n.append(SubspaceCount(n, len(bases), None, qualifying))
 
-    return BeauvilleReport(
-        m, n_max, mode, tuple(per_n), extremal_n, extremal_count, tuple(counterexamples)
-    )
+    return BeauvilleReport(m, n_max, tuple(per_n), extremal_count, tuple(counterexamples))

@@ -86,43 +86,63 @@ def code_dim_lower_bound(n: int) -> int:
 
 @dataclass(frozen=True)
 class NodalCodeConstraints:
-    """What the K3 arithmetic forces on the code of n disjoint nodal curves."""
+    """What the K3 arithmetic forces on the code of n disjoint nodal curves.
+    The allowed weights {8, 16} within reach of n and the dimension bound
+    for b2 = 22 are read from n, not passed."""
 
     n: int
-    allowed_nonzero_weights: tuple[int, ...]
-    dim_lower_bound: int
+    allowed_nonzero_weights: tuple[int, ...] = field(init=False)
+    dim_lower_bound: int = field(init=False)
     forced_code: LinearCode | None
     forced_code_name: str | None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "allowed_nonzero_weights", tuple(w for w in (8, 16) if w <= self.n))
+        object.__setattr__(self, "dim_lower_bound", code_dim_lower_bound(self.n))
+
 
 def nodal_code_constraints(n: int) -> NodalCodeConstraints:
-    """Allowed weights {8, 16} within reach of n, the dimension bound for
-    b2 = 22, and the code they force, if any.  They force D_5 at n = 16,
-    and the zero code when no allowed weight is at most n (n < 8).  At
-    n = 8 they force none: eight disjoint nodal curves have the code {0}
-    or the all-ones line, the line exactly when they form an even set."""
+    """The constraints on the code of n disjoint nodal curves, and the code
+    they force, if any.  They force D_5 at n = 16, and the zero code when
+    no allowed weight is at most n (n < 8).  At n = 8 they force none:
+    eight disjoint nodal curves have the code {0} or the all-ones line, the
+    line exactly when they form an even set."""
     if n < 1:
         raise ValueError("curve count must be positive")
-    allowed = tuple(w for w in (8, 16) if w <= n)
-    bound = code_dim_lower_bound(n)
-    forced: LinearCode | None = None
-    name: str | None = None
     if n == 16:
-        forced, name = code_d(5), "D5"
-    elif not allowed:
-        forced, name = LinearCode.zero(n), "zero"
-    return NodalCodeConstraints(n, allowed, bound, forced, name)
+        return NodalCodeConstraints(n, code_d(5), "D5")
+    if n < 8:
+        return NodalCodeConstraints(n, LinearCode.zero(n), "zero")
+    return NodalCodeConstraints(n, None, None)
 
 
 @dataclass(frozen=True)
 class TheoremCertificate:
-    """Machine-checkable composition proving the 16-curve bound."""
+    """Machine-checkable composition proving the 16-curve bound.
+
+    ``ok`` is read from the two steps, not passed: the sixteen-curve step
+    must state the dimension bound 5, the allowed weights {8, 16}, an
+    extremal length, a forced code that passes the characterization and
+    the weight counts {0: 1, 8: 30, 16: 1} of D_5, and the seventeen-curve
+    witness table must be ``ok``.
+    """
 
     statement: str
     sixteen_step: dict
     seventeen_step: ExtensionCertificate
     monotonicity: str
-    ok: bool
+    ok: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        s = self.sixteen_step
+        sixteen_ok = (
+            s["dim_lower_bound"] == 5
+            and s["allowed_nonzero_weights"] == [8, 16]
+            and s["length_is_extremal"]
+            and s["forced_code_passes_characterization"]
+            and s["forced_code_weight_counts"] == {"0": 1, "8": 30, "16": 1}
+        )
+        object.__setattr__(self, "ok", sixteen_ok and self.seventeen_step.ok)
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,8 +155,8 @@ class TheoremCertificate:
 
 
 def verify_max_sixteen() -> TheoremCertificate:
-    """Assemble and check the chain showing a complex K3 surface carries at
-    most 16 disjoint nodal curves.
+    """Assemble the chain showing a complex K3 surface carries at most 16
+    disjoint nodal curves; the certificate checks it.
 
     Step one: for 16 curves the code has dimension >= 16 - 22/2 = 5 and
     nonzero weights in {8, 16}, so all nonzero weights reach half of
@@ -147,7 +167,6 @@ def verify_max_sixteen() -> TheoremCertificate:
     """
     cons = nodal_code_constraints(16)
     d5 = cons.forced_code
-    dist = weight_distribution(d5)
     sixteen = {
         "n": 16,
         "dim_lower_bound": cons.dim_lower_bound,
@@ -155,28 +174,19 @@ def verify_max_sixteen() -> TheoremCertificate:
         "length_is_extremal": 16 == 1 << (cons.dim_lower_bound - 1),
         "forced_code": cons.forced_code_name,
         "forced_code_parameters": {"n": d5.n, "k": d5.k},
-        "forced_code_weight_counts": {str(w): c for w, c in dist.counts.items()},
+        "forced_code_weight_counts": {str(w): c for w, c in weight_distribution(d5).counts.items()},
         "forced_code_passes_characterization": is_isomorphic_to_d(d5),
     }
-    sixteen_ok = (
-        cons.dim_lower_bound == 5
-        and cons.allowed_nonzero_weights == (8, 16)
-        and sixteen["length_is_extremal"]
-        and sixteen["forced_code_passes_characterization"]
-        and dist.counts == {0: 1, 8: 30, 16: 1}
-    )
-    cert = verify_no_extension(5)
     return TheoremCertificate(
         statement="a complex K3 surface carries at most 16 disjoint nodal curves",
         sixteen_step=sixteen,
-        seventeen_step=cert,
+        seventeen_step=verify_no_extension(5),
         monotonicity=(
             "any set of more than 16 disjoint nodal curves contains 17; every "
             "16-curve subset forces the code D_5 on those coordinates, and the "
             "witness table shows a 17th coordinate is impossible, so ruling out "
             "17 rules out every larger count"
         ),
-        ok=sixteen_ok and cert.ok,
     )
 
 
@@ -344,13 +354,31 @@ class TypeBreakdown:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
+    """Admissibility of a configuration on a K3 surface: the resolved nodal
+    curves must not exceed 16.  Every field but the configuration is
+    computed from it: delta, mu, their exact ratio (None when mu = 0), the
+    per-type breakdown, the verdict and its reasons."""
+
     config: DuValConfig
-    delta: int
-    mu: int
-    ratio: Fraction | None
-    nodal_count_per_type: tuple[TypeBreakdown, ...]
-    admissible: bool
-    reasons: tuple[str, ...]
+    delta: int = field(init=False)
+    mu: int = field(init=False)
+    ratio: Fraction | None = field(init=False)
+    nodal_count_per_type: tuple[TypeBreakdown, ...] = field(init=False)
+    admissible: bool = field(init=False)
+    reasons: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        breakdown = []
+        for letter, n, count in self.config.terms():
+            each = _delta_per_singularity(letter, n)
+            breakdown.append(TypeBreakdown(f"{letter}{n}", count, each, each * count, n * count))
+        object.__setattr__(self, "nodal_count_per_type", tuple(breakdown))
+        object.__setattr__(self, "delta", sum(t.delta_total for t in breakdown))
+        object.__setattr__(self, "mu", sum(t.milnor_total for t in breakdown))
+        object.__setattr__(self, "ratio", Fraction(self.delta, self.mu) if self.mu else None)
+        object.__setattr__(self, "admissible", self.delta <= 16)
+        reasons = () if self.admissible else (f"delta {self.delta} exceeds the bound of 16 disjoint nodal curves",)
+        object.__setattr__(self, "reasons", reasons)
 
     def to_json_dict(self) -> dict:
         return {
@@ -378,16 +406,5 @@ class AdmissibilityReport:
 
 
 def admissible(cfg: DuValConfig) -> AdmissibilityReport:
-    """Admissibility on a K3 surface: the resolved nodal curves must not
-    exceed 16.  The report carries delta, mu, their exact ratio and a
-    per-type breakdown."""
-    breakdown = []
-    for letter, n, count in cfg.terms():
-        each = _delta_per_singularity(letter, n)
-        breakdown.append(TypeBreakdown(f"{letter}{n}", count, each, each * count, n * count))
-    d = sum(t.delta_total for t in breakdown)
-    mu = sum(t.milnor_total for t in breakdown)
-    ok = d <= 16
-    reasons = () if ok else (f"delta {d} exceeds the bound of 16 disjoint nodal curves",)
-    ratio = Fraction(d, mu) if mu else None
-    return AdmissibilityReport(cfg, d, mu, ratio, tuple(breakdown), ok, reasons)
+    """The admissibility report of the configuration on a K3 surface."""
+    return AdmissibilityReport(cfg)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -654,6 +655,7 @@ def test_verify_no_extension_deterministic():
 def test_verify_beauville_m2():
     rep = verify_beauville(2, 4)
     assert rep.ok
+    assert (rep.mode, rep.extremal_n) == ("exhaustive", 2)
     assert [(s.n, s.examined) for s in rep.per_n] == [(2, 1), (3, 7), (4, 35)]
     assert rep.extremal_count == 1
 
@@ -661,6 +663,7 @@ def test_verify_beauville_m2():
 def test_verify_beauville_m3():
     rep = verify_beauville(3, 6)
     assert rep.ok
+    assert (rep.mode, rep.extremal_n) == ("exhaustive", 4)
     assert [(s.n, s.examined) for s in rep.per_n] == [(3, 1), (4, 15), (5, 155), (6, 1395)]
     assert all(s.examined == s.expected for s in rep.per_n)
     assert rep.extremal_count == 1
@@ -694,7 +697,7 @@ def test_half_weight_scan_matches_gray_order_oracle():
 
 def test_verify_beauville_sampled():
     rep = verify_beauville(5, 16, samples=100, seed=3)
-    assert rep.mode == "sampled"
+    assert (rep.mode, rep.extremal_n) == ("sampled", 16)
     assert rep.ok
     assert rep.extremal_count >= 1  # the injected D_5 itself
     again = verify_beauville(5, 16, samples=100, seed=3)
@@ -707,6 +710,7 @@ def test_verify_beauville_sampled_beyond_permutation_budget():
     rep = verify_beauville(6, 32, samples=30, seed=5)
     assert rep.ok
     assert rep.extremal_count >= 1
+    assert (rep.mode, rep.extremal_n) == ("sampled", 32)
 
 
 def test_verify_beauville_reports_an_extremal_code_that_is_not_d(monkeypatch):
@@ -768,6 +772,16 @@ def test_sampled_scan_hands_on_reduced_bases(monkeypatch):
 def test_verify_beauville_default_length_and_dimension_bound():
     # n_max defaults to the extremal length 2^(m-1)
     assert verify_beauville(3).to_json_dict() == verify_beauville(3, 4).to_json_dict()
+    # the mode and the extremal length are read from m, whatever was scanned
+    for m in range(2, 7):
+        rep = verify_beauville(m, m, samples=5)
+        assert rep.mode == ("exhaustive" if m <= codes.MAX_EXHAUSTIVE_DIM else "sampled")
+        assert rep.extremal_n == 1 << (m - 1)
+        assert dataclasses.replace(rep, m=m + 1).extremal_n == 1 << m
+        with pytest.raises(TypeError):
+            codes.BeauvilleReport(m, m, rep.per_n, 0, (), mode=rep.mode)
+        with pytest.raises(TypeError):
+            codes.BeauvilleReport(m, m, rep.per_n, 0, (), extremal_n=rep.extremal_n)
     # one draw's rank test, m(m-1)/2 row sums, is checked on m alone,
     # before the 2^(m-1)-sized default or any count of that size is built
     for m in (1415, 20000, 10**9, 10**100):
@@ -799,6 +813,7 @@ def test_verify_beauville_budget():
     partial = info.value.partial
     assert partial is not None
     assert [s.n for s in partial.per_n] == [4, 5, 6, 7, 8]
+    assert (partial.mode, partial.extremal_n, partial.n_max) == ("exhaustive", 8, 9)
 
 
 def test_verify_beauville_validation():

@@ -8,9 +8,12 @@ import pytest
 from k3nodal import duval
 from k3nodal.codes import ExtensionCertificate, code_d
 from k3nodal.duval import (
+    AdmissibilityReport,
     CoverVerdict,
     DuValConfig,
+    NodalCodeConstraints,
     SuiteReport,
+    TheoremCertificate,
     admissible,
     classify_even_set,
     code_dim_lower_bound,
@@ -75,6 +78,17 @@ def test_nodal_code_constraints():
     assert c12.forced_code is None
     with pytest.raises(ValueError):
         nodal_code_constraints(0)
+    # the weights and the dimension bound are read from n alone
+    for n in range(1, 65):
+        c = nodal_code_constraints(n)
+        assert c.allowed_nonzero_weights == tuple(w for w in (8, 16) if w <= n)
+        assert c.dim_lower_bound == max(0, n - 11) == code_dim_lower_bound(n)
+        assert c == NodalCodeConstraints(n, c.forced_code, c.forced_code_name)
+        moved, there = dataclasses.replace(c, n=n + 1), nodal_code_constraints(n + 1)
+        assert moved.allowed_nonzero_weights == there.allowed_nonzero_weights
+        assert moved.dim_lower_bound == there.dim_lower_bound
+    with pytest.raises(TypeError):
+        NodalCodeConstraints(16, (8, 16), 5, code_d(5), "D5")
 
 
 def test_parse_grammar():
@@ -194,6 +208,25 @@ def test_admissible_iff_delta_at_most_16():
         assert admissible(cfg).admissible == (delta(cfg) <= 16)
 
 
+def test_admissibility_report_is_computed_from_its_config():
+    rng = random.Random(151)
+    for _ in range(200):
+        cfg = DuValConfig(
+            a={n: rng.randint(0, 4) for n in rng.sample(range(1, 30), rng.randint(0, 4))},
+            d={n: rng.randint(0, 3) for n in rng.sample(range(4, 30), rng.randint(0, 3))},
+            e={n: rng.randint(0, 3) for n in rng.sample((6, 7, 8), rng.randint(0, 3))},
+        )
+        report = AdmissibilityReport(cfg)
+        assert report == admissible(cfg)
+        assert report.delta == delta(cfg) and report.mu == milnor(cfg)
+        assert report.admissible == (delta(cfg) <= 16) == (not report.reasons)
+    seventeen = admissible(DuValConfig.parse("A1x17"))
+    assert dataclasses.replace(seventeen, config=DuValConfig.parse("A1x16")).admissible
+    for derived in ("delta", "mu", "ratio", "nodal_count_per_type", "admissible", "reasons"):
+        with pytest.raises(TypeError):
+            AdmissibilityReport(seventeen.config, **{derived: getattr(seventeen, derived)})
+
+
 def test_admissible_json_schema():
     payload = admissible(DuValConfig.parse("A1x16")).to_json_dict()
     assert payload["config"] == "A1x16"
@@ -221,6 +254,30 @@ def test_verify_max_sixteen():
     assert len(cert.seventeen_step.entries) == 240
     assert cert.sixteen_step["forced_code"] == "D5"
     assert cert.sixteen_step["dim_lower_bound"] == 5
+
+
+def test_theorem_verdict_follows_its_steps():
+    cert = verify_max_sixteen()
+    s = cert.sixteen_step
+    assert dataclasses.replace(cert).ok
+    wrong = dataclasses.replace(cert, sixteen_step={**s, "forced_code_weight_counts": {"0": 1, "8": 31}})
+    assert not wrong.ok and wrong.to_json_dict()["ok"] is False
+    for key, value in (
+        ("dim_lower_bound", 4),
+        ("allowed_nonzero_weights", [8]),
+        ("length_is_extremal", False),
+        ("forced_code_passes_characterization", False),
+    ):
+        assert not dataclasses.replace(cert, sixteen_step={**s, key: value}).ok, key
+    full = cert.seventeen_step
+    short = TheoremCertificate(
+        cert.statement, s, ExtensionCertificate(full.m, full.entries[:-1]), cert.monotonicity
+    )
+    assert not short.ok
+    with pytest.raises(TypeError):
+        TheoremCertificate(cert.statement, s, full, cert.monotonicity, True)
+    with pytest.raises(TypeError):
+        TheoremCertificate(cert.statement, s, full, cert.monotonicity, ok=True)
 
 
 def test_verify_max_sixteen_deterministic():
