@@ -196,42 +196,61 @@ def _cmd_duval_classify(ns: argparse.Namespace) -> _Result:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    required_int = {"type": int, "required": True}
-    infile = {"dest": "infile", "required": True}
-    # group -> (help, leaf commands); a leaf is (name, help, handler, arguments)
-    commands = {
-        "code": ("construct and inspect binary codes", (
-            ("rm", "Reed-Muller generator matrix", _cmd_code_rm,
-             (("--degree", required_int), ("--m", required_int))),
-            ("d", "the affine-functions code D_m", _cmd_code_d, (("--m", required_int),)),
-            ("weights", "weight distribution of a code file", _cmd_code_weights, (("--in", infile),)),
-            ("dual", "dual code of a code file", _cmd_code_dual, (("--in", infile),)),
-        )),
-        "lattice": ("code lattices and their invariants", (
-            ("gamma", "lattice of a code file", _cmd_lattice_gamma,
-             (("--in", infile), ("--neg", {"action": "store_true", "help": "negate the form"}))),
-            ("kummer", "the built-in sixteen nodal curve lattice", _cmd_lattice_kummer, ()),
-        )),
-        "verify": ("run the verification suite", (
-            ("beauville", "half-weight extremal characterization", _cmd_verify_beauville,
-             (("--m", required_int), ("--nmax", {"type": int}))),
-            ("no-seventeen", "certificate that 17 nodal curves are impossible", _cmd_verify_no_seventeen, ()),
-            ("all", "full verification suite", _cmd_verify_all, ()),
-        )),
-        "duval": ("du Val singularity configurations", (
-            ("check", "delta/mu and admissibility of a configuration", _cmd_duval_check,
-             (("config", {"help": "e.g. A1x16 or A2,D4x2,E7"}),)),
-            ("classify-even-set", "double cover of an even set of k curves", _cmd_duval_classify,
-             (("--k", required_int),)),
-        )),
-    }
+_REQUIRED_INT = {"type": int, "required": True}
+_INFILE = {"dest": "infile", "required": True}
+
+# group -> (help, leaf commands); a leaf is (name, help, handler, arguments)
+_COMMANDS = {
+    "code": ("construct and inspect binary codes", (
+        ("rm", "Reed-Muller generator matrix", _cmd_code_rm,
+         (("--degree", _REQUIRED_INT), ("--m", _REQUIRED_INT))),
+        ("d", "the affine-functions code D_m", _cmd_code_d, (("--m", _REQUIRED_INT),)),
+        ("weights", "weight distribution of a code file", _cmd_code_weights, (("--in", _INFILE),)),
+        ("dual", "dual code of a code file", _cmd_code_dual, (("--in", _INFILE),)),
+    )),
+    "lattice": ("code lattices and their invariants", (
+        ("gamma", "lattice of a code file", _cmd_lattice_gamma,
+         (("--in", _INFILE), ("--neg", {"action": "store_true", "help": "negate the form"}))),
+        ("kummer", "the built-in sixteen nodal curve lattice", _cmd_lattice_kummer, ()),
+    )),
+    "verify": ("run the verification suite", (
+        ("beauville", "half-weight extremal characterization", _cmd_verify_beauville,
+         (("--m", _REQUIRED_INT), ("--nmax", {"type": int}))),
+        ("no-seventeen", "certificate that 17 nodal curves are impossible", _cmd_verify_no_seventeen, ()),
+        ("all", "full verification suite", _cmd_verify_all, ()),
+    )),
+    "duval": ("du Val singularity configurations", (
+        ("check", "delta/mu and admissibility of a configuration", _cmd_duval_check,
+         (("config", {"help": "e.g. A1x16 or A2,D4x2,E7"}),)),
+        ("classify-even-set", "double cover of an even set of k curves", _cmd_duval_classify,
+         (("--k", _REQUIRED_INT),)),
+    )),
+}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  Every group and leaf command is registered
+    with its help, but only the ones whose name is a token of argv are
+    filled in: a group gets its leaf commands, and a leaf its arguments,
+    ``--json`` and handler.  The others are bare, without ``-h``.
+
+    This keeps every output byte.  argparse hands the rest of argv only to
+    the sub-parser whose exact name it read there, so a bare parser is
+    never run.  The choice lists, ``-h`` output and "invalid choice" errors
+    read only names and help, which every parser has.
+    """
+    named = set(argv)
     parser = _Parser(prog="k3nodal", description=__doc__)
     groups = parser.add_subparsers(dest="group", required=True)
-    for group, (group_help, leaves) in commands.items():
-        sub = groups.add_parser(group, help=group_help).add_subparsers(dest="cmd", required=True)
+    for group, (group_help, leaves) in _COMMANDS.items():
+        group_parser = groups.add_parser(group, help=group_help, add_help=group in named)
+        if group not in named:
+            continue
+        sub = group_parser.add_subparsers(dest="cmd", required=True)
         for name, leaf_help, handler, arguments in leaves:
-            leaf = sub.add_parser(name, help=leaf_help)
+            leaf = sub.add_parser(name, help=leaf_help, add_help=name in named)
+            if name not in named:
+                continue
             for flag, options in arguments:
                 leaf.add_argument(flag, **options)
             leaf.add_argument("--json", action="store_true", help="emit the JSON schema instead of text")
@@ -241,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        ns = build_parser(argv).parse_args(argv)
         document, text, status = ns.func(ns)
         print(json.dumps(document(), indent=2, sort_keys=True) if ns.json else text())
         return status

@@ -408,12 +408,12 @@ def leading_principal_minors(lat: CodeLattice) -> tuple[Fraction, ...]:
 
 
 def is_negative_definite(lat: CodeLattice) -> bool:
-    """Sylvester test: leading principal minors alternate in sign starting
-    negative; any zero minor disqualifies.  The first minor is gram2[0][0],
-    so a lattice failing there is rejected without the elimination."""
-    if lat.gram2[0][0] >= 0:
-        return False
-    return all(d != 0 and (d > 0) == (t % 2 == 0) for t, d in enumerate(lat._minors2, start=1))
+    """Whether the form is negative definite, read from the sign.  Gamma(C)
+    contains 2Z^n, so it is a full-rank sublattice of Z^n, and its form is
+    sign x.x/2 with x.x > 0 for every nonzero x: positive definite for
+    sign +1 and negative definite for sign -1.  No minor is computed;
+    ``leading_principal_minors`` gives Sylvester's test on the same data."""
+    return lat.sign < 0
 
 
 def discriminant_group(lat: CodeLattice) -> DiscriminantGroup:

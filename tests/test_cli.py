@@ -10,6 +10,7 @@ import pytest
 
 from k3nodal import cli, codes, duval, lattice
 from k3nodal.cli import run
+from test_golden import COMMAND_NAMES, GOLDEN_CLI, code_files  # noqa: F401 (code_files is a fixture)
 
 # stands for a file of a random [4096, 24] code, written by the test: 2^24
 # codewords fit the dimension budget, 4096 x 2^24 codeword bits do not
@@ -323,6 +324,74 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert run(["code", "--help"]) == 0
     capsys.readouterr()
+
+
+_GROUPS = list(cli._COMMANDS)
+_LEAVES = [[group, leaf[0]] for group, (_, leaves) in cli._COMMANDS.items() for leaf in leaves]
+_HELP = [["-h"], *([group, "-h"] for group in _GROUPS), *([*leaf, "-h"] for leaf in _LEAVES)]
+
+# the golden commands, help at every level, and argv that reach argparse's
+# error paths or hold another command's name as an argument
+PRUNING_CORPUS = [
+    *(command.split() for command in sorted(GOLDEN_CLI)),
+    [],
+    *([group] for group in _GROUPS),
+    *_HELP,
+    ["nope"],
+    ["cod"],
+    ["verify", "no"],
+    ["--bogus"],
+    ["duval", "check", "A1x16", "--bogus"],
+    ["--", "duval", "check", "A1x16"],
+    ["duval", "check", "--", "A1x16"],
+    ["duval", "check", "code"],
+    ["duval", "check", "d"],
+    ["duval", "check", "duval"],
+    ["code", "d", "--m", "check"],
+    ["code", "dual", "--in", "all"],
+    ["verify", "all", "duval"],
+]
+
+
+@pytest.mark.parametrize("argv", PRUNING_CORPUS, ids=lambda argv: " ".join(argv) or "<empty>")
+def test_pruned_parser_prints_what_the_full_parser_prints(argv, code_files, capsys, monkeypatch):
+    argv = [str(code_files.get(arg, arg)) for arg in argv]
+    pruned = _capture(capsys, argv)
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda _: build(COMMAND_NAMES))
+    assert _capture(capsys, argv) == pruned
+
+
+@pytest.mark.parametrize("argv", _HELP, ids=" ".join)
+def test_every_named_parser_has_help(argv, capsys):
+    rc, out, err = _capture(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert out.startswith(" ".join(["usage: k3nodal", *argv[:-1]]) + " ")
+
+
+def test_run_builds_only_the_parsers_argv_names(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert _capture(capsys, ["duval", "check", "A1x16"])[0] == 0
+    # the top parser, the four groups and duval's two leaves
+    assert built == [
+        "k3nodal",
+        "k3nodal code",
+        "k3nodal lattice",
+        "k3nodal verify",
+        "k3nodal duval",
+        "k3nodal duval check",
+        "k3nodal duval classify-even-set",
+    ]
+    built.clear()
+    cli.build_parser(COMMAND_NAMES)
+    assert len(built) == 1 + len(_GROUPS) + len(_LEAVES) == 16
 
 
 def test_only_the_printed_rendering_is_built(capsys, monkeypatch):

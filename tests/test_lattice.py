@@ -434,14 +434,17 @@ def test_invariants_do_not_depend_on_call_order():
 
 
 def test_positive_lattice_fails_definiteness_without_elimination():
+    # definiteness is the sign: neither sign computes a leading minor
     rng = random.Random(127)
     for _ in range(20):
-        lat = gamma_from_code(_random_code(rng, rng.randint(1, 12)), 1)
-        assert not is_negative_definite(lat)
-        assert "_minors2" not in vars(lat)
+        c = _random_code(rng, rng.randint(1, 12))
+        for sign in (1, -1):
+            lat = gamma_from_code(c, sign)
+            assert is_negative_definite(lat) == (sign == -1)
+            assert "_minors2" not in vars(lat)
     kummer = kummer_lattice()
     assert is_negative_definite(kummer)
-    assert "_minors2" in vars(kummer)
+    assert "_minors2" not in vars(kummer)
 
 
 def test_determinant_and_json_run_no_elimination():
