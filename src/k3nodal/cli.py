@@ -120,6 +120,9 @@ def _format_beauville(report: codes.BeauvilleReport) -> str:
     if report.counterexamples:
         lines.extend(f"COUNTEREXAMPLE {c}" for c in report.counterexamples)
         lines.append("REFUTED")
+    elif report.mode == "sampled":
+        # a sample cannot verify either claim
+        lines.append(f"SAMPLED: no counterexample among the sampled codes up to n_max={report.n_max}")
     elif reached:
         lines.append("VERIFIED: minimal length is 2^(m-1), equality forces D_m")
     else:

@@ -1,10 +1,12 @@
 """Binary linear codes: Reed-Muller construction, the affine-functions
 family D_m, duality, isotropy, exact weight enumeration, and two
-exhaustively verified extremal facts:
+extremal facts:
 
-* ``verify_beauville`` checks, over every dimension-m subspace of F_2^n,
-  that a code whose nonzero weights all reach half the length needs
-  n >= 2^(m-1), with equality only for coordinate permutations of D_m;
+* ``verify_beauville`` checks that a code whose nonzero weights all reach
+  half the length needs n >= 2^(m-1), with equality only for coordinate
+  permutations of D_m: over every dimension-m subspace of F_2^n for
+  m <= MAX_EXHAUSTIVE_DIM, and over a seeded sample of them above it,
+  which can find a counterexample but verify neither claim;
 * ``verify_no_extension`` certifies that no code on more than 2^(m-1)
   coordinates has all its 2^(m-1)-coordinate projections equivalent to
   D_m, by exhibiting an off-spectrum generator weight for every way of

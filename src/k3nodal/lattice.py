@@ -2,19 +2,25 @@
 
 ``CodeLattice(code, sign)`` is the preimage of a code under reduction mod
 2 inside Z^n, carrying the standard form scaled by 1/2 (optionally
-negated).  Its basis, sorted by leading coordinate, has one row per
-coordinate j: the lifted generator with pivot j, or 2e_j.  Each row is
-kept as a (bits, scale) pair, the row being scale times the 0/1 vector of
-bits, so every Gram entry is a popcount.  All Gram data is exact and each
-invariant is computed once per lattice:
+negated): Construction A (Conway-Sloane, Sphere Packings, Lattices and
+Groups, ch. 5).  A lattice holds only its code and sign, because every
+invariant the chain reads follows from the code: the lattice is integral
+exactly when C is isotropic, even exactly when C is also doubly even,
+and of index 2^(n - k) in Z^n.  Its basis, sorted by leading coordinate,
+has one row per coordinate j: the lifted generator with pivot j, or
+2e_j.  Each row is kept as a (bits, scale) pair, the row being scale
+times the 0/1 vector of bits, so every Gram entry is a popcount.  The
+dense basis and the doubled Gram matrix gram2_ij = sign s_i s_j
+|b_i & b_j| are built on first read, which only the two output formats
+(the JSON document and ``format_gram``) do.  Every invariant is exact
+and computed at most once per lattice:
 
-- the doubled Gram matrix, gram2_ij = sign s_i s_j |b_i & b_j|;
 - membership from the parity word alone: the lattice is
   {x in Z^n : x mod 2 in C}, so x is a member exactly when the word of
   its odd coordinates is a codeword;
 - the determinant from the triangular basis B alone, as det(gram2) =
-  sign^n det(B)^2, so the determinant, the discriminant group and the
-  JSON document run no elimination;
+  sign^n det(B)^2 with det(B) = 2^(n - k), so the determinant and the
+  discriminant group run no elimination;
 - every leading minor without an n x n elimination.  The basis Q of 0/1
   rows is unit upper triangular, so minor t of sign Q Q^T is
   sign^t det(M_t), M_t = I + A_t A_t^T for the k_t generators with pivot
@@ -62,48 +68,50 @@ MAX_LATTICE_RANK = 256
 class CodeLattice:
     """The lattice of a binary code, with doubled Gram data.
 
+    The fields are the code, the sign and the rank n; n is derived from
+    the code the way ``LinearCode`` derives n and k, a field but not an
+    argument, and equality, hashing and repr are those of (code, sign).
     The true Gram matrix is gram2 / 2; keeping the doubled copy as plain
     integers keeps every computation exact without a fraction type in hot
-    paths.  The rank n, the dense basis and gram2 are derived from the
-    code and the sign, once, the way ``LinearCode`` derives n and k; they
-    are fields but not arguments, and equality, hashing and repr are those
-    of (code, sign).  The basis is upper triangular with respect to the
-    leading coordinate, with diagonal 1 at pivots and 2 elsewhere, so its
-    determinant is the product of the row scales.  The leading minors and
-    the Smith diagonal are computed on first use and kept on the instance.
-    A sign other than +1 or -1 and a rank above MAX_LATTICE_RANK are
-    refused before any basis row is built.
+    paths.  The dense basis, gram2, the leading minors and the Smith
+    diagonal are computed on first use and kept on the instance; no
+    invariant reads the basis or gram2.  The basis is upper triangular
+    with respect to the leading coordinate, with diagonal 1 at pivots and
+    2 elsewhere.  A sign other than +1 or -1 and a rank above
+    MAX_LATTICE_RANK are refused before any basis row is built.
     """
 
     code: LinearCode
     sign: int = 1
     n: int = field(init=False, repr=False, compare=False)
-    basis: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    gram2: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        n = self.code.n
-        if n > MAX_LATTICE_RANK:
+        object.__setattr__(self, "n", self.code.n)
+        if self.n > MAX_LATTICE_RANK:
             raise ResourceLimitError(
-                f"a lattice of rank {n} exceeds the rank budget of {MAX_LATTICE_RANK}"
+                f"a lattice of rank {self.n} exceeds the rank budget of {MAX_LATTICE_RANK}"
             )
-        if n < 1:
+        if self.n < 1:
             raise ValueError("rank must be positive")
-        rows = self._rows
-        width, digits = f"0{n}b", {s: bytes.maketrans(b"01", bytes([0, s])) for s in (1, 2)}
-        basis = tuple(tuple(format(b, width)[::-1].encode().translate(digits[s])) for b, s in rows)
+
+    @functools.cached_property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The dense basis, one row per ``_rows`` entry."""
+        return tuple(tuple(s * (b >> j & 1) for j in range(self.n)) for b, s in self._rows)
+
+    @functools.cached_property
+    def gram2(self) -> tuple[tuple[int, ...], ...]:
+        """The doubled Gram matrix, gram2_ij = sign s_i s_j |b_i & b_j|."""
+        rows, n = self._rows, self.n
         # each entry is computed once, for j >= i, and mirrored
         gram = [[0] * n for _ in range(n)]
         for i, (bi, si) in enumerate(rows):
             scale, row = self.sign * si, gram[i]
             for j, (bj, sj) in enumerate(rows[i:], i):
                 row[j] = gram[j][i] = scale * sj * (bi & bj).bit_count()
-        gram2 = tuple(map(tuple, gram))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "gram2", gram2)
+        return tuple(map(tuple, gram))
 
     @functools.cached_property
     def _rows(self) -> tuple[tuple[int, int], ...]:
@@ -281,11 +289,14 @@ def is_integral(lat: CodeLattice) -> bool:
 
 
 def is_even(lat: CodeLattice) -> bool:
-    """True when every vector has even integral norm (diagonal divisible
-    by 2 after halving).  Requires an integral lattice."""
+    """True when every vector has even integral norm.  Requires an integral
+    lattice.  An integral lattice is even exactly when its basis vectors
+    are: a 2e_j row has norm sign 2, and a lifted generator g norm
+    sign |g|/2, so the lattice is even exactly when the code is doubly
+    even, every generator weight divisible by 4."""
     if not is_integral(lat):
         raise ValueError("evenness is only defined for integral lattices")
-    return all(lat.gram2[i][i] % 4 == 0 for i in range(lat.n))
+    return all(g.bit_count() % 4 == 0 for g in lat.code.gen.rows)
 
 
 def _bordered_dets(walk: Iterable[tuple[int, bool]]) -> list[int]:
@@ -397,9 +408,9 @@ def determinant(lat: CodeLattice) -> Fraction:
 
 def basis_determinant(lat: CodeLattice) -> int:
     """Determinant of the basis matrix; its absolute value is the index in Z^n.
-    The basis is triangular, so this is the product of its diagonal, the
-    row scales."""
-    return math.prod(s for _, s in lat._rows)
+    The basis is triangular with k ones and n - k twos on its diagonal, so
+    this is 2^(n - k), read from the code's dimension."""
+    return 1 << (lat.n - lat.code.k)
 
 
 def leading_principal_minors(lat: CodeLattice) -> tuple[Fraction, ...]:
@@ -425,16 +436,9 @@ def discriminant_group(lat: CodeLattice) -> DiscriminantGroup:
 
 
 def format_gram(lat: CodeLattice) -> str:
-    """True Gram matrix as text: integers when integral, p/2 for odd entries."""
-    integral = is_integral(lat)
-    cells = []
-    for row in lat.gram2:
-        line = []
-        for e in row:
-            if integral or e % 2 == 0:
-                line.append(str(e // 2))
-            else:
-                line.append(f"{e}/2")
-        cells.append(line)
+    """True Gram matrix as text: integers when integral, p/2 for odd entries.
+    An integral lattice has no odd entry of gram2, so the parity of each
+    entry decides."""
+    cells = [[str(e // 2) if e % 2 == 0 else f"{e}/2" for e in row] for row in lat.gram2]
     width = max(len(c) for line in cells for c in line)
     return "\n".join(" ".join(c.rjust(width) for c in line) for line in cells)

@@ -136,16 +136,28 @@ def test_verify_beauville_below_the_extremal_length_claims_only_its_scan(m, n_ma
     assert rc == 0
     lines = out.splitlines()
     assert lines[0] == f"beauville m={m} n_max={n_max} mode={mode}"
-    assert lines[-2:] == [
-        f"extremal length {2 ** (m - 1)}: not reached (n_max={n_max})",
-        f"VERIFIED: no qualifying code up to n_max={n_max}",
-    ]
+    verdict = {
+        "exhaustive": f"VERIFIED: no qualifying code up to n_max={n_max}",
+        "sampled": f"SAMPLED: no counterexample among the sampled codes up to n_max={n_max}",
+    }
+    assert lines[-2:] == [f"extremal length {2 ** (m - 1)}: not reached (n_max={n_max})", verdict[mode]]
     assert "equivalent" not in out and "2^(m-1)" not in out
     # the JSON document and the exit status are those of the report
     rc, out, _ = _capture(capsys, argv + ["--json"])
     assert rc == 0
     assert json.loads(out) == codes.verify_beauville(m, n_max).to_json_dict()
     assert json.loads(out)["extremal"] == {"n": 2 ** (m - 1), "count": 0}
+
+
+def test_sampled_scan_verifies_nothing(capsys):
+    # m >= 5 is sampled: the scan reaches the extremal length and finds D_5
+    # there, but a sample cannot verify either claim
+    rc, out, _ = _capture(capsys, ["verify", "beauville", "--m", "5"])
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "beauville m=5 n_max=16 mode=sampled"
+    assert lines[-1] == "SAMPLED: no counterexample among the sampled codes up to n_max=16"
+    assert "VERIFIED" not in out
 
 
 def test_verify_beauville_refuted_does_not_claim_equivalence(capsys, monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3nodal import lattice
+from k3nodal import duval, lattice
 from k3nodal.codes import LinearCode, code_d, from_generators, is_isotropic, reed_muller
 from k3nodal.gf2 import Gf2Matrix, parse_matrix_text
 from k3nodal.lattice import (
@@ -114,6 +114,18 @@ def test_is_even_examples():
     assert not is_even(pair)
     with pytest.raises(ValueError):
         is_even(gamma_from_code(from_generators(parse_matrix_text("100"))))
+    # the definition: every diagonal entry of the true Gram matrix is even
+    rng = random.Random(71)
+    pairs = from_generators(Gf2Matrix.from_ints([3 << (2 * i) for i in range(32)], 64))
+    codes = [_small_isotropic_code(rng, rng.randint(1, 12)) for _ in range(60)]
+    seen = set()
+    for c in codes + [pairs, reed_muller(2, 6)]:
+        for sign in (1, -1):
+            _, gram2 = naive_code_lattice(c, sign)
+            expected = all(gram2[i][i] % 4 == 0 for i in range(c.n))
+            assert is_even(gamma_from_code(c, sign)) == expected
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_determinant_examples():
@@ -447,20 +459,46 @@ def test_positive_lattice_fails_definiteness_without_elimination():
     assert "_minors2" not in vars(kummer)
 
 
-def test_determinant_and_json_run_no_elimination():
+def _read_invariants(lat):
+    is_integral(lat)
+    is_negative_definite(lat)
+    determinant(lat)
+    basis_determinant(lat)
+    lat.contains([2] * lat.n)
+    lat.norm_of([1] * lat.n)
+    if is_integral(lat):
+        is_even(lat)
+        discriminant_group(lat)
+
+
+def test_determinant_and_json_run_no_elimination(monkeypatch):
     rng = random.Random(151)
     for _ in range(20):
         n = rng.randint(1, 16)
         c = _small_isotropic_code(rng, n) if rng.random() < 0.5 else _random_code(rng, n)
         for sign in (1, -1):
             lat = gamma_from_code(c, sign)
+            _read_invariants(lat)
+            # no invariant builds the dense Gram data
+            assert "gram2" not in vars(lat) and "basis" not in vars(lat)
             doc = lat.to_json_dict()
+            assert "gram2" in vars(lat) and "basis" not in vars(lat)
             assert "_minors2" not in vars(lat)
             assert Fraction(doc["det"]["num"], doc["det"]["den"]) == Fraction(sign**n * 2**n, 4**c.k)
             assert leading_principal_minors(lat)[-1] == determinant(lat)
-    kummer = kummer_lattice()
-    assert determinant(kummer) == 64 and discriminant_group(kummer).order == 64
-    assert "_minors2" not in vars(kummer)
+    for lat in (kummer_lattice(), even_eight_lattice()):
+        _read_invariants(lat)
+        assert determinant(lat) == 64 and discriminant_group(lat).order == 64
+        assert not {"_minors2", "gram2", "basis"} & vars(lat).keys()
+        lat.to_json_dict()
+        assert "gram2" in vars(lat) and "basis" not in vars(lat)
+    # the verification suite reads neither on its two lattices
+    def unbuilt(lat):
+        raise AssertionError("dense Gram data was built")
+
+    monkeypatch.setattr(CodeLattice, "gram2", property(unbuilt))
+    monkeypatch.setattr(CodeLattice, "basis", property(unbuilt))
+    assert duval.verify_all().ok
 
 
 def _expected_minors2(code, sign):
