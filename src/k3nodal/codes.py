@@ -588,16 +588,25 @@ def _half_weight_bases(n: int, m: int, visit: Callable[[list[int]], None]) -> tu
     ``visit``, and return (subspaces, qualifying bases).
 
     A reduced basis is fixed by its pivot set (the lowest bit of each row)
-    and its free entries, the bits above a row's pivot that are no pivot,
-    so a pivot set holds 2^(free entries) subspaces, counted without
-    visiting them.  Rows are chosen one at a time from candidate lists
-    (pivot bit plus free entries, weight >= n/2), and a partial basis is
-    kept only while every nonzero word of its span reaches n/2: a light
-    word stays in the span of every extension, so no qualifying basis is
-    lost, and each one found has all 2^m - 1 nonzero words checked.
+    and its free entries, the bits above a row's pivot that are no pivot:
+    row i of pivots p_0 < ... < p_(m-1) has n - m + i - p_i of them.  So a
+    pivot set holds 2^(free entries) subspaces, counted without visiting
+    them.  A row weighs at most 1 + its free entries, and the last row has
+    the fewest, n - 1 - p_(m-1); a pivot set whose last pivot exceeds n/2
+    has no heavy last row, so it is counted but not searched.  In the
+    others, rows are chosen one at a time from candidate lists (pivot bit
+    plus free entries, weight >= n/2), and a partial basis is kept only
+    while every nonzero word of its span reaches n/2: a light word stays
+    in the span of every extension, so no qualifying basis is lost, and
+    each one found has all 2^m - 1 nonzero words checked.  Weights are
+    read from a table of 2^n flags, built per call.
     """
     full = (1 << n) - 1
-    examined = qualifying = 0
+    heavy = bytes(2 * w.bit_count() >= n for w in range(1 << n))
+    # a pivot set holds 2^(sum of n - m + i - p_i) = 2^(top - sum of pivots)
+    top = m * (2 * n - m - 1) // 2
+    examined = sum(1 << (top - sum(pivots)) for pivots in itertools.combinations(range(n), m))
+    qualifying = 0
 
     def extend(candidates: list[list[int]], rows: list[int], span: list[int]) -> None:
         nonlocal qualifying
@@ -607,27 +616,25 @@ def _half_weight_bases(n: int, m: int, visit: Callable[[list[int]], None]) -> tu
             return
         for row in candidates[len(rows)]:
             words = [row ^ w for w in span]
-            if all(2 * w.bit_count() >= n for w in words):
+            if all(map(heavy.__getitem__, words)):
                 extend(candidates, rows + [row], span + [row] + words)
 
-    for pivots in itertools.combinations(range(n), m):
+    # the pivot sets whose last pivot is at most n/2, in the order above
+    for pivots in itertools.combinations(range(n // 2 + 1), m):
         pivot_mask = sum(1 << p for p in pivots)
-        free_entries = 0
         candidates = []
         for p in pivots:
             free = full & ~((2 << p) - 1) & ~pivot_mask
-            free_entries += free.bit_count()
-            heavy = []
+            level = []
             sub = free
             while True:
                 row = (1 << p) | sub
-                if 2 * row.bit_count() >= n:
-                    heavy.append(row)
+                if heavy[row]:
+                    level.append(row)
                 if not sub:
                     break
                 sub = (sub - 1) & free
-            candidates.append(heavy)
-        examined += 1 << free_entries
+            candidates.append(level)
         extend(candidates, [], [])
     return examined, qualifying
 
@@ -673,14 +680,16 @@ def verify_beauville(
 
     For m <= 4 the scan is exhaustive over reduced bases
     (``_half_weight_bases``: each pivot set counts its 2^(free entries)
-    subspaces, and only bases whose span reaches n/2 are enumerated; the
-    per-n count is cross-checked against the q-binomial).  That count is
+    subspaces, a pivot set with a row that cannot reach n/2 is counted but
+    not searched, and only bases whose span reaches n/2 are enumerated;
+    the per-n count is cross-checked against the q-binomial).  That count is
     arithmetic, a sum of 2^(free entries), so ``subspaces`` in the report
     is not a count of visits; ``tests/oracles.py`` holds an enumerator
     that visits every reduced basis once, and the test suite checks the
     per-n counts and qualifying bases against it.
-    For larger m it samples ``samples`` random dimension-m codes per n from
-    a seeded generator, always including D_m itself at the extremal length.
+    For larger m it samples ``samples`` (at least 1) random dimension-m
+    codes per n from a seeded generator, always including D_m itself at
+    the extremal length.
     A draw of m rows is kept when ``_independent`` finds them independent;
     the half-weight test walks the span of the rows as drawn, and only a
     draw that passes it is reduced, so every basis passed on is reduced.
@@ -700,6 +709,8 @@ def verify_beauville(
     if n_max is not None and n_max < m:
         raise ValueError("n_max must be at least m")
     exhaustive = m <= MAX_EXHAUSTIVE_DIM
+    if not exhaustive and samples < 1:
+        raise ValueError("samples must be at least 1")
     if not exhaustive and m * (m - 1) // 2 > SUBSPACE_BUDGET:
         raise ResourceLimitError(
             f"sampling subspaces of dimension {m} exceeds the budget of {SUBSPACE_BUDGET}: "
@@ -726,14 +737,16 @@ def verify_beauville(
 
     def handle_qualifying(rows: list[int], n: int) -> None:
         nonlocal extremal_count
-        desc = ",".join(format(r, "b") for r in rows)
+        # the rows' text is built only for a counterexample, which prints it
         if n < extremal_n:
+            desc = ",".join(format(r, "b") for r in rows)
             counterexamples.append(
                 f"n={n} < {extremal_n}: code [{desc}] has all nonzero weights >= n/2"
             )
         elif n == extremal_n:
             extremal_count += 1
             if not _is_d_code(LinearCode(Gf2Matrix.from_ints(rows, n))):
+                desc = ",".join(format(r, "b") for r in rows)
                 counterexamples.append(f"n={n}: extremal code [{desc}] is not equivalent to D_{m}")
 
     if exhaustive:

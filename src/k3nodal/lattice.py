@@ -375,6 +375,7 @@ def _fields(packed: int, count: int, size: int) -> Sequence[int]:
     return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, count * size, size)]
 
 
+@functools.cache
 def _bias(count: int, size: int) -> int:
     """2^(w - 1) in each of count fields of size bytes: adding it makes
     every signed field a nonnegative w-bit number."""

@@ -16,6 +16,10 @@ one int).
 ``naive_code_lattice`` builds a code lattice's basis as dense 0/1 lifts
 plus 2e_j rows and its Gram matrix from dense dot products (the package
 keeps each row as bits and a scale and counts overlaps).
+``unpruned_half_weight_bases`` is the package's half-weight scan without
+its pivot-set skip or weight table: it searches every pivot set and
+counts every weight, so it fixes the order in which qualifying bases
+must be visited.
 ``naive_permutation_equivalent`` takes two codes and reads only their
 ``n``, ``k`` and generator rows; it searches lists of codeword ints
 (``span_ints``), not the package's bit-sliced columns.
@@ -184,6 +188,48 @@ def gray_half_weight_scan(n: int, m: int) -> tuple[int, set[tuple[int, ...]]]:
         else:
             found.add(tuple(rows))
     return visited, found
+
+
+def unpruned_half_weight_bases(n: int, m: int, visit) -> tuple[int, int]:
+    """The package's half-weight scan without its pivot-set skip or weight
+    table: every pivot set builds its candidate rows and runs the search,
+    and every weight is a popcount.  Returns (subspaces, qualifying bases)
+    and calls ``visit`` with each qualifying basis, in the order the
+    package's scan must keep."""
+    full = (1 << n) - 1
+    examined = qualifying = 0
+
+    def extend(candidates, rows, span):
+        nonlocal qualifying
+        if len(rows) == m:
+            qualifying += 1
+            visit(rows)
+            return
+        for row in candidates[len(rows)]:
+            words = [row ^ w for w in span]
+            if all(2 * w.bit_count() >= n for w in words):
+                extend(candidates, rows + [row], span + [row] + words)
+
+    for pivots in itertools.combinations(range(n), m):
+        pivot_mask = sum(1 << p for p in pivots)
+        free_entries = 0
+        candidates = []
+        for p in pivots:
+            free = full & ~((2 << p) - 1) & ~pivot_mask
+            free_entries += free.bit_count()
+            heavy = []
+            sub = free
+            while True:
+                row = (1 << p) | sub
+                if 2 * row.bit_count() >= n:
+                    heavy.append(row)
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+            candidates.append(heavy)
+        examined += 1 << free_entries
+        extend(candidates, [], [])
+    return examined, qualifying
 
 
 def naive_permutation_equivalent(a, b) -> bool:

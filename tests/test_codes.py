@@ -45,6 +45,7 @@ from oracles import (
     permute_bits,
     qbinom_recursive,
     span_ints,
+    unpruned_half_weight_bases,
 )
 
 EQ2_ROWS = [
@@ -695,6 +696,17 @@ def test_half_weight_scan_matches_gray_order_oracle():
                 assert all(2 * w >= s.n for w in weights if w), (m, s.n, rows)
 
 
+def test_half_weight_skip_changes_no_visit():
+    # every length up to the budget edge, (4, 4) and (4, 5) among them,
+    # where no pivot set is searched: same counts, same bases, same order
+    for m, n_max in ((2, 11), (3, 9), (4, 8)):
+        for n in range(m, n_max + 1):
+            expected, bases = [], []
+            counts = unpruned_half_weight_bases(n, m, lambda rows: expected.append(list(rows)))
+            assert codes._half_weight_bases(n, m, lambda rows: bases.append(list(rows))) == counts
+            assert bases == expected, (m, n)
+
+
 def test_verify_beauville_sampled():
     rep = verify_beauville(5, 16, samples=100, seed=3)
     assert (rep.mode, rep.extremal_n) == ("sampled", 16)
@@ -821,3 +833,7 @@ def test_verify_beauville_validation():
         verify_beauville(1, 4)
     with pytest.raises(ValueError):
         verify_beauville(3, 2)
+    # a sampled scan that draws nothing would report ok
+    for samples in (0, -1):
+        with pytest.raises(ValueError):
+            verify_beauville(5, samples=samples)
