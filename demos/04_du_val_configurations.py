@@ -2,19 +2,19 @@
 """The delta/mu calculator: how many disjoint nodal curves a du Val
 singularity configuration produces, and whether it fits on a K3 surface."""
 
-from k3nodal import DuValConfig, admissible, delta, milnor
+from k3nodal import AdmissibilityReport, DuValConfig
 
 print("Each A/D/E singularity resolves into a Dynkin tree of nodal curves;")
 print("delta counts a maximum set of pairwise disjoint ones:")
 print()
 print("  type   delta   milnor")
 for term in ("A1", "A2", "A3", "A16", "D4", "D6", "D7", "E6", "E7", "E8"):
-    cfg = DuValConfig.parse(term)
-    print(f"  {term:5s}  {delta(cfg):5d}   {milnor(cfg):6d}")
+    report = AdmissibilityReport(DuValConfig.parse(term))
+    print(f"  {term:5s}  {report.delta:5d}   {report.mu:6d}")
 
 print("\nConfigurations on a K3 surface must keep delta <= 16:")
 for text in ("A1x16", "A1x17", "A2x16", "E8x4", "E7x4", "D6x4", "D7x4", "A16x4", "A2,D4x2,E7"):
-    report = admissible(DuValConfig.parse(text))
+    report = AdmissibilityReport(DuValConfig.parse(text))
     verdict = "admissible  " if report.admissible else "INADMISSIBLE"
     ratio = f"{report.ratio}" if report.ratio is not None else "n/a"
     print(f"  {text:12s} delta={report.delta:3d} mu={report.mu:3d} "

@@ -50,11 +50,8 @@ from .duval import (
     NodalCodeConstraints,
     SuiteReport,
     TheoremCertificate,
-    admissible,
     classify_even_set,
     code_dim_lower_bound,
-    delta,
-    milnor,
     nodal_code_constraints,
     verify_all,
     verify_max_sixteen,
@@ -104,11 +101,8 @@ __all__ = [
     "NodalCodeConstraints",
     "SuiteReport",
     "TheoremCertificate",
-    "admissible",
     "classify_even_set",
     "code_dim_lower_bound",
-    "delta",
-    "milnor",
     "nodal_code_constraints",
     "verify_all",
     "verify_max_sixteen",

@@ -184,7 +184,7 @@ def _format_admissibility(report: duval.AdmissibilityReport) -> str:
 
 
 def _cmd_duval_check(ns: argparse.Namespace) -> _Result:
-    report = duval.admissible(duval.DuValConfig.parse(ns.config))
+    report = duval.AdmissibilityReport(duval.DuValConfig.parse(ns.config))
     return report.to_json_dict, lambda: _format_admissibility(report), 0 if report.admissible else 2
 
 

@@ -34,6 +34,7 @@ MAX_GENERATOR_BITS = 1 << 22
 MAX_PERM_SEARCH_LEN = 16
 MAX_EXHAUSTIVE_DIM = 4
 SUBSPACE_BUDGET = 1_000_000
+SAMPLES_PER_LENGTH = 500
 
 
 class ResourceLimitError(RuntimeError):
@@ -314,19 +315,29 @@ def is_isomorphic_to_d(c: LinearCode) -> bool:
     return all(2 * w >= c.n for w in weight_distribution(c).nonzero_weights())
 
 
-def _is_d_code(c: LinearCode) -> bool:
-    """True when c is a coordinate permutation of D_m, m = dim C >= 2.
+def _is_d_code(rows: Sequence[int], n: int) -> bool:
+    """True when the span of ``rows``, a reduced echelon basis of length-n
+    words, is a coordinate permutation of D_m, m = len(rows) >= 2.  Both
+    scans of ``verify_beauville`` pass reduced rows: ``_half_weight_bases``
+    builds them so, the sampled scan reduces each draw with ``_rref_ints``,
+    and the injected D_m is a canonical generator matrix.
 
     D_m has length 2^(m-1), contains the all-ones word and has pairwise
     distinct generator columns.  Conversely, column j of the generator
     matrix is a vector v_j of F_2^m and the all-ones word is u.G for some
     message u, so every v_j lies on the affine hyperplane u.v = 1, which
     has 2^(m-1) points; 2^(m-1) distinct columns cover it once each, as
-    the columns of D_m do in a suitable basis.  O(n m) work.
+    the columns of D_m do in a suitable basis.  In a reduced basis the
+    pivot bit of row i is set in a codeword exactly when row i is in its
+    sum; the all-ones word sets every pivot bit, so it is in the span
+    exactly when it is the XOR of every row.  O(n m) work.
     """
-    if c.k < 2 or c.n != 1 << (c.k - 1) or not c.contains((1 << c.n) - 1):
+    m = len(rows)
+    if m < 2 or n != 1 << (m - 1):
         return False
-    return len(set(_transpose_ints(c.gen.row_bits(), c.n))) == c.n
+    if functools.reduce(operator.xor, rows) != (1 << n) - 1:
+        return False
+    return len(set(_transpose_ints(rows, n))) == n
 
 
 def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
@@ -443,11 +454,13 @@ class ExtensionWitness(NamedTuple):
 class ExtensionCertificate:
     """Witness table showing D_m admits no extra coordinate.
 
-    Every witness weight equals N/2 - 1 or N/2 + 1 with N = 2^(m-1); this
-    is the one place that checks it, on construction.  For m >= 3 these
-    weights lie off the {0, N/2, N} spectrum of D_m, which is
-    the contradiction being certified; for m = 2 they collide with it and
-    the certificate is marked degenerate.  N and degeneracy come from m.
+    ``ok`` is the one place that checks the witnesses: each weight must be
+    N/2 - 1 or N/2 + 1 with N = 2^(m-1), the one its column pair forces,
+    so a table with a wrong weight is built and reads ``ok == False``.
+    For m >= 3 these weights lie off the {0, N/2, N} spectrum of D_m,
+    which is the contradiction being certified; for m = 2 they collide
+    with it and the certificate is marked degenerate.  N and degeneracy
+    come from m.
     """
 
     m: int
@@ -460,11 +473,6 @@ class ExtensionCertificate:
             raise ValueError("an extension certificate needs m >= 2")
         object.__setattr__(self, "block_length", 1 << (self.m - 1))
         object.__setattr__(self, "degenerate", self.m == 2)
-        half = self.block_length // 2
-        allowed = {half - 1, half + 1}
-        if not {e.weight for e in self.entries} <= allowed:
-            bad = next(e.weight for e in self.entries if e.weight not in allowed)
-            raise ValueError(f"witness weight {bad} is not {half} +- 1")
 
     @property
     def ok(self) -> bool:
@@ -668,9 +676,7 @@ def _weights_reach_half(rows: list[int], n: int, flips: list[int]) -> bool:
     return True
 
 
-def verify_beauville(
-    m: int, n_max: int | None = None, *, samples: int = 500, seed: int = 0
-) -> BeauvilleReport:
+def verify_beauville(m: int, n_max: int | None = None, *, seed: int = 0) -> BeauvilleReport:
     """Scan dimension-m codes in F_2^n for all n <= n_max (by default the
     extremal length 2^(m-1)) and check:
 
@@ -687,18 +693,20 @@ def verify_beauville(
     is not a count of visits; ``tests/oracles.py`` holds an enumerator
     that visits every reduced basis once, and the test suite checks the
     per-n counts and qualifying bases against it.
-    For larger m it samples ``samples`` (at least 1) random dimension-m
-    codes per n from a seeded generator, always including D_m itself at
-    the extremal length.
+    For larger m it samples SAMPLES_PER_LENGTH random dimension-m codes
+    per n from a seeded generator, always including D_m itself at the
+    extremal length.
     A draw of m rows is kept when ``_independent`` finds them independent;
     the half-weight test walks the span of the rows as drawn, and only a
     draw that passes it is reduced, so every basis passed on is reduced.
-    (b) is decided at every length by the generator columns (``_is_d_code``);
-    D_m has nonzero weights exactly {n/2, n}, so that covers the spectrum.
+    (b) is decided at every length on the reduced rows by their columns
+    (``_is_d_code``); D_m has nonzero weights exactly {n/2, n}, so that
+    covers the spectrum.
     Violations are collected as counterexample strings; ``ok`` means none.
     Both modes are bounded by SUBSPACE_BUDGET: the exhaustive scan by the
     q-binomial count, the sampled scan by its row sums, up to
-    samples * (n_max - m + 1) * (2^m - 1), checked before any code is built.
+    SAMPLES_PER_LENGTH * (n_max - m + 1) * (2^m - 1), checked before any
+    code is built.
     Before that, the sampled scan is refused on m alone when the rank test
     of a single draw, up to m(m-1)/2 row sums, exceeds the budget, so no
     count with about m bits (the default n_max among them) is built or
@@ -709,8 +717,6 @@ def verify_beauville(
     if n_max is not None and n_max < m:
         raise ValueError("n_max must be at least m")
     exhaustive = m <= MAX_EXHAUSTIVE_DIM
-    if not exhaustive and samples < 1:
-        raise ValueError("samples must be at least 1")
     if not exhaustive and m * (m - 1) // 2 > SUBSPACE_BUDGET:
         raise ResourceLimitError(
             f"sampling subspaces of dimension {m} exceeds the budget of {SUBSPACE_BUDGET}: "
@@ -719,15 +725,15 @@ def verify_beauville(
     if n_max is None:
         n_max = 1 << (m - 1)
     lengths = n_max - m + 1
-    if not exhaustive and samples * lengths > SUBSPACE_BUDGET:
+    if not exhaustive and SAMPLES_PER_LENGTH * lengths > SUBSPACE_BUDGET:
         raise ResourceLimitError(
-            f"sampling {samples} subspaces at each of {lengths} lengths exceeds "
+            f"sampling {SAMPLES_PER_LENGTH} subspaces at each of {lengths} lengths exceeds "
             f"the budget of {SUBSPACE_BUDGET}"
         )
     # a qualifying sample sums rows into each of its 2^m - 1 nonzero words
-    if not exhaustive and samples * lengths * ((1 << m) - 1) > SUBSPACE_BUDGET:
+    if not exhaustive and SAMPLES_PER_LENGTH * lengths * ((1 << m) - 1) > SUBSPACE_BUDGET:
         raise ResourceLimitError(
-            f"sampling {samples} subspaces at each of {lengths} lengths, up to "
+            f"sampling {SAMPLES_PER_LENGTH} subspaces at each of {lengths} lengths, up to "
             f"{(1 << m) - 1} words each, exceeds the budget of {SUBSPACE_BUDGET}"
         )
     extremal_n = 1 << (m - 1)
@@ -745,7 +751,7 @@ def verify_beauville(
             )
         elif n == extremal_n:
             extremal_count += 1
-            if not _is_d_code(LinearCode(Gf2Matrix.from_ints(rows, n))):
+            if not _is_d_code(rows, n):
                 desc = ",".join(format(r, "b") for r in rows)
                 counterexamples.append(f"n={n}: extremal code [{desc}] is not equivalent to D_{m}")
 
@@ -773,7 +779,7 @@ def verify_beauville(
             bases: list[list[int]] = []
             if n == extremal_n:
                 bases.append(list(code_d(m).gen.row_bits()))
-            while len(bases) < samples:
+            while len(bases) < SAMPLES_PER_LENGTH:
                 rows = [rng.getrandbits(n) for _ in range(m)]
                 if _independent(rows):
                     bases.append(rows)

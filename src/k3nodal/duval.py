@@ -10,6 +10,7 @@ for ADE singularity configurations.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -259,10 +260,19 @@ _TERM_RE = re.compile(r"^([ADE])([0-9]+)(?:X([0-9]+))?$")
 MAX_TERM_DIGITS = 2000
 
 
+def _integer(value: object, what: str) -> int:
+    """The value as an int: an int or any object with ``__index__``, but
+    not a bool."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class DuValConfig:
     """Multiset of ADE singularity types: counts of A_n (n >= 1),
-    D_n (n >= 4) and E_n (n in {6, 7, 8})."""
+    D_n (n >= 4) and E_n (n in {6, 7, 8}).  Every index and count is
+    normalized to an int; a bool or a non-integer is refused."""
 
     a: Mapping[int, int] = field(default_factory=dict)
     d: Mapping[int, int] = field(default_factory=dict)
@@ -274,8 +284,12 @@ class DuValConfig:
             ("D", self.d, lambda n: n >= 4),
             ("E", self.e, lambda n: n in (6, 7, 8)),
         ):
+            terms = [
+                (_integer(n, f"the index of {label}"), _integer(count, f"the count of {label}{n}"))
+                for n, count in counts.items()
+            ]
             cleaned = {}
-            for n, count in sorted(counts.items()):
+            for n, count in sorted(terms):
                 if not check(n):
                     raise ValueError(f"{label}{n} is not a du Val singularity type")
                 if count < 0:
@@ -332,17 +346,6 @@ def _delta_per_singularity(letter: str, n: int) -> int:
     return (n + 1) // 2
 
 
-def delta(cfg: DuValConfig) -> int:
-    """Number of disjoint nodal curves produced by resolving the
-    configuration: sum of (a_n + e_n) * floor((n+1)/2) + d_n * floor((n+2)/2)."""
-    return sum(count * _delta_per_singularity(letter, n) for letter, n, count in cfg.terms())
-
-
-def milnor(cfg: DuValConfig) -> int:
-    """Total Milnor number: sum of n over all singularities."""
-    return sum(n * count for _, n, count in cfg.terms())
-
-
 @dataclass(frozen=True)
 class TypeBreakdown:
     label: str
@@ -356,8 +359,12 @@ class TypeBreakdown:
 class AdmissibilityReport:
     """Admissibility of a configuration on a K3 surface: the resolved nodal
     curves must not exceed 16.  Every field but the configuration is
-    computed from it: delta, mu, their exact ratio (None when mu = 0), the
-    per-type breakdown, the verdict and its reasons."""
+    computed from it: the per-type breakdown, delta and mu as its sums,
+    their exact ratio (None when mu = 0), the verdict and its reasons.
+    delta counts the disjoint nodal curves of the resolution, the sum of
+    (a_n + e_n) floor((n+1)/2) + d_n floor((n+2)/2); mu is the total
+    Milnor number, the sum of n over all singularities.  This is the one
+    place either is computed."""
 
     config: DuValConfig
     delta: int = field(init=False)
@@ -403,8 +410,3 @@ class AdmissibilityReport:
             "admissible": self.admissible,
             "reasons": list(self.reasons),
         }
-
-
-def admissible(cfg: DuValConfig) -> AdmissibilityReport:
-    """The admissibility report of the configuration on a K3 surface."""
-    return AdmissibilityReport(cfg)

@@ -12,8 +12,12 @@ has one row per coordinate j: the lifted generator with pivot j, or
 times the 0/1 vector of bits, so every Gram entry is a popcount.  The
 dense basis and the doubled Gram matrix gram2_ij = sign s_i s_j
 |b_i & b_j| are built on first read, which only the two output formats
-(the JSON document and ``format_gram``) do.  Every invariant is exact
-and computed at most once per lattice:
+(the JSON document and ``format_gram``) do.  Every invariant is exact.
+The leading minors and the Smith diagonal are computed at most once per
+lattice and kept on it; integrality is not kept, but re-read from the
+isotropy of the code by every call that needs it (``is_integral``,
+``is_even``, ``discriminant_group`` and ``to_json_dict``).  The
+invariants come from:
 
 - membership from the parity word alone: the lattice is
   {x in Z^n : x mod 2 in C}, so x is a member exactly when the word of
@@ -93,8 +97,6 @@ class CodeLattice:
             raise ResourceLimitError(
                 f"a lattice of rank {self.n} exceeds the rank budget of {MAX_LATTICE_RANK}"
             )
-        if self.n < 1:
-            raise ValueError("rank must be positive")
 
     @functools.cached_property
     def basis(self) -> tuple[tuple[int, ...], ...]:

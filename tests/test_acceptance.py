@@ -20,7 +20,7 @@ from k3nodal.codes import (
     verify_no_extension,
     weight_distribution,
 )
-from k3nodal.duval import CoverVerdict, DuValConfig, admissible, classify_even_set, delta
+from k3nodal.duval import AdmissibilityReport, CoverVerdict, DuValConfig, classify_even_set
 from k3nodal.gf2 import Gf2Matrix
 from k3nodal.lattice import (
     determinant,
@@ -44,6 +44,10 @@ EQ2_ROWS = [
 
 def _report(number: int, message: str) -> None:
     print(f"PASS criterion {number}: {message}")
+
+
+def delta(cfg: DuValConfig) -> int:
+    return AdmissibilityReport(cfg).delta
 
 
 def test_criterion_1_reed_muller_fidelity(capsys):
@@ -160,12 +164,12 @@ def test_criterion_7_even_set_classification(capsys):
 
 
 def test_criterion_8_delta_mu_calculator(capsys):
-    assert admissible(DuValConfig.parse("A1x16")).admissible
+    assert AdmissibilityReport(DuValConfig.parse("A1x16")).admissible
     assert delta(DuValConfig.parse("A1x16")) == 16
-    seventeen = admissible(DuValConfig.parse("A1x17"))
+    seventeen = AdmissibilityReport(DuValConfig.parse("A1x17"))
     assert seventeen.delta == 17 and not seventeen.admissible
     for term in ("E8x4", "E7x4", "D6x4", "D7x4"):
-        report = admissible(DuValConfig.parse(term))
+        report = AdmissibilityReport(DuValConfig.parse(term))
         assert report.delta == 16 and report.admissible
     for letter, indices in (("A", range(1, 21)), ("D", range(4, 21)), ("E", (6, 7, 8))):
         for n in indices:

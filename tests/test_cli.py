@@ -161,7 +161,7 @@ def test_sampled_scan_verifies_nothing(capsys):
 
 
 def test_verify_beauville_refuted_does_not_claim_equivalence(capsys, monkeypatch):
-    monkeypatch.setattr(codes, "_is_d_code", lambda c: False)
+    monkeypatch.setattr(codes, "_is_d_code", lambda rows, n: False)
     rc, out, _ = _capture(capsys, ["verify", "beauville", "--m", "4", "--nmax", "8"])
     assert rc == 2
     lines = out.splitlines()

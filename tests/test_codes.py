@@ -12,7 +12,6 @@ from k3nodal import codes
 from k3nodal.codes import (
     MAX_GENERATOR_BITS,
     MAX_PERM_SEARCH_LEN,
-    SUBSPACE_BUDGET,
     ExtensionCertificate,
     ExtensionWitness,
     LinearCode,
@@ -413,7 +412,7 @@ def test_d_code_test_matches_permutation_oracle():
             if c.k == m:
                 family.append(c)
         for c in family:
-            fast = _is_d_code(c)
+            fast = _is_d_code(c.gen.rows, c.n)
             assert fast == permutation_equivalent(c, d), (m, c.gen.row_bits())
             agreed += 1
             positive += fast
@@ -424,8 +423,10 @@ def test_d_code_test_beyond_the_permutation_budget():
     rng = random.Random(61)
     for m in (6, 7):
         d = code_d(m)
-        assert d.n > MAX_PERM_SEARCH_LEN and _is_d_code(_shuffled(d, rng))
-    assert not _is_d_code(_column_copied(code_d(6), 0, 1))
+        shuffled = _shuffled(d, rng)
+        assert d.n > MAX_PERM_SEARCH_LEN and _is_d_code(shuffled.gen.rows, shuffled.n)
+    copied = _column_copied(code_d(6), 0, 1)
+    assert not _is_d_code(copied.gen.rows, copied.n)
 
 
 def _random_code_of_dim(rng: random.Random, n: int, k: int) -> LinearCode:
@@ -589,8 +590,7 @@ def test_extension_certificate_checks_every_witness():
 def test_extension_certificate_refuses_half_weight():
     cert = verify_no_extension(4)
     bad = ExtensionWitness(0, 1, 0, cert.block_length // 2)
-    with pytest.raises(ValueError):
-        ExtensionCertificate(cert.m, cert.entries[:-1] + (bad,))
+    assert not ExtensionCertificate(cert.m, cert.entries[:-1] + (bad,)).ok
 
 
 def _witness_table_oracle(m: int) -> list[tuple[int, int, int, int]]:
@@ -708,41 +708,51 @@ def test_half_weight_skip_changes_no_visit():
 
 
 def test_verify_beauville_sampled():
-    rep = verify_beauville(5, 16, samples=100, seed=3)
+    rep = verify_beauville(5, 16, seed=3)
     assert (rep.mode, rep.extremal_n) == ("sampled", 16)
     assert rep.ok
     assert rep.extremal_count >= 1  # the injected D_5 itself
-    again = verify_beauville(5, 16, samples=100, seed=3)
+    assert [s.examined for s in rep.per_n] == [codes.SAMPLES_PER_LENGTH] * 12
+    again = verify_beauville(5, 16, seed=3)
     assert rep.to_json_dict() == again.to_json_dict()
 
 
 def test_verify_beauville_sampled_beyond_permutation_budget():
     # at m = 6 the extremal length 32 exceeds the permutation-search budget;
     # the injected D_6 must still be recognised by its generator columns
-    rep = verify_beauville(6, 32, samples=30, seed=5)
+    rep = verify_beauville(6, 32, seed=5)
     assert rep.ok
     assert rep.extremal_count >= 1
     assert (rep.mode, rep.extremal_n) == ("sampled", 32)
 
 
 def test_verify_beauville_reports_an_extremal_code_that_is_not_d(monkeypatch):
-    monkeypatch.setattr(codes, "_is_d_code", lambda c: False)
-    rep = verify_beauville(6, 32, samples=30, seed=5)
+    monkeypatch.setattr(codes, "_is_d_code", lambda rows, n: False)
+    rep = verify_beauville(6, 32, seed=5)
     assert not rep.ok and rep.extremal_count >= 1
     assert len(rep.counterexamples) == rep.extremal_count
     for line in rep.counterexamples:
         assert re.fullmatch(r"n=32: extremal code \[[01,]+\] is not equivalent to D_6", line)
 
 
+def test_extremal_bases_are_tested_without_building_a_code(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LinearCode was built")
+
+    monkeypatch.setattr(codes, "LinearCode", refuse)
+    rep = verify_beauville(4, 8)
+    assert rep.ok and rep.extremal_count == 30
+
+
 def test_verify_beauville_sampled_digests():
     # pins the order in which the sampled scan draws from its generator and
-    # the reduced bases it keeps
+    # the reduced bases it keeps, at SAMPLES_PER_LENGTH draws per length
     expected = {
-        (5, 16, 500, 0): "751aa0095e58f5debed0f400bcb7b850c7cb65d44ce2d182bfc89224c6e28e71",
-        (6, 32, 30, 5): "ed764bbb2ec5f1e485b69849ff77383ed68affeb37b8cd81e5c8347f0b279072",
+        (5, 16, 0): "751aa0095e58f5debed0f400bcb7b850c7cb65d44ce2d182bfc89224c6e28e71",
+        (6, 32, 5): "50c8f4d2cf0e5ad1160801d90907eedafd9cc7dcf26354fb1d5a46af12705d74",
     }
-    for (m, n_max, samples, seed), digest in expected.items():
-        report = verify_beauville(m, n_max, samples=samples, seed=seed)
+    for (m, n_max, seed), digest in expected.items():
+        report = verify_beauville(m, n_max, seed=seed)
         text = json.dumps(report.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -774,8 +784,8 @@ def test_sampled_scan_hands_on_reduced_bases(monkeypatch):
     # every draw made to qualify: below the extremal length each one is a
     # counterexample that prints the basis handed on, which is reduced
     monkeypatch.setattr(codes, "_weights_reach_half", lambda rows, n, flips: True)
-    rep = verify_beauville(5, 15, samples=20, seed=1)
-    assert len(rep.counterexamples) == 20 * 11
+    rep = verify_beauville(5, 15, seed=1)
+    assert len(rep.counterexamples) == codes.SAMPLES_PER_LENGTH * 11
     for line in rep.counterexamples:
         rows = [int(r, 2) for r in re.search(r"\[([01,]+)\]", line).group(1).split(",")]
         assert naive_is_rref(rows), line
@@ -786,7 +796,7 @@ def test_verify_beauville_default_length_and_dimension_bound():
     assert verify_beauville(3).to_json_dict() == verify_beauville(3, 4).to_json_dict()
     # the mode and the extremal length are read from m, whatever was scanned
     for m in range(2, 7):
-        rep = verify_beauville(m, m, samples=5)
+        rep = verify_beauville(m, m)
         assert rep.mode == ("exhaustive" if m <= codes.MAX_EXHAUSTIVE_DIM else "sampled")
         assert rep.extremal_n == 1 << (m - 1)
         assert dataclasses.replace(rep, m=m + 1).extremal_n == 1 << m
@@ -809,14 +819,16 @@ def test_verify_beauville_sampled_budget():
     with pytest.raises(ResourceLimitError) as info:
         verify_beauville(40, 1 << 39)
     assert info.value.partial is None
-    # one length over the budget by a single sample
-    with pytest.raises(ResourceLimitError):
-        verify_beauville(5, 5, samples=SUBSPACE_BUDGET + 1)
-    with pytest.raises(ResourceLimitError):
-        verify_beauville(5, 16, samples=SUBSPACE_BUDGET // 12 + 1)
+    # 500 samples at each of 2001 lengths exceed the budget; at 2000
+    # lengths the samples fit it exactly, but their row sums do not
+    with pytest.raises(ResourceLimitError, match="at each of 2001 lengths exceeds"):
+        verify_beauville(5, 2005)
+    with pytest.raises(ResourceLimitError, match="at each of 2000 lengths, up to 31 words"):
+        verify_beauville(5, 2004)
     # within the sample budget, but up to 31 row sums per sample exceed it
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="up to 31 words"):
         verify_beauville(5, 69)
+    verify_beauville(5, 68)  # 500 * 64 * 31 = 992,000 row sums fit
 
 
 def test_verify_beauville_budget():
@@ -833,7 +845,7 @@ def test_verify_beauville_validation():
         verify_beauville(1, 4)
     with pytest.raises(ValueError):
         verify_beauville(3, 2)
-    # a sampled scan that draws nothing would report ok
-    for samples in (0, -1):
-        with pytest.raises(ValueError):
+    # the sample count is the constant SAMPLES_PER_LENGTH, not an argument
+    for samples in (0, 1, 500):
+        with pytest.raises(TypeError):
             verify_beauville(5, samples=samples)

@@ -14,17 +14,23 @@ from k3nodal.duval import (
     NodalCodeConstraints,
     SuiteReport,
     TheoremCertificate,
-    admissible,
     classify_even_set,
     code_dim_lower_bound,
-    delta,
-    milnor,
     nodal_code_constraints,
     verify_all,
     verify_max_sixteen,
 )
+from k3nodal.cli import run
 from k3nodal.codes import LinearCode
 from oracles import brute_mis, dynkin_adjacency, tree_mis
+
+
+def delta(cfg: DuValConfig) -> int:
+    return AdmissibilityReport(cfg).delta
+
+
+def milnor(cfg: DuValConfig) -> int:
+    return AdmissibilityReport(cfg).mu
 
 
 def test_classify_examples():
@@ -111,13 +117,44 @@ def test_parse_rejects(bad):
 
 def test_parse_bounds_the_digits_of_each_number():
     widest = "9" * duval.MAX_TERM_DIGITS
-    report = admissible(DuValConfig.parse(f"A{widest}x{widest},A{widest}x{widest}"))
+    report = AdmissibilityReport(DuValConfig.parse(f"A{widest}x{widest},A{widest}x{widest}"))
     # every accepted configuration prints within CPython's int-to-str limit
     assert len(str(report.mu)) == 2 * duval.MAX_TERM_DIGITS + 1
     json.dumps(report.to_json_dict())
     for bad in (f"A{widest}9", f"A1x{widest}9"):
         with pytest.raises(ValueError, match="more than 2000 digits"):
             DuValConfig.parse(bad)
+
+
+def test_config_refuses_non_integer_indices_and_counts():
+    for kwargs in (
+        {"a": {True: 1}},
+        {"a": {2.5: 1}},
+        {"d": {"4": 1}},
+        {"e": {None: 1}},
+        {"a": {1: True}},
+        {"a": {1: 1.0}},
+        {"e": {8: Fraction(1)}},
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            DuValConfig(**kwargs)
+    with pytest.raises(ValueError, match="negative count for A1"):
+        DuValConfig(a={1: -1})
+
+
+def test_config_normalizes_index_objects_to_ints():
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    cfg = DuValConfig(a={Index(2): Index(3)}, e={Index(8): 1})
+    assert cfg == DuValConfig(a={2: 3}, e={8: 1})
+    assert cfg.canonical() == "A2x3,E8"
+    assert all(type(x) is int for x in (*cfg.a, *cfg.a.values(), *cfg.e))
+    assert delta(cfg) == 3 + 4
 
 
 def test_delta_examples():
@@ -185,18 +222,18 @@ def test_single_type_inequalities():
 
 
 def test_admissible_examples():
-    seventeen = admissible(DuValConfig.parse("A1x17"))
+    seventeen = AdmissibilityReport(DuValConfig.parse("A1x17"))
     assert not seventeen.admissible
     assert seventeen.delta == 17
     assert seventeen.reasons
-    four_e8 = admissible(DuValConfig.parse("E8x4"))
+    four_e8 = AdmissibilityReport(DuValConfig.parse("E8x4"))
     assert four_e8.admissible
     assert (four_e8.delta, four_e8.mu) == (16, 32)
     assert four_e8.ratio == Fraction(1, 2)
-    sixteen_a2 = admissible(DuValConfig.parse("A2x16"))
+    sixteen_a2 = AdmissibilityReport(DuValConfig.parse("A2x16"))
     assert sixteen_a2.admissible
     assert (sixteen_a2.delta, sixteen_a2.mu) == (16, 32)
-    empty = admissible(DuValConfig())
+    empty = AdmissibilityReport(DuValConfig())
     assert empty.admissible and empty.ratio is None
 
 
@@ -205,7 +242,7 @@ def test_admissible_iff_delta_at_most_16():
     for _ in range(60):
         counts = {n: rng.randint(0, 3) for n in rng.sample(range(1, 12), 3)}
         cfg = DuValConfig(a=counts)
-        assert admissible(cfg).admissible == (delta(cfg) <= 16)
+        assert AdmissibilityReport(cfg).admissible == (delta(cfg) <= 16)
 
 
 def test_admissibility_report_is_computed_from_its_config():
@@ -217,10 +254,13 @@ def test_admissibility_report_is_computed_from_its_config():
             e={n: rng.randint(0, 3) for n in rng.sample((6, 7, 8), rng.randint(0, 3))},
         )
         report = AdmissibilityReport(cfg)
-        assert report == admissible(cfg)
-        assert report.delta == delta(cfg) and report.mu == milnor(cfg)
-        assert report.admissible == (delta(cfg) <= 16) == (not report.reasons)
-    seventeen = admissible(DuValConfig.parse("A1x17"))
+        assert report == AdmissibilityReport(cfg)
+        # the sums checked against the Dynkin-tree oracle and the indices
+        terms = list(cfg.terms())
+        assert report.delta == sum(c * tree_mis(dynkin_adjacency(letter, n)) for letter, n, c in terms)
+        assert report.mu == sum(n * c for _, n, c in terms)
+        assert report.admissible == (report.delta <= 16) == (not report.reasons)
+    seventeen = AdmissibilityReport(DuValConfig.parse("A1x17"))
     assert dataclasses.replace(seventeen, config=DuValConfig.parse("A1x16")).admissible
     for derived in ("delta", "mu", "ratio", "nodal_count_per_type", "admissible", "reasons"):
         with pytest.raises(TypeError):
@@ -228,7 +268,7 @@ def test_admissibility_report_is_computed_from_its_config():
 
 
 def test_admissible_json_schema():
-    payload = admissible(DuValConfig.parse("A1x16")).to_json_dict()
+    payload = AdmissibilityReport(DuValConfig.parse("A1x16")).to_json_dict()
     assert payload["config"] == "A1x16"
     assert payload["delta"] == 16
     assert payload["mu"] == 16
@@ -243,7 +283,7 @@ def test_admissible_json_schema():
 def test_four_a16_is_inadmissible():
     # A16 contributes 8 disjoint curves under the floor formula, so four of
     # them total 32 and exceed the bound (unlike four D6/D7/E7/E8)
-    report = admissible(DuValConfig.parse("A16x4"))
+    report = AdmissibilityReport(DuValConfig.parse("A16x4"))
     assert report.delta == 32
     assert not report.admissible
 
@@ -324,3 +364,19 @@ def test_theorem_refuted_by_an_incomplete_witness_table(monkeypatch):
 
     monkeypatch.setattr(duval, "verify_no_extension", short)
     assert not verify_max_sixteen().ok
+
+
+def test_theorem_refuted_by_a_wrong_witness_weight(monkeypatch, capsys):
+    full = duval.verify_no_extension
+
+    def wrong(m):
+        cert = full(m)
+        bad = cert.entries[0]._replace(weight=cert.block_length // 2)
+        return ExtensionCertificate(cert.m, (bad,) + cert.entries[1:])
+
+    monkeypatch.setattr(duval, "verify_no_extension", wrong)
+    cert = verify_max_sixteen()
+    assert not cert.seventeen_step.ok and not cert.ok
+    capsys.readouterr()
+    assert run(["verify", "no-seventeen"]) == 2
+    assert capsys.readouterr().out.splitlines()[-1].startswith("THEOREM REFUTED: ")

@@ -120,6 +120,15 @@ def test_kernel_examples():
     assert z.nrows == 3
 
 
+def test_matrix_refuses_no_columns_and_rows_that_do_not_fit():
+    for cols in (0, -1):
+        with pytest.raises(ValueError, match="column count must be positive"):
+            Gf2Matrix((), cols)
+    for rows in ((-1,), (0b100,)):
+        with pytest.raises(ValueError, match="rows must be ints"):
+            Gf2Matrix(rows, 2)
+
+
 def test_transpose():
     m = parse_matrix_text("110\n011")
     t = Gf2Matrix.from_ints(_transpose_ints(m.row_bits(), m.cols), m.nrows)

@@ -38,8 +38,11 @@ D5_TEXT = "\n".join(
 
 # "D5" in an argv stands for the path of a file holding D5_TEXT, "RM26"
 # for the path of a file holding what ``code rm --degree 2 --m 6`` prints
-# (an integral code lattice of rank 64), and "RM18" for the path of a file
-# holding what ``code rm --degree 1 --m 8`` prints (a lattice of rank 256)
+# (an integral code lattice of rank 64), "RM18" for the path of a file
+# holding what ``code rm --degree 1 --m 8`` prints (a lattice of rank 256),
+# and "RM13" for the path of a file holding what ``code rm --degree 1 --m 3``
+# prints (RM(1,3) is self-dual and doubly even, so its lattice is E_8, with
+# determinant 1 and a trivial discriminant group)
 GOLDEN_CLI = {
     "verify all": "61250777e1f3bea3dd60de2c8487eb4e2725d3fea450afa760f32fcb4a219485",
     "verify all --json": "ebcb6bfc5e79358fb8674689fcc36922c45a69ffafc1a0e6719cf6cd9371328b",
@@ -80,6 +83,8 @@ GOLDEN_CLI = {
     "lattice gamma --in RM26 --neg --json": "0146a3e7ba13f96ecd6c8ea61f6ba606c19e2ecd3d62881d0a81b168ae019b05",
     "lattice gamma --in RM18": "d761af3d7dea558bde48397b56c370e06cc5d098d2c24fef777425f941054b7b",
     "lattice gamma --in RM18 --json": "1bfcece02efc2375911f25084bcd67dde6ebc3f653ce28e7060bc32a31022fd0",
+    "lattice gamma --in RM13": "d008498a3fba32fe22c80656434f92b7afbadc02ef2d9fa73353f9d5062cf9ce",
+    "lattice gamma --in RM13 --json": "b5c5aff7762d006c4ccef97c380f238220c724213fe83807b63bbd180aaa8441",
 }
 
 GOLDEN_DEMOS = {
@@ -122,7 +127,10 @@ def code_files(tmp_path, capsys):
     assert run(["code", "rm", "--degree", "1", "--m", "8"]) == 0
     rm18 = tmp_path / "rm18.txt"
     rm18.write_text(capsys.readouterr().out)
-    return {"D5": d5, "RM26": rm26, "RM18": rm18}
+    assert run(["code", "rm", "--degree", "1", "--m", "3"]) == 0
+    rm13 = tmp_path / "rm13.txt"
+    rm13.write_text(capsys.readouterr().out)
+    return {"D5": d5, "RM26": rm26, "RM18": rm18, "RM13": rm13}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_CLI))

@@ -164,6 +164,21 @@ def test_discriminant_group_examples():
         discriminant_group(gamma_from_code(_full_code(2)))
 
 
+def test_discriminant_group_refusals_and_trivial_text():
+    for divisors in ((1,), (2, 1), (0,), (-2,)):
+        with pytest.raises(ValueError, match="must exceed 1"):
+            lattice.DiscriminantGroup(divisors)
+    for divisors in ((4, 2), (2, 4, 6)):
+        with pytest.raises(ValueError, match="divide the next"):
+            lattice.DiscriminantGroup(divisors)
+    assert str(lattice.DiscriminantGroup((2, 4, 8))) == "Z/2 x Z/4 x Z/8"
+    assert lattice.DiscriminantGroup(()).order == 1
+    # RM(1,3) is self-dual and doubly even: its lattice is E_8, unimodular
+    e8 = gamma_from_code(reed_muller(1, 3))
+    assert is_integral(e8) and is_even(e8) and determinant(e8) == 1
+    assert str(discriminant_group(e8)) == "trivial"
+
+
 def test_discriminant_order_equals_determinant():
     rng = random.Random(73)
     checked = 0
