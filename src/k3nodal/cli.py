@@ -10,10 +10,10 @@ refuted, 1 on usage or I/O errors.  All output is deterministic; pass
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import codes, duval, lattice
 from .gf2 import Gf2Matrix, parse_matrix_text
@@ -231,29 +231,37 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``.  Every group and leaf command is registered
-    with its help, but only the ones whose name is a token of argv are
-    filled in: a group gets its leaf commands, and a leaf its arguments,
-    ``--json`` and handler.  The others are bare, without ``-h``.
+def _on_path(commands: Iterable[tuple], token: str | None) -> list[tuple]:
+    """The commands named ``token`` when one is; otherwise all of them."""
+    return [command for command in commands if command[0] == token] or list(commands)
 
-    This keeps every output byte.  argparse hands the rest of argv only to
-    the sub-parser whose exact name it read there, so a bare parser is
-    never run.  The choice lists, ``-h`` output and "invalid choice" errors
-    read only names and help, which every parser has.
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The full parser cut to the command path that ``argv`` starts with.
+    When ``argv[0]`` is a group name only that group is built, and when
+    ``argv[1]`` is also one of its leaves only that leaf; otherwise every
+    group or leaf at that level is, so help, usage errors, options first
+    and ``--`` see the full tree, and ``build_parser([])`` is the full
+    tree.  Every parser that is built is complete: ``-h``, arguments,
+    ``--json`` and handler.
+
+    This keeps every output byte.  argparse picks a sub-parser by the
+    exact token in the command position, and each parser's only
+    positional is its sub-parser action, which takes that token and hands
+    the rest of argv to the sub-parser named by it.  So no sibling on
+    another path is run, listed in help, or named in an error: those need
+    a command-position token that is an option or not a name, and then
+    every sibling is built.
     """
-    named = set(argv)
+    group_token = argv[0] if argv else None
+    # a leaf is cut only below a group that is cut
+    leaf_token = argv[1] if len(argv) > 1 and group_token in _COMMANDS else None
     parser = _Parser(prog="k3nodal", description=__doc__)
     groups = parser.add_subparsers(dest="group", required=True)
-    for group, (group_help, leaves) in _COMMANDS.items():
-        group_parser = groups.add_parser(group, help=group_help, add_help=group in named)
-        if group not in named:
-            continue
-        sub = group_parser.add_subparsers(dest="cmd", required=True)
-        for name, leaf_help, handler, arguments in leaves:
-            leaf = sub.add_parser(name, help=leaf_help, add_help=name in named)
-            if name not in named:
-                continue
+    for group, (group_help, leaves) in _on_path(_COMMANDS.items(), group_token):
+        sub = groups.add_parser(group, help=group_help).add_subparsers(dest="cmd", required=True)
+        for name, leaf_help, handler, arguments in _on_path(leaves, leaf_token):
+            leaf = sub.add_parser(name, help=leaf_help)
             for flag, options in arguments:
                 leaf.add_argument(flag, **options)
             leaf.add_argument("--json", action="store_true", help="emit the JSON schema instead of text")
@@ -261,11 +269,40 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     return parser
 
 
+def _json(value: object, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, without the
+    pure-Python encoder that ``json`` runs whenever ``indent`` is set.
+    The checks come in ``json``'s order, but on exact types, so a str or
+    int subclass (an enum member) raises ``TypeError`` like any other
+    type instead of being written as its base."""
+    kind, inner = type(value), pad + "  "
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list or kind is tuple:
+        brackets, items = "[]", [_json(item, inner) for item in value]
+    elif kind is dict:
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{pad}{brackets[1]}"
+
+
 def run(argv: list[str]) -> int:
     try:
         ns = build_parser(argv).parse_args(argv)
         document, text, status = ns.func(ns)
-        print(json.dumps(document(), indent=2, sort_keys=True) if ns.json else text())
+        print(_json(document()) if ns.json else text())
         return status
     except SystemExit as exc:  # --help exits through argparse
         return 0 if exc.code in (0, None) else 1

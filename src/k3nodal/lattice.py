@@ -12,12 +12,12 @@ has one row per coordinate j: the lifted generator with pivot j, or
 times the 0/1 vector of bits, so every Gram entry is a popcount.  The
 dense basis and the doubled Gram matrix gram2_ij = sign s_i s_j
 |b_i & b_j| are built on first read, which only the two output formats
-(the JSON document and ``format_gram``) do.  Every invariant is exact.
-The leading minors and the Smith diagonal are computed at most once per
-lattice and kept on it; integrality is not kept, but re-read from the
-isotropy of the code by every call that needs it (``is_integral``,
-``is_even``, ``discriminant_group`` and ``to_json_dict``).  The
-invariants come from:
+(the JSON document and ``format_gram``) do; gram2 takes popcounts only
+between generators, since a 2e_j row pairs with a generator through the
+generator's bit j.  Every invariant is exact.  Integrality (the isotropy
+of the code), the leading minors and the Smith diagonal are each
+computed at most once per lattice and kept on it.  The invariants come
+from:
 
 - membership from the parity word alone: the lattice is
   {x in Z^n : x mod 2 in C}, so x is a member exactly when the word of
@@ -77,11 +77,11 @@ class CodeLattice:
     argument, and equality, hashing and repr are those of (code, sign).
     The true Gram matrix is gram2 / 2; keeping the doubled copy as plain
     integers keeps every computation exact without a fraction type in hot
-    paths.  The dense basis, gram2, the leading minors and the Smith
-    diagonal are computed on first use and kept on the instance; no
-    invariant reads the basis or gram2.  The basis is upper triangular
-    with respect to the leading coordinate, with diagonal 1 at pivots and
-    2 elsewhere.  A sign other than +1 or -1 and a rank above
+    paths.  The dense basis, gram2, integrality, the leading minors and
+    the Smith diagonal are computed on first use and kept on the
+    instance; no invariant reads the basis or gram2.  The basis is upper
+    triangular with respect to the leading coordinate, with diagonal 1 at
+    pivots and 2 elsewhere.  A sign other than +1 or -1 and a rank above
     MAX_LATTICE_RANK are refused before any basis row is built.
     """
 
@@ -105,14 +105,27 @@ class CodeLattice:
 
     @functools.cached_property
     def gram2(self) -> tuple[tuple[int, ...], ...]:
-        """The doubled Gram matrix, gram2_ij = sign s_i s_j |b_i & b_j|."""
-        rows, n = self._rows, self.n
-        # each entry is computed once, for j >= i, and mirrored
+        """The doubled Gram matrix, gram2_ij = sign s_i s_j |b_i & b_j|.
+        Only the k x k block of generator pairs needs popcounts: a 2e_a
+        row holds 4 sign on its diagonal, 2 sign against each generator
+        with bit a, read from column a of the generators, and 0 elsewhere.
+        Each entry is set once and mirrored."""
+        n, sign = self.n, self.sign
+        gens, pivots = self.code.gen.rows, self.code.pivots()
         gram = [[0] * n for _ in range(n)]
-        for i, (bi, si) in enumerate(rows):
-            scale, row = self.sign * si, gram[i]
-            for j, (bj, sj) in enumerate(rows[i:], i):
-                row[j] = gram[j][i] = scale * sj * (bi & bj).bit_count()
+        for i, (p, g) in enumerate(zip(pivots, gens)):
+            row = gram[p]
+            for q, h in zip(pivots[i:], gens[i:]):
+                row[q] = gram[q][p] = sign * (g & h).bit_count()
+        cols = _transpose_ints(gens, n)  # bit i of column a is bit a of generator i
+        for a in set(range(n)).difference(pivots):
+            row, col = gram[a], cols[a]
+            row[a] = 4 * sign
+            while col:
+                low = col & -col
+                p = pivots[low.bit_length() - 1]
+                row[p] = gram[p][a] = 2 * sign
+                col ^= low
         return tuple(map(tuple, gram))
 
     @functools.cached_property
@@ -123,6 +136,11 @@ class CodeLattice:
         return tuple(
             (by_leading[j], 1) if j in by_leading else (1 << j, 2) for j in range(self.code.n)
         )
+
+    @functools.cached_property
+    def _integral(self) -> bool:
+        """Whether the true Gram matrix is integral (``is_integral``)."""
+        return is_isotropic(self.code)
 
     @functools.cached_property
     def _minors2(self) -> tuple[int, ...]:
@@ -286,8 +304,9 @@ def even_eight_lattice() -> CodeLattice:
 def is_integral(lat: CodeLattice) -> bool:
     """True when the true Gram matrix is integral, equivalently when the
     source code is isotropic: a 2e_j row pairs evenly with every row, and
-    two lifted generators pair to half their overlap."""
-    return is_isotropic(lat.code)
+    two lifted generators pair to half their overlap.  Read once per
+    lattice and kept on it."""
+    return lat._integral
 
 
 def is_even(lat: CodeLattice) -> bool:

@@ -16,6 +16,9 @@ one int).
 ``naive_code_lattice`` builds a code lattice's basis as dense 0/1 lifts
 plus 2e_j rows and its Gram matrix from dense dot products (the package
 keeps each row as bits and a scale and counts overlaps).
+``popcount_gram2`` is the package's former doubled Gram build: one
+popcount per entry on and above the diagonal over (bits, scale) rows,
+mirrored (the package takes popcounts only between generators).
 ``unpruned_half_weight_bases`` is the package's half-weight scan without
 its pivot-set skip or weight table: it searches every pivot set and
 counts every weight, so it fixes the order in which qualifying bases
@@ -416,6 +419,22 @@ def naive_code_lattice(code, sign: int) -> tuple[list[list[int]], list[list[int]
     basis = [by_leading.get(j) or [2 * (t == j) for t in range(n)] for j in range(n)]
     gram2 = [[sign * sum(x * y for x, y in zip(a, b)) for b in basis] for a in basis]
     return basis, gram2
+
+
+def popcount_gram2(code, sign: int) -> tuple[tuple[int, ...], ...]:
+    """The doubled Gram matrix of the code's lattice as n(n+1)/2 popcounts,
+    gram2_ij = sign s_i s_j |b_i & b_j|, over the basis rows sorted by
+    leading coordinate j as (bits, scale) pairs: the generator with lowest
+    bit j (scale 1), or 2e_j (scale 2).  Reads only the code's ``n`` and
+    generator rows."""
+    n = code.n
+    by_leading = {(g & -g).bit_length() - 1: g for g in code.gen.rows}
+    rows = [(by_leading[j], 1) if j in by_leading else (1 << j, 2) for j in range(n)]
+    gram = [[0] * n for _ in range(n)]
+    for i, (bi, si) in enumerate(rows):
+        for j, (bj, sj) in enumerate(rows[i:], i):
+            gram[i][j] = gram[j][i] = sign * si * sj * (bi & bj).bit_count()
+    return tuple(map(tuple, gram))
 
 
 def naive_smith_diagonal(mat: list[list[int]]) -> list[int]:

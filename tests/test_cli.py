@@ -1,16 +1,18 @@
 import json
 import os
 import random
+import string
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from k3nodal import cli, codes, duval, lattice
 from k3nodal.cli import run
-from test_golden import COMMAND_NAMES, GOLDEN_CLI, code_files  # noqa: F401 (code_files is a fixture)
+from test_golden import GOLDEN_CLI, code_files  # noqa: F401 (code_files is a fixture)
 
 # stands for a file of a random [4096, 24] code, written by the test: 2^24
 # codewords fit the dimension budget, 4096 x 2^24 codeword bits do not
@@ -362,6 +364,11 @@ PRUNING_CORPUS = [
     ["code", "d", "--m", "check"],
     ["code", "dual", "--in", "all"],
     ["verify", "all", "duval"],
+    ["duval", "duval"],
+    ["duval", "--json", "check", "A1x16"],
+    ["duval", "check"],
+    ["verify", "all", "--", "x"],
+    ["code", "rm", "--degree", "1", "--m", "3", "extra"],
 ]
 
 
@@ -370,7 +377,7 @@ def test_pruned_parser_prints_what_the_full_parser_prints(argv, code_files, caps
     argv = [str(code_files.get(arg, arg)) for arg in argv]
     pruned = _capture(capsys, argv)
     build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda _: build(COMMAND_NAMES))
+    monkeypatch.setattr(cli, "build_parser", lambda _: build([]))
     assert _capture(capsys, argv) == pruned
 
 
@@ -391,19 +398,69 @@ def test_run_builds_only_the_parsers_argv_names(capsys, monkeypatch):
 
     monkeypatch.setattr(cli._Parser, "__init__", counted)
     assert _capture(capsys, ["duval", "check", "A1x16"])[0] == 0
-    # the top parser, the four groups and duval's two leaves
-    assert built == [
-        "k3nodal",
-        "k3nodal code",
-        "k3nodal lattice",
-        "k3nodal verify",
-        "k3nodal duval",
-        "k3nodal duval check",
-        "k3nodal duval classify-even-set",
-    ]
+    # the top parser and the two on argv's command path
+    assert built == ["k3nodal", "k3nodal duval", "k3nodal duval check"]
     built.clear()
-    cli.build_parser(COMMAND_NAMES)
+    cli.build_parser([])
     assert len(built) == 1 + len(_GROUPS) + len(_LEAVES) == 16
+
+
+_JSON_TEXT = string.printable + '"\\\x00\x1f\x7f\u00e9\u2603\U0001f600'
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_JSON_TEXT) for _ in range(rng.randrange(6)))
+
+
+def _random_document(rng, depth=0):
+    kind = rng.randrange(7 if depth < 4 else 4)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.choice([None, True, False])
+    if kind == 2:
+        return rng.randint(-3, 3)
+    if kind == 3:
+        return rng.randint(-(2**70), 2**70)
+    items = [_random_document(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    return {_random_text(rng): item for item in items}
+
+
+def test_json_writer_matches_stdlib_json():
+    rng = random.Random(25)
+    for _ in range(2000):
+        document = _random_document(rng)
+        assert cli._json(document) == json.dumps(document, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("command", sorted(c for c in GOLDEN_CLI if "--json" in c))
+def test_json_writer_matches_stdlib_json_on_every_golden_document(command, code_files, capsys, monkeypatch):
+    documents = []
+    write = cli._json
+
+    def recorded(value, pad="\n"):
+        if pad == "\n":
+            documents.append(value)
+        return write(value, pad)
+
+    monkeypatch.setattr(cli, "_json", recorded)
+    out = _capture(capsys, [str(code_files.get(arg, arg)) for arg in command.split()])[1]
+    assert len(documents) == 1
+    assert out == json.dumps(documents[0], indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(1, 2), 0.5, duval.CoverVerdict.IMPOSSIBLE, {"a": [1, {"b": Fraction(1, 2)}]}],
+    ids=["Fraction", "float", "str enum", "nested Fraction"],
+)
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
 
 
 def test_only_the_printed_rendering_is_built(capsys, monkeypatch):
@@ -414,6 +471,18 @@ def test_only_the_printed_rendering_is_built(capsys, monkeypatch):
     assert _capture(capsys, ["lattice", "kummer", "--json"])[0] == 0
     monkeypatch.setattr(duval.SuiteReport, "to_json_dict", unused)
     assert _capture(capsys, ["verify", "all"])[0] == 0
+
+
+def test_integrality_is_read_once_per_lattice(code_files, capsys, monkeypatch):
+    calls = []
+    isotropic = lattice.is_isotropic
+    monkeypatch.setattr(lattice, "is_isotropic", lambda code: calls.append(code) or isotropic(code))
+    # D_5 is isotropic, so the text reads integrality, evenness and the discriminant group
+    assert _capture(capsys, ["lattice", "gamma", "--in", str(code_files["D5"])])[0] == 0
+    assert len(calls) == 1
+    calls.clear()
+    lattice.gamma_from_code(codes.code_d(5)).to_json_dict()
+    assert len(calls) == 1
 
 
 def _fresh_run(argv):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from k3nodal.cli import _COMMANDS, build_parser, run
+from k3nodal.cli import build_parser, run
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -154,12 +154,9 @@ def _leaf_commands(parser: argparse.ArgumentParser) -> list[list[str]]:
     return [[]]
 
 
-# every group and leaf name; the parser fills in only the commands its argv names
-COMMAND_NAMES = [*_COMMANDS, *(leaf[0] for _, leaves in _COMMANDS.values() for leaf in leaves)]
-
-
 def test_every_command_is_pinned():
-    leaves = _leaf_commands(build_parser(COMMAND_NAMES))
+    # an empty argv names no command, so its parser is the full tree
+    leaves = _leaf_commands(build_parser([]))
     assert len(leaves) == 11
     for leaf in leaves:
         pinned = [c.split() for c in GOLDEN_CLI if c.split()[: len(leaf)] == leaf]

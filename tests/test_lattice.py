@@ -30,6 +30,7 @@ from oracles import (
     naive_leading_minors,
     naive_rank,
     naive_smith_diagonal,
+    popcount_gram2,
 )
 
 
@@ -322,6 +323,17 @@ def test_code_lattice_matches_naive_construction():
                 vec[rng.randrange(n)] += rng.choice([-1, 1])
                 member = naive_rank(gens + [[x % 2 for x in vec]]) == c.k
                 assert lat.contains(vec) == member
+
+
+def test_gram2_matches_the_popcount_double_loop():
+    rng = random.Random(151)
+    cases = [reed_muller(r, m) for m in range(1, 9) for r in range(m + 1)]
+    cases += [code_d(m) for m in range(2, 8)]
+    cases += [LinearCode.zero(9), LinearCode.repetition(9)]
+    cases += [_random_code(rng, rng.randint(1, 96)) for _ in range(40)]
+    for c in cases:
+        for sign in (1, -1):
+            assert gamma_from_code(c, sign).gram2 == popcount_gram2(c, sign), (c.n, c.k, sign)
 
 
 @pytest.mark.parametrize("r, m", [(2, 7), (3, 8)])
