@@ -13,7 +13,7 @@ import argparse
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import codes, duval, lattice
 from .gf2 import Gf2Matrix, parse_matrix_text
@@ -231,42 +231,52 @@ _COMMANDS = {
 }
 
 
-def _on_path(commands: Iterable[tuple], token: str | None) -> list[tuple]:
-    """The commands named ``token`` when one is; otherwise all of them."""
-    return [command for command in commands if command[0] == token] or list(commands)
+# (group, leaf) -> (help, handler, arguments), for every leaf in _COMMANDS
+_LEAVES = {(group, name): leaf for group, (_, leaves) in _COMMANDS.items() for name, *leaf in leaves}
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The full parser cut to the command path that ``argv`` starts with.
-    When ``argv[0]`` is a group name only that group is built, and when
-    ``argv[1]`` is also one of its leaves only that leaf; otherwise every
-    group or leaf at that level is, so help, usage errors, options first
-    and ``--`` see the full tree, and ``build_parser([])`` is the full
-    tree.  Every parser that is built is complete: ``-h``, arguments,
-    ``--json`` and handler.
+def _fill_leaf(parser: _Parser, handler: Callable, arguments: tuple) -> _Parser:
+    """``parser`` with a leaf's arguments, ``--json`` and handler."""
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.add_argument("--json", action="store_true", help="emit the JSON schema instead of text")
+    parser.set_defaults(func=handler)
+    return parser
 
-    This keeps every output byte.  argparse picks a sub-parser by the
-    exact token in the command position, and each parser's only
-    positional is its sub-parser action, which takes that token and hands
-    the rest of argv to the sub-parser named by it.  So no sibling on
-    another path is run, listed in help, or named in an error: those need
-    a command-position token that is an option or not a name, and then
-    every sibling is built.
-    """
-    group_token = argv[0] if argv else None
-    # a leaf is cut only below a group that is cut
-    leaf_token = argv[1] if len(argv) > 1 and group_token in _COMMANDS else None
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every group and leaf, each with its help."""
     parser = _Parser(prog="k3nodal", description=__doc__)
     groups = parser.add_subparsers(dest="group", required=True)
-    for group, (group_help, leaves) in _on_path(_COMMANDS.items(), group_token):
+    for group, (group_help, leaves) in _COMMANDS.items():
         sub = groups.add_parser(group, help=group_help).add_subparsers(dest="cmd", required=True)
-        for name, leaf_help, handler, arguments in _on_path(leaves, leaf_token):
-            leaf = sub.add_parser(name, help=leaf_help)
-            for flag, options in arguments:
-                leaf.add_argument(flag, **options)
-            leaf.add_argument("--json", action="store_true", help="emit the JSON schema instead of text")
-            leaf.set_defaults(func=handler)
+        for name, leaf_help, handler, arguments in leaves:
+            _fill_leaf(sub.add_parser(name, help=leaf_help), handler, arguments)
     return parser
+
+
+def _leaf_parser(group: str, name: str) -> _Parser:
+    """The parser of one leaf, built alone: the sub-parser that the full
+    tree reaches through ``group`` and ``name``."""
+    _, handler, arguments = _LEAVES[group, name]
+    return _fill_leaf(_Parser(prog=f"k3nodal {group} {name}"), handler, arguments)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the leaf parser that its first two tokens name, or
+    else by the full tree (help, usage errors, an option or ``--`` first,
+    a bare group, a group and a token that is not one of its leaves).
+
+    This keeps every output byte.  argparse picks a sub-parser by the
+    exact token in the command position and hands it the rest of argv,
+    and a sub-parser's ``prog`` is its parent's plus that token.  So a
+    group and one of its leaves in the first two places reach the parser
+    that ``_leaf_parser`` builds, which prints and raises what it would
+    in the full tree.
+    """
+    if tuple(argv[:2]) in _LEAVES:
+        return _leaf_parser(*argv[:2]).parse_args(argv[2:])
+    return build_parser().parse_args(argv)
 
 
 def _json(value: object, pad: str = "\n") -> str:
@@ -300,7 +310,7 @@ def _json(value: object, pad: str = "\n") -> str:
 
 def run(argv: list[str]) -> int:
     try:
-        ns = build_parser(argv).parse_args(argv)
+        ns = _parse(argv)
         document, text, status = ns.func(ns)
         print(_json(document()) if ns.json else text())
         return status

@@ -40,6 +40,14 @@ K3_EULER = 24
 K3_B2 = 22
 
 
+def _integer(value: object, what: str) -> int:
+    """The value as an int: an int or any object with ``__index__``, but
+    not a bool."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 class CoverVerdict(str, Enum):
     EMPTY = "Empty"
     K3_COVER = "K3Cover"
@@ -61,8 +69,10 @@ def classify_even_set(k: int) -> EvenSetClass:
     The cover's Euler number is e = 48 - 3k.  Noether's formula forces
     e/12 = 2 - q with q = 0 (a K3 cover) or q = 2 (a complex torus); any
     other k is impossible.  The verdicts are derived from this arithmetic,
-    never from a hard-coded list of sizes.
+    never from a hard-coded list of sizes.  A bool or a non-integer k is
+    refused.
     """
+    k = _integer(k, "the set size")
     if k < 0:
         raise ValueError("set size must be nonnegative")
     if k == 0:
@@ -79,7 +89,9 @@ def classify_even_set(k: int) -> EvenSetClass:
 
 def code_dim_lower_bound(n: int) -> int:
     """Lower bound n - b2/2 (clamped at 0), b2 = 22, for the dimension of
-    the code of n disjoint nodal curves on a K3 surface."""
+    the code of n disjoint nodal curves on a K3 surface.  A bool or a
+    non-integer n is refused."""
+    n = _integer(n, "the curve count")
     if n < 0:
         raise ValueError("curve count must be nonnegative")
     return max(0, n - K3_B2 // 2)
@@ -89,7 +101,8 @@ def code_dim_lower_bound(n: int) -> int:
 class NodalCodeConstraints:
     """What the K3 arithmetic forces on the code of n disjoint nodal curves.
     The allowed weights {8, 16} within reach of n and the dimension bound
-    for b2 = 22 are read from n, not passed."""
+    for b2 = 22 are read from n, not passed, and n is normalized to an
+    int; a bool or a non-integer is refused."""
 
     n: int
     allowed_nonzero_weights: tuple[int, ...] = field(init=False)
@@ -98,6 +111,7 @@ class NodalCodeConstraints:
     forced_code_name: str | None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "the curve count"))
         object.__setattr__(self, "allowed_nonzero_weights", tuple(w for w in (8, 16) if w <= self.n))
         object.__setattr__(self, "dim_lower_bound", code_dim_lower_bound(self.n))
 
@@ -107,7 +121,9 @@ def nodal_code_constraints(n: int) -> NodalCodeConstraints:
     they force, if any.  They force D_5 at n = 16, and the zero code when
     no allowed weight is at most n (n < 8).  At n = 8 they force none:
     eight disjoint nodal curves have the code {0} or the all-ones line, the
-    line exactly when they form an even set."""
+    line exactly when they form an even set.  A bool or a non-integer n
+    is refused."""
+    n = _integer(n, "the curve count")
     if n < 1:
         raise ValueError("curve count must be positive")
     if n == 16:
@@ -258,14 +274,6 @@ _TERM_RE = re.compile(r"^([ADE])([0-9]+)(?:X([0-9]+))?$")
 # products of two such numbers, so every accepted configuration prints
 # within CPython's 4300-digit limit on int-to-str conversion.
 MAX_TERM_DIGITS = 2000
-
-
-def _integer(value: object, what: str) -> int:
-    """The value as an int: an int or any object with ``__index__``, but
-    not a bool."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -376,8 +377,7 @@ PRUNING_CORPUS = [
 def test_pruned_parser_prints_what_the_full_parser_prints(argv, code_files, capsys, monkeypatch):
     argv = [str(code_files.get(arg, arg)) for arg in argv]
     pruned = _capture(capsys, argv)
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda _: build([]))
+    monkeypatch.setattr(cli, "_LEAVES", {})
     assert _capture(capsys, argv) == pruned
 
 
@@ -398,11 +398,85 @@ def test_run_builds_only_the_parsers_argv_names(capsys, monkeypatch):
 
     monkeypatch.setattr(cli._Parser, "__init__", counted)
     assert _capture(capsys, ["duval", "check", "A1x16"])[0] == 0
-    # the top parser and the two on argv's command path
-    assert built == ["k3nodal", "k3nodal duval", "k3nodal duval check"]
+    # a full command path builds its leaf parser alone
+    assert built == ["k3nodal duval check"]
     built.clear()
-    cli.build_parser([])
+    cli.build_parser()
     assert len(built) == 1 + len(_GROUPS) + len(_LEAVES) == 16
+
+
+def _sub_parsers(parser):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _parser_fields(parser):
+    """What a parser parses and prints with: its settings, its defaults
+    (the handler among them) and every field of every action."""
+    settings = ("prog", "usage", "description", "epilog", "formatter_class", "prefix_chars",
+                "fromfile_prefix_chars", "argument_default", "conflict_handler", "add_help",
+                "allow_abbrev", "exit_on_error")
+    actions = [
+        (type(a), {k: v for k, v in vars(a).items() if k != "container"}) for a in parser._actions
+    ]
+    return type(parser), {s: getattr(parser, s) for s in settings}, parser._defaults, actions
+
+
+def test_leaf_table_matches_the_full_tree():
+    tree = {
+        (group, name): leaf
+        for group, sub in _sub_parsers(cli.build_parser()).items()
+        for name, leaf in _sub_parsers(sub).items()
+    }
+    assert list(cli._LEAVES) == list(tree) and len(tree) == 11
+    for (group, name), sub in tree.items():
+        leaf = cli._leaf_parser(group, name)
+        assert leaf.prog == sub.prog == f"k3nodal {group} {name}"
+        assert leaf._defaults["func"] is sub._defaults["func"] is cli._LEAVES[group, name][1]
+        assert _parser_fields(leaf) == _parser_fields(sub)
+        assert leaf.format_help() == sub.format_help()
+
+
+# tokens that the fuzz inserts: names, options, values and junk
+_FUZZ_TOKENS = [
+    *_GROUPS, *(name for _, name in _LEAVES), "-h", "--help", "--", "-", "", "--json", "--js",
+    "--m", "--degree", "--k", "--nmax", "--in", "--neg", "--m=3", "--k=8", "--bogus", "-x",
+    "0", "1", "2", "3", "4", "-1", "99", "x", "A1x16", "A1x17", "D3", "A1 x2", "D5", "missing",
+]
+# the golden commands that run in a few milliseconds
+_FUZZ_COMMANDS = [c.split() for c in sorted(GOLDEN_CLI) if "RM18" not in c and "RM26" not in c]
+
+
+def _fuzz_argv(rng):
+    """A golden command, or nothing, with up to three tokens inserted,
+    deleted or replaced."""
+    argv = list(rng.choice(_FUZZ_COMMANDS)) if rng.random() < 0.8 else []
+    for _ in range(rng.randrange(4)):
+        i, edit = rng.randrange(len(argv) + 1), rng.randrange(3)
+        if edit == 0 or i == len(argv):
+            argv.insert(i, rng.choice(_FUZZ_TOKENS))
+        elif edit == 1:
+            del argv[i]
+        else:
+            argv[i] = rng.choice(_FUZZ_TOKENS)
+    return argv
+
+
+def test_leaf_dispatch_prints_what_the_full_tree_prints_on_fuzzed_argv(code_files, capsys, monkeypatch):
+    rng = random.Random(26)
+    corpus = [[str(code_files.get(arg, arg)) for arg in _fuzz_argv(rng)] for _ in range(300)]
+    # both parsing routes are taken often
+    assert 100 < sum(tuple(argv[:2]) in cli._LEAVES for argv in corpus) < 200
+    leaf = [_capture(capsys, argv) for argv in corpus]
+    assert [_capture(capsys, argv) for argv in corpus] == leaf
+    monkeypatch.setattr(cli, "_LEAVES", {})
+    full = [_capture(capsys, argv) for argv in corpus]
+    for argv, result, expected in zip(corpus, leaf, full):
+        assert result == expected, argv
+        rc, out, err = result
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in out + err, argv
+    assert {rc for rc, _, _ in leaf} == {0, 1, 2}
 
 
 _JSON_TEXT = string.printable + '"\\\x00\x1f\x7f\u00e9\u2603\U0001f600'

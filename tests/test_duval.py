@@ -33,6 +33,16 @@ def milnor(cfg: DuValConfig) -> int:
     return AdmissibilityReport(cfg).mu
 
 
+class Index:
+    """An integer that is not an int: it has only ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_classify_examples():
     assert classify_even_set(8).verdict is CoverVerdict.K3_COVER
     assert classify_even_set(8).euler_of_cover == 24
@@ -97,6 +107,28 @@ def test_nodal_code_constraints():
         NodalCodeConstraints(16, (8, 16), 5, code_d(5), "D5")
 
 
+@pytest.mark.parametrize("function", [classify_even_set, code_dim_lower_bound, nodal_code_constraints])
+@pytest.mark.parametrize("bad", [8.0, 16.5, True, False, "8", None, Fraction(8)])
+def test_curve_counts_refuse_bools_and_non_integers(function, bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        function(bad)
+
+
+def test_curve_counts_normalize_index_objects_to_ints():
+    assert classify_even_set(Index(8)) == classify_even_set(8)
+    assert type(classify_even_set(Index(8)).euler_of_cover) is int
+    assert code_dim_lower_bound(Index(16)) == 5
+    c16 = nodal_code_constraints(Index(16))
+    assert c16 == nodal_code_constraints(16)
+    assert type(c16.n) is int
+    assert nodal_code_constraints(Index(3)).forced_code == LinearCode.zero(3)
+    built = NodalCodeConstraints(Index(16), c16.forced_code, c16.forced_code_name)
+    assert built == c16 and type(built.n) is int
+    for bad in (16.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            NodalCodeConstraints(bad, None, None)
+
+
 def test_parse_grammar():
     cfg = DuValConfig.parse("a2, D4x2 ,e7")
     assert cfg.a == {2: 1}
@@ -143,13 +175,6 @@ def test_config_refuses_non_integer_indices_and_counts():
 
 
 def test_config_normalizes_index_objects_to_ints():
-    class Index:
-        def __init__(self, value):
-            self.value = value
-
-        def __index__(self):
-            return self.value
-
     cfg = DuValConfig(a={Index(2): Index(3)}, e={Index(8): 1})
     assert cfg == DuValConfig(a={2: 3}, e={8: 1})
     assert cfg.canonical() == "A2x3,E8"

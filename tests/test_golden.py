@@ -155,8 +155,7 @@ def _leaf_commands(parser: argparse.ArgumentParser) -> list[list[str]]:
 
 
 def test_every_command_is_pinned():
-    # an empty argv names no command, so its parser is the full tree
-    leaves = _leaf_commands(build_parser([]))
+    leaves = _leaf_commands(build_parser())
     assert len(leaves) == 11
     for leaf in leaves:
         pinned = [c.split() for c in GOLDEN_CLI if c.split()[: len(leaf)] == leaf]
