@@ -10,6 +10,7 @@ refuted, 1 on usage or I/O errors.  All output is deterministic; pass
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -245,7 +246,8 @@ def _fill_leaf(parser: _Parser, handler: Callable, arguments: tuple) -> _Parser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser: every group and leaf, each with its help."""
+    """The full parser: every group and leaf, each with its help, built
+    anew on every call."""
     parser = _Parser(prog="k3nodal", description=__doc__)
     groups = parser.add_subparsers(dest="group", required=True)
     for group, (group_help, leaves) in _COMMANDS.items():
@@ -255,9 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
 def _leaf_parser(group: str, name: str) -> _Parser:
     """The parser of one leaf, built alone: the sub-parser that the full
-    tree reaches through ``group`` and ``name``."""
+    tree reaches through ``group`` and ``name``.  Each leaf parser is
+    built once per process and reused: ``parse_args`` starts a new
+    namespace from the defaults on every call and formats usage, help
+    and errors when it prints them, so a reused parser prints what a new
+    one would.  Reuse pays only in a process that calls ``run`` more than
+    once on a leaf (a program that embeds the CLI, the tests); a
+    ``k3nodal`` process runs one command and builds its parser once
+    either way."""
     _, handler, arguments = _LEAVES[group, name]
     return _fill_leaf(_Parser(prog=f"k3nodal {group} {name}"), handler, arguments)
 
@@ -266,6 +276,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     """argv parsed by the leaf parser that its first two tokens name, or
     else by the full tree (help, usage errors, an option or ``--`` first,
     a bare group, a group and a token that is not one of its leaves).
+    The leaf parser is the process's one copy of it; the full tree is
+    built anew on every call.
 
     This keeps every output byte.  argparse picks a sub-parser by the
     exact token in the command position and hands it the rest of argv,

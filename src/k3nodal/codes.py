@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
-from .gf2 import Gf2Matrix, _rref_ints, _transpose_ints, is_rref, kernel
+from .gf2 import Gf2Matrix, _integer, _rref_ints, _transpose_ints, is_rref, kernel
 
 MAX_ENUM_DIM = 28
 MAX_ENUM_BITS = 1 << 34
@@ -67,6 +67,7 @@ class LinearCode:
     @classmethod
     def repetition(cls, n: int) -> LinearCode:
         """The line spanned by the all-ones word."""
+        n = _integer(n, "n")
         return cls(Gf2Matrix(((1 << n) - 1,), n))
 
     def pivots(self) -> tuple[int, ...]:
@@ -268,6 +269,7 @@ def reed_muller_generators(max_degree: int, m: int) -> Gf2Matrix:
     MAX_GENERATOR_BITS entries in all are refused before any row is built:
     a row longer than the budget on m alone, before the rows are counted.
     """
+    max_degree, m = _integer(max_degree, "max_degree"), _integer(m, "m")
     if m < 1:
         raise ValueError("m must be at least 1")
     if not 0 <= max_degree <= m:
@@ -300,6 +302,7 @@ def reed_muller(max_degree: int, m: int) -> LinearCode:
 def code_d(m: int) -> LinearCode:
     """The affine-functions code D_m: length 2^(m-1), dimension m,
     nonzero weights 2^(m-2) and 2^(m-1)."""
+    m = _integer(m, "m")
     if m < 2:
         raise ValueError("D_m requires m >= 2")
     return reed_muller(1, m - 1)
@@ -430,6 +433,7 @@ def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
 
 def gaussian_binomial(n: int, k: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional space over GF(2)."""
+    n, k = _integer(n, "n"), _integer(k, "k")
     if k < 0 or k > n:
         return 0
     num = den = 1
@@ -528,6 +532,7 @@ def verify_no_extension(m: int) -> ExtensionCertificate:
     in it, so the weight is N/2 - 1 + 2 * (bit j of k), read from a list
     of m - 1 weights per k; each k's entries are one comprehension.
     """
+    m = _integer(m, "m")
     if not 2 <= m <= 8:
         raise ValueError("verify_no_extension supports 2 <= m <= 8")
     nbig = 1 << (m - 1)
@@ -712,6 +717,9 @@ def verify_beauville(m: int, n_max: int | None = None, *, seed: int = 0) -> Beau
     count with about m bits (the default n_max among them) is built or
     printed for such an m.
     """
+    m = _integer(m, "m")
+    if n_max is not None:
+        n_max = _integer(n_max, "n_max")
     if m < 2:
         raise ValueError("verify_beauville requires m >= 2")
     if n_max is not None and n_max < m:

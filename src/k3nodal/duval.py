@@ -10,7 +10,6 @@ for ADE singularity configurations.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,6 +25,7 @@ from .codes import (
     verify_no_extension,
     weight_distribution,
 )
+from .gf2 import _integer
 from .lattice import (
     determinant,
     discriminant_group,
@@ -38,14 +38,6 @@ from .lattice import (
 
 K3_EULER = 24
 K3_B2 = 22
-
-
-def _integer(value: object, what: str) -> int:
-    """The value as an int: an int or any object with ``__index__``, but
-    not a bool."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 class CoverVerdict(str, Enum):

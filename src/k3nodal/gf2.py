@@ -9,8 +9,19 @@ operation is a pure function, so unrestricted concurrent use is safe.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+
+def _integer(value: object, what: str) -> int:
+    """The value as an int: an int or any object with ``__index__``, but
+    not a bool."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -26,6 +37,7 @@ class Gf2Matrix:
     cols: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "cols", _integer(self.cols, "the column count"))
         if self.cols < 1:
             raise ValueError("column count must be positive")
         if self.rows and (min(self.rows) < 0 or max(self.rows) >> self.cols):

@@ -63,7 +63,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .codes import LinearCode, ResourceLimitError, code_d, is_isotropic
-from .gf2 import _rref_ints, _transpose_ints
+from .gf2 import _integer, _rref_ints, _transpose_ints
 
 MAX_LATTICE_RANK = 256
 
@@ -81,8 +81,9 @@ class CodeLattice:
     the Smith diagonal are computed on first use and kept on the
     instance; no invariant reads the basis or gram2.  The basis is upper
     triangular with respect to the leading coordinate, with diagonal 1 at
-    pivots and 2 elsewhere.  A sign other than +1 or -1 and a rank above
-    MAX_LATTICE_RANK are refused before any basis row is built.
+    pivots and 2 elsewhere.  A sign other than the integer +1 or -1 (a
+    bool or a float among them) and a rank above MAX_LATTICE_RANK are
+    refused before any basis row is built.
     """
 
     code: LinearCode
@@ -90,6 +91,7 @@ class CodeLattice:
     n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sign", _integer(self.sign, "the sign"))
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         object.__setattr__(self, "n", self.code.n)

@@ -26,6 +26,8 @@ must be visited.
 ``naive_permutation_equivalent`` takes two codes and reads only their
 ``n``, ``k`` and generator rows; it searches lists of codeword ints
 (``span_ints``), not the package's bit-sliced columns.
+``Index`` is an integer that is not an int, for the tests of the int
+parameters.
 """
 
 from __future__ import annotations
@@ -34,6 +36,16 @@ import itertools
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import comb, gcd
+
+
+class Index:
+    """An integer that is not an int: it has only ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 def matrix_coords(m) -> list[list[int]]:

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import random
@@ -397,12 +398,20 @@ def test_run_builds_only_the_parsers_argv_names(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli._leaf_parser.cache_clear()
     assert _capture(capsys, ["duval", "check", "A1x16"])[0] == 0
-    # a full command path builds its leaf parser alone
+    # a full command path builds its leaf parser alone, once per process
     assert built == ["k3nodal duval check"]
     built.clear()
-    cli.build_parser()
-    assert len(built) == 1 + len(_GROUPS) + len(_LEAVES) == 16
+    assert _capture(capsys, ["duval", "check", "A1x17"])[0] == 2
+    assert _capture(capsys, ["duval", "check", "-h"])[0] == 0
+    assert _capture(capsys, ["duval", "check", "A1x16", "--bogus"])[0] == 1
+    assert built == []
+    # the full tree is built anew on every call
+    for _ in range(2):
+        cli.build_parser()
+        assert len(built) == 1 + len(_GROUPS) + len(_LEAVES) == 16
+        built.clear()
 
 
 def _sub_parsers(parser):
@@ -437,6 +446,45 @@ def test_leaf_table_matches_the_full_tree():
         assert leaf.format_help() == sub.format_help()
 
 
+def _cold_capture(capsys, argv):
+    """``_capture`` with every leaf parser built anew."""
+    cli._leaf_parser.cache_clear()
+    return _capture(capsys, argv)
+
+
+# each leaf's calls: an option given and then left out, --json and text,
+# help and usage errors between good calls
+_INTERLEAVED = {
+    ("code", "rm"): [["--degree", "1", "--m", "3", "--json"], ["--degree", "0", "--m", "3"], ["-h"],
+                     ["--m", "3"], ["--degree", "1", "--m", "3"]],
+    ("code", "d"): [["--m", "4", "--json"], ["--m", "3"], ["--bogus"], ["--m", "1"], ["--m", "4"]],
+    ("code", "weights"): [["--in", "D5", "--json"], ["--in", "RM13"], ["-h"], ["--in", "missing"],
+                          ["--in", "D5"]],
+    ("code", "dual"): [["--in", "RM13", "--json"], ["--in", "D5"], [], ["--in", "RM13"]],
+    ("lattice", "gamma"): [["--in", "D5", "--neg"], ["--in", "D5"], ["--in", "D5", "--neg", "--json"],
+                           ["--neg"], ["--in", "D5", "--json"]],
+    ("lattice", "kummer"): [["--json"], [], ["x"], ["-h"], ["--json"]],
+    ("verify", "beauville"): [["--m", "3", "--nmax", "5"], ["--m", "3"],
+                              ["--m", "3", "--nmax", "5", "--json"], ["--nmax", "5"], ["--m", "3", "--json"]],
+    ("verify", "no-seventeen"): [["--json"], [], ["--bogus"], ["--json"]],
+    ("verify", "all"): [["--json"], ["-h"], [], ["--json", "x"], ["--json"]],
+    ("duval", "check"): [["A1x16", "--json"], ["A1x17"], ["-h"], [], ["A2,D4x2,E7"], ["A1x16", "--json"]],
+    ("duval", "classify-even-set"): [["--k", "8", "--json"], ["--k", "5"], ["--k"], ["--k", "16"]],
+}
+
+
+def test_reused_leaf_parsers_keep_no_options_between_calls(code_files, capsys):
+    assert list(_INTERLEAVED) == list(cli._LEAVES)
+    per_leaf = [[[*leaf, *(str(code_files.get(a, a)) for a in args)] for args in calls]
+                for leaf, calls in _INTERLEAVED.items()]
+    # each leaf's calls in turn, then one call of each leaf in turn
+    calls = [argv for runs in per_leaf for argv in runs]
+    calls += [argv for runs in itertools.zip_longest(*per_leaf) for argv in runs if argv]
+    warm = [_capture(capsys, argv) for argv in calls]
+    assert warm == [_cold_capture(capsys, argv) for argv in calls]
+    assert {rc for rc, _, _ in warm} == {0, 1, 2}
+
+
 # tokens that the fuzz inserts: names, options, values and junk
 _FUZZ_TOKENS = [
     *_GROUPS, *(name for _, name in _LEAVES), "-h", "--help", "--", "-", "", "--json", "--js",
@@ -469,6 +517,9 @@ def test_leaf_dispatch_prints_what_the_full_tree_prints_on_fuzzed_argv(code_file
     assert 100 < sum(tuple(argv[:2]) in cli._LEAVES for argv in corpus) < 200
     leaf = [_capture(capsys, argv) for argv in corpus]
     assert [_capture(capsys, argv) for argv in corpus] == leaf
+    assert cli._leaf_parser.cache_info().currsize <= len(cli._LEAVES)
+    # a reused leaf parser prints what a new one prints
+    assert [_cold_capture(capsys, argv) for argv in corpus] == leaf
     monkeypatch.setattr(cli, "_LEAVES", {})
     full = [_capture(capsys, argv) for argv in corpus]
     for argv, result, expected in zip(corpus, leaf, full):
@@ -594,9 +645,12 @@ def test_code_dual_budget(tmp_path, capsys):
     )
 
 
-def test_run_keeps_no_state_between_calls(tmp_path, capsys):
+def test_run_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
     # a good command, a usage error, a budget refusal and the good command
-    # again, in one process, each print and exit as in a new interpreter
+    # again, in one process, each print and exit as in a new interpreter;
+    # then help, an unknown option and an option left out on the reused
+    # parsers of duval check and verify beauville
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the same width in both
     good, refused = tmp_path / "d5.txt", tmp_path / "rm1_12.txt"
     good.write_text(str(codes.reed_muller_generators(1, 4)))
     refused.write_text(str(codes.reed_muller_generators(1, 12)))
@@ -605,13 +659,20 @@ def test_run_keeps_no_state_between_calls(tmp_path, capsys):
         ["code", "rm", "--m", "4"],
         ["code", "dual", "--in", str(refused)],
         ["code", "dual", "--in", str(good), "--json"],
+        ["duval", "check", "A1x16,E8", "--json"],
+        ["duval", "check", "A1x17"],
+        ["duval", "check", "-h"],
+        ["duval", "check", "--bogus"],
+        ["duval", "check", "A1x16,E8", "--json"],
+        ["verify", "beauville", "--m", "3", "--nmax", "5", "--json"],
+        ["verify", "beauville", "--m", "3"],
     ]
     results = []
     for argv in calls:
         rc, out, err = _capture(capsys, argv)
         results.append((rc, out.encode(), err.encode()))
-    assert [rc for rc, _, _ in results] == [0, 1, 1, 0]
-    assert results[0] == results[3]
+    assert [rc for rc, _, _ in results] == [0, 1, 1, 0, 2, 2, 0, 1, 2, 0, 0]
+    assert results[0] == results[3] and results[4] == results[8]
     assert results == [_fresh_run(argv) for argv in calls]
 
 

@@ -31,7 +31,9 @@ from k3nodal.codes import (
     weight_distribution,
 )
 from k3nodal.gf2 import Gf2Matrix, _rref_ints, _transpose_ints, kernel, parse_matrix_text
+from k3nodal.lattice import CodeLattice
 from oracles import (
+    Index,
     gray_half_weight_scan,
     gray_weight_distribution,
     macwilliams_dual_counts,
@@ -57,6 +59,40 @@ EQ2_ROWS = [
 
 def _full_code(n: int) -> LinearCode:
     return LinearCode(Gf2Matrix.from_ints([1 << i for i in range(n)], n))
+
+
+# (call with one int parameter left open, a good value for it)
+INT_PARAMETERS = {
+    "Gf2Matrix cols": (lambda v: Gf2Matrix((), v), 3),
+    "LinearCode.zero": (LinearCode.zero, 3),
+    "LinearCode.repetition": (LinearCode.repetition, 3),
+    "reed_muller_generators max_degree": (lambda v: reed_muller_generators(v, 3), 1),
+    "reed_muller_generators m": (lambda v: reed_muller_generators(1, v), 3),
+    "code_d": (code_d, 3),
+    "gaussian_binomial n": (lambda v: gaussian_binomial(v, 2), 4),
+    "gaussian_binomial k": (lambda v: gaussian_binomial(4, v), 2),
+    "verify_no_extension": (verify_no_extension, 3),
+    "verify_beauville m": (verify_beauville, 3),
+    "verify_beauville n_max": (lambda v: verify_beauville(3, v), 5),
+    "CodeLattice sign": (lambda v: CodeLattice(code_d(3), v), -1),
+}
+
+
+@pytest.mark.parametrize("name", INT_PARAMETERS)
+@pytest.mark.parametrize("bad", [1.0, 3.0, True, False], ids=repr)
+def test_int_parameters_refuse_bools_and_non_integers(name, bad):
+    call, _ = INT_PARAMETERS[name]
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", INT_PARAMETERS)
+def test_int_parameters_normalize_index_objects_to_ints(name):
+    call, good = INT_PARAMETERS[name]
+    result, expected = call(Index(good)), call(good)
+    # an Index left in a field would show in the repr and break equality
+    assert result == expected
+    assert repr(result) == repr(expected)
 
 
 def _random_code(rng: random.Random, n: int, max_rows: int | None = None) -> LinearCode:

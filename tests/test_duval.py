@@ -22,7 +22,7 @@ from k3nodal.duval import (
 )
 from k3nodal.cli import run
 from k3nodal.codes import LinearCode
-from oracles import brute_mis, dynkin_adjacency, tree_mis
+from oracles import Index, brute_mis, dynkin_adjacency, tree_mis
 
 
 def delta(cfg: DuValConfig) -> int:
@@ -31,16 +31,6 @@ def delta(cfg: DuValConfig) -> int:
 
 def milnor(cfg: DuValConfig) -> int:
     return AdmissibilityReport(cfg).mu
-
-
-class Index:
-    """An integer that is not an int: it has only ``__index__``."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
 
 
 def test_classify_examples():
