@@ -347,17 +347,23 @@ def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
     """Decide whether some coordinate permutation maps the codeword set of
     a onto that of b.
 
-    Backtracks over the image of each coordinate, pruning with per-column
-    weight profiles and a partition refinement of the two codeword sets:
-    at depth t, words grouped by their bits on the first t source columns
-    must match groups of the same size on the chosen target columns.
-    Codes of different dimension are never equivalent and return False.
-    Both codeword sets are bit-sliced: column j is one 2^k-bit int whose
-    bit u is coordinate j of codeword u (message-index order), looked up
-    from the column's message mask in the ``_block_characters(k)`` tables
-    as ``weight_distribution`` does (k <= n/2 <= 8, one block).  So a group
-    of words is one mask, a weight class comes from ``_weight_classes``,
-    and a profile or a refinement step is an AND and a ``bit_count``.
+    Backtracks over the image of each coordinate, pruned only by a
+    partition refinement of the two codeword sets: the groups start as the
+    weight classes, and at depth t the words grouped by their bits on the
+    first t source columns must match groups of the same size on the
+    chosen target columns.  So a target whose weight profile (its ones in
+    each weight class) differs from the source column's fails at once.
+    Before the search, the two multisets of column profiles must agree:
+    otherwise some source column has no target, and a search that met it
+    last would fail there once for every partial map of the columns
+    before it.  Codes of different dimension are never equivalent and
+    return False.  Both codeword sets are bit-sliced: column j is one
+    2^k-bit int whose bit u is coordinate j of codeword u (message-index
+    order), looked up from the column's message mask in the
+    ``_block_characters(k)`` tables as ``weight_distribution`` does
+    (k <= n/2 <= 8, one block).  So a group of words is one mask, a weight
+    class comes from ``_weight_classes``, and a profile or a refinement
+    step is an AND and a ``bit_count``.
     A coordinate permutation preserves the dot product, so when k > n - k
     the search compares the duals, whose codeword sets are the smaller.
     ``tests/oracles.py`` keeps the list-based search as a reference.
@@ -368,9 +374,6 @@ def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
         raise ResourceLimitError(
             f"permutation search is limited to length {MAX_PERM_SEARCH_LEN}"
         )
-    # canonical generators: equal codeword sets have equal matrices
-    if a.gen == b.gen:
-        return True
     if 2 * a.k > a.n:
         a, b = dual(a), dual(b)
     full, below, above = _block_characters(a.k)
@@ -379,34 +382,25 @@ def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
         [below[m & ((1 << half) - 1)] ^ above[m >> half] for m in _transpose_ints(c.gen.rows, c.n)]
         for c in (a, b)
     )
-    classes_a = {w: mask for mask, w in _weight_classes(cols_a, full)}
-    classes_b = {w: mask for mask, w in _weight_classes(cols_b, full)}
-    sizes = {w: mask.bit_count() for w, mask in classes_a.items()}
-    if sizes != {w: mask.bit_count() for w, mask in classes_b.items()}:
+    classes_a, classes_b = (sorted((w, m) for m, w in _weight_classes(cols, full)) for cols in (cols_a, cols_b))
+
+    def profiles(classes: list[tuple[int, int]], cols: list[int]) -> tuple[list[int], list[list[int]]]:
+        return [w for w, _ in classes], sorted([(m & col).bit_count() for _, m in classes] for col in cols)
+
+    # the ones of a class of N words of weight w add up to w N over the
+    # columns, so equal profile multisets make the classes equal in size
+    if profiles(classes_a, cols_a) != profiles(classes_b, cols_b):
         return False
     n = a.n
-    weights = sorted(classes_a)
-
-    def profile(classes: dict[int, int], col: int) -> tuple[int, ...]:
-        return tuple((classes[wt] & col).bit_count() for wt in weights)
-
-    prof_b = [profile(classes_b, col) for col in cols_b]
-    cands = []
-    for col in cols_a:
-        pj = profile(classes_a, col)
-        matching = tuple(c for c in range(n) if prof_b[c] == pj)
-        if not matching:
-            return False
-        cands.append(matching)
     # a group is (words of a, words of b, their common size)
-    groups = [(classes_a[wt], classes_b[wt], sizes[wt]) for wt in weights]
+    groups = [(ga, gb, ga.bit_count()) for (_, ga), (_, gb) in zip(classes_a, classes_b)]
     used = [False] * n
 
     def extend(col: int, groups: list[tuple[int, int, int]]) -> bool:
         if col == n:
             return True
         col_a = cols_a[col]
-        for c in cands[col]:
+        for c in range(n):
             if used[c]:
                 continue
             col_b = cols_b[c]
@@ -473,6 +467,7 @@ class ExtensionCertificate:
     entries: tuple[ExtensionWitness, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _integer(self.m, "m"))
         if self.m < 2:
             raise ValueError("an extension certificate needs m >= 2")
         object.__setattr__(self, "block_length", 1 << (self.m - 1))
@@ -573,6 +568,8 @@ class BeauvilleReport:
     counterexamples: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _integer(self.m, "m"))
+        object.__setattr__(self, "n_max", _integer(self.n_max, "n_max"))
         object.__setattr__(self, "mode", "exhaustive" if self.m <= MAX_EXHAUSTIVE_DIM else "sampled")
         object.__setattr__(self, "extremal_n", 1 << (self.m - 1))
 

@@ -28,7 +28,8 @@ def _integer(value: object, what: str) -> int:
 class Gf2Matrix:
     """Matrix over GF(2) stored as a tuple of int rows, bit j = column j.
 
-    Every row lies in [0, 2^cols).  Zero-row matrices are legal; they carry
+    Every row lies in [0, 2^cols); rows given as any iterable are stored
+    as a tuple of exact ints.  Zero-row matrices are legal; they carry
     the column count explicitly and represent the generator set of the
     zero code.
     """
@@ -40,12 +41,14 @@ class Gf2Matrix:
         object.__setattr__(self, "cols", _integer(self.cols, "the column count"))
         if self.cols < 1:
             raise ValueError("column count must be positive")
-        if self.rows and (min(self.rows) < 0 or max(self.rows) >> self.cols):
+        rows = tuple(r if type(r) is int else _integer(r, "a row") for r in self.rows)
+        object.__setattr__(self, "rows", rows)
+        if rows and (min(rows) < 0 or max(rows) >> self.cols):
             raise ValueError(f"rows must be ints in [0, 2^{self.cols})")
 
     @classmethod
     def from_ints(cls, bits: Iterable[int], cols: int) -> Gf2Matrix:
-        return cls(tuple(bits), cols)
+        return cls(bits, cols)
 
     @property
     def nrows(self) -> int:

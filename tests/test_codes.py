@@ -12,6 +12,7 @@ from k3nodal import codes
 from k3nodal.codes import (
     MAX_GENERATOR_BITS,
     MAX_PERM_SEARCH_LEN,
+    BeauvilleReport,
     ExtensionCertificate,
     ExtensionWitness,
     LinearCode,
@@ -64,6 +65,7 @@ def _full_code(n: int) -> LinearCode:
 # (call with one int parameter left open, a good value for it)
 INT_PARAMETERS = {
     "Gf2Matrix cols": (lambda v: Gf2Matrix((), v), 3),
+    "Gf2Matrix row": (lambda v: Gf2Matrix((v,), 3), 1),
     "LinearCode.zero": (LinearCode.zero, 3),
     "LinearCode.repetition": (LinearCode.repetition, 3),
     "reed_muller_generators max_degree": (lambda v: reed_muller_generators(v, 3), 1),
@@ -75,6 +77,9 @@ INT_PARAMETERS = {
     "verify_beauville m": (verify_beauville, 3),
     "verify_beauville n_max": (lambda v: verify_beauville(3, v), 5),
     "CodeLattice sign": (lambda v: CodeLattice(code_d(3), v), -1),
+    "ExtensionCertificate m": (lambda v: ExtensionCertificate(v, ()), 3),
+    "BeauvilleReport m": (lambda v: BeauvilleReport(v, 4, (), 0, ()), 3),
+    "BeauvilleReport n_max": (lambda v: BeauvilleReport(3, v, (), 0, ()), 4),
 }
 
 
@@ -472,6 +477,46 @@ def _random_code_of_dim(rng: random.Random, n: int, k: int) -> LinearCode:
             return c
 
 
+def _spectrum_and_profiles(c: LinearCode) -> tuple[tuple, list[tuple]]:
+    """The weight distribution of c and each column's weight profile: how
+    many codewords of each weight have a 1 in that column."""
+
+    def weights(words: list[int]) -> tuple:
+        return tuple(sorted(Counter(w.bit_count() for w in words).items()))
+
+    words = span_ints(c.gen.rows)
+    return weights(words), [weights([w for w in words if w >> j & 1]) for j in range(c.n)]
+
+
+def _profile_split_pair(rng: random.Random, n: int, k: int) -> tuple[LinearCode, LinearCode]:
+    """Two [n, k] codes a, b with one weight distribution, where some column
+    of a has a weight profile that no column of b has, so no permutation
+    maps a onto b.  Those columns of a are moved to the end, where the
+    search meets them last.  a and b are direct sums of two [n0, k0] codes
+    with one weight distribution, found by random draws (n0 in 7..8 and k0
+    in 3..4, where such pairs are common), and one random code; a direct
+    sum's weight enumerator is the product of its summands'."""
+    while True:
+        n0 = rng.choice([m for m in (7, 8) if m < n])
+        k0 = rng.choice([m for m in (3, 4) if m <= k <= m + n - n0])
+        seen = {}
+        while True:
+            a0 = _random_code_of_dim(rng, n0, k0)
+            spectrum, profiles = _spectrum_and_profiles(a0)
+            b0, profiles_b0 = seen.setdefault(spectrum, (a0, profiles))
+            if not set(profiles) <= set(profiles_b0):
+                break
+        tail = [r << n0 for r in _random_code_of_dim(rng, n - n0, k - k0).gen.rows]
+        a, b = (from_generators(Gf2Matrix.from_ints(list(x.gen.rows) + tail, n)) for x in (a0, b0))
+        (spectrum_a, profiles_a), (spectrum_b, profiles_b) = map(_spectrum_and_profiles, (a, b))
+        assert spectrum_a == spectrum_b
+        odd = [j for j in range(n) if profiles_a[j] not in profiles_b]
+        if odd:
+            rest = [j for j in range(n) if j not in odd]
+            rng.shuffle(rest)
+            return _permuted(a, rest + odd), _shuffled(b, rng)
+
+
 def test_permutation_equivalent_matches_list_oracle():
     rng = random.Random(67)
     pairs = []
@@ -492,6 +537,10 @@ def test_permutation_equivalent_matches_list_oracle():
         n = rng.randint(1, 10)
         k = rng.randint(0, n)
         pairs.append((_random_code_of_dim(rng, n, k), _random_code_of_dim(rng, n, k)))
+    # one weight distribution, with a column profile of a that b lacks
+    for _ in range(40):
+        n = rng.randint(8, 12)
+        pairs.append(_profile_split_pair(rng, n, rng.randint(3, n - 4)))
     rm24 = reed_muller(2, 4)
     pairs += [(_shuffled(rm24, rng), rm24) for _ in range(2)]
     # one weight distribution, {0: 1, 2: 3, 4: 3, 6: 1}, but a has three
@@ -517,6 +566,20 @@ def test_permutation_equivalent_matches_list_oracle():
     assert verdicts == [naive_permutation_equivalent(x, y) for x, y in pairs]
     assert verdicts[-6:] == [True, True, False, True, True, False]
     assert 0 < verdicts.count(False) < len(pairs) - 150
+
+
+def test_permutation_equivalent_rejects_a_column_profile_met_last():
+    rng = random.Random(73)
+    pairs = [_profile_split_pair(rng, rng.randint(13, 16), rng.randint(4, 8)) for _ in range(60)]
+    # [16, 3] codes with 8 or 9 zero columns: a search that met the odd
+    # columns last would reach them once for each order of the zero columns
+    pairs += [_profile_split_pair(rng, 16, 3) for _ in range(4)]
+    for a, b in pairs:
+        for x, y, expected in ((a, b, False), (_shuffled(a, rng), a, True)):
+            t0 = time.perf_counter()
+            assert permutation_equivalent(x, y) is expected
+            assert time.perf_counter() - t0 < 0.1, (x.n, x.k)
+            assert naive_permutation_equivalent(x, y) is expected
 
 
 def test_permutation_equivalent_compares_duals_above_half_dimension():

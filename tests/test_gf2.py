@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from k3nodal.codes import reed_muller_generators
+from k3nodal.codes import from_generators, reed_muller_generators
 from k3nodal.gf2 import (
     Gf2Matrix,
     _rref_ints,
@@ -127,6 +127,14 @@ def test_matrix_refuses_no_columns_and_rows_that_do_not_fit():
     for rows in ((-1,), (0b100,)):
         with pytest.raises(ValueError, match="rows must be ints"):
             Gf2Matrix(rows, 2)
+
+
+def test_matrix_stores_any_iterable_of_rows_as_a_tuple():
+    m = Gf2Matrix((1, 2), 3)
+    for rows in ([1, 2], iter([1, 2]), (r for r in (1, 2))):
+        got = Gf2Matrix(rows, 3)
+        assert got == m and hash(got) == hash(m) and type(got.rows) is tuple
+    assert from_generators(Gf2Matrix([1, 2], 3)) == from_generators(m)
 
 
 def test_transpose():
