@@ -9,9 +9,9 @@ assumed beyond integer arithmetic.
 import time
 
 from k3nodal import (
+    NodalCodeConstraints,
     classify_even_set,
     code_dim_lower_bound,
-    nodal_code_constraints,
     verify_beauville,
     verify_max_sixteen,
     verify_no_extension,
@@ -26,7 +26,7 @@ for k in (4, 8, 12, 16, 20):
     print(f"  k={k:2d}: euler {euler:4d} -> {r.verdict.value}")
 
 print("\nStep 2: sixteen curves force the code D_5.")
-cons = nodal_code_constraints(16)
+cons = NodalCodeConstraints(16)
 print(f"  dimension >= 16 - 22/2 = {code_dim_lower_bound(16)}")
 print(f"  allowed nonzero weights: {cons.allowed_nonzero_weights}")
 print(f"  so all nonzero weights reach half of 16 = 2^4, the extremal length;")

@@ -52,7 +52,6 @@ from .duval import (
     TheoremCertificate,
     classify_even_set,
     code_dim_lower_bound,
-    nodal_code_constraints,
     verify_all,
     verify_max_sixteen,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "TheoremCertificate",
     "classify_even_set",
     "code_dim_lower_bound",
-    "nodal_code_constraints",
     "verify_all",
     "verify_max_sixteen",
 ]

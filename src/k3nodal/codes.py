@@ -138,7 +138,7 @@ _BLOCK_BITS = 14
 
 
 # One entry per block size; all of them together hold under 1 MB.
-@functools.lru_cache(maxsize=_BLOCK_BITS + 1)
+@functools.cache
 def _block_characters(low: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """The all-ones mask of a block of 2^low messages and two tables whose
     entries ``below[u & (2^(low//2) - 1)] ^ above[u >> low//2]`` give, for
@@ -557,14 +557,15 @@ class SubspaceCount:
 class BeauvilleReport:
     """Outcome of scanning dimension-m codes for the half-weight bound.  The
     scan mode (exhaustive up to MAX_EXHAUSTIVE_DIM, sampled above) and the
-    extremal length 2^(m-1) are read from m, not passed."""
+    extremal length 2^(m-1) are read from m, and the extremal count from
+    the qualifying codes of ``per_n`` at that length, not passed."""
 
     m: int
     n_max: int
     mode: str = field(init=False)
     per_n: tuple[SubspaceCount, ...]
     extremal_n: int = field(init=False)
-    extremal_count: int
+    extremal_count: int = field(init=False)
     counterexamples: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -572,6 +573,7 @@ class BeauvilleReport:
         object.__setattr__(self, "n_max", _integer(self.n_max, "n_max"))
         object.__setattr__(self, "mode", "exhaustive" if self.m <= MAX_EXHAUSTIVE_DIM else "sampled")
         object.__setattr__(self, "extremal_n", 1 << (self.m - 1))
+        object.__setattr__(self, "extremal_count", sum(s.qualifying for s in self.per_n if s.n == self.extremal_n))
 
     @property
     def ok(self) -> bool:
@@ -744,21 +746,17 @@ def verify_beauville(m: int, n_max: int | None = None, *, seed: int = 0) -> Beau
     extremal_n = 1 << (m - 1)
     per_n: list[SubspaceCount] = []
     counterexamples: list[str] = []
-    extremal_count = 0
 
     def handle_qualifying(rows: list[int], n: int) -> None:
-        nonlocal extremal_count
         # the rows' text is built only for a counterexample, which prints it
         if n < extremal_n:
             desc = ",".join(format(r, "b") for r in rows)
             counterexamples.append(
                 f"n={n} < {extremal_n}: code [{desc}] has all nonzero weights >= n/2"
             )
-        elif n == extremal_n:
-            extremal_count += 1
-            if not _is_d_code(rows, n):
-                desc = ",".join(format(r, "b") for r in rows)
-                counterexamples.append(f"n={n}: extremal code [{desc}] is not equivalent to D_{m}")
+        elif n == extremal_n and not _is_d_code(rows, n):
+            desc = ",".join(format(r, "b") for r in rows)
+            counterexamples.append(f"n={n}: extremal code [{desc}] is not equivalent to D_{m}")
 
     if exhaustive:
         planned = 0
@@ -766,7 +764,7 @@ def verify_beauville(m: int, n_max: int | None = None, *, seed: int = 0) -> Beau
             expected = gaussian_binomial(n, m)
             planned += expected
             if planned > SUBSPACE_BUDGET:
-                partial = BeauvilleReport(m, n_max, tuple(per_n), extremal_count, tuple(counterexamples))
+                partial = BeauvilleReport(m, n_max, tuple(per_n), tuple(counterexamples))
                 raise ResourceLimitError(
                     f"scanning {planned} subspaces exceeds the budget of {SUBSPACE_BUDGET}",
                     partial=partial,
@@ -795,4 +793,4 @@ def verify_beauville(m: int, n_max: int | None = None, *, seed: int = 0) -> Beau
                     handle_qualifying(_rref_ints(rows, n)[0], n)
             per_n.append(SubspaceCount(n, len(bases), None, qualifying))
 
-    return BeauvilleReport(m, n_max, tuple(per_n), extremal_count, tuple(counterexamples))
+    return BeauvilleReport(m, n_max, tuple(per_n), tuple(counterexamples))

@@ -92,37 +92,38 @@ def code_dim_lower_bound(n: int) -> int:
 @dataclass(frozen=True)
 class NodalCodeConstraints:
     """What the K3 arithmetic forces on the code of n disjoint nodal curves.
-    The allowed weights {8, 16} within reach of n and the dimension bound
-    for b2 = 22 are read from n, not passed, and n is normalized to an
-    int; a bool or a non-integer is refused."""
+    Every field but n is read from n, not passed, and n is normalized to a
+    positive int; a bool or a non-integer is refused.
+
+    The allowed nonzero weights are the even-set sizes k <= n that
+    ``classify_even_set`` calls a K3 or torus cover; a cover's Euler number
+    48 - 3k is never negative, so no k above 2 * K3_EULER // 3 is tried.
+    The code they force is D_5 at n = 16, and the zero code when no weight
+    is allowed (n < 8).  Otherwise none is forced: at n = 8, eight disjoint
+    nodal curves have the code {0} or the all-ones line, the line exactly
+    when they form an even set.
+    """
 
     n: int
     allowed_nonzero_weights: tuple[int, ...] = field(init=False)
     dim_lower_bound: int = field(init=False)
-    forced_code: LinearCode | None
-    forced_code_name: str | None
+    forced_code: LinearCode | None = field(init=False)
+    forced_code_name: str | None = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _integer(self.n, "the curve count"))
-        object.__setattr__(self, "allowed_nonzero_weights", tuple(w for w in (8, 16) if w <= self.n))
-        object.__setattr__(self, "dim_lower_bound", code_dim_lower_bound(self.n))
-
-
-def nodal_code_constraints(n: int) -> NodalCodeConstraints:
-    """The constraints on the code of n disjoint nodal curves, and the code
-    they force, if any.  They force D_5 at n = 16, and the zero code when
-    no allowed weight is at most n (n < 8).  At n = 8 they force none:
-    eight disjoint nodal curves have the code {0} or the all-ones line, the
-    line exactly when they form an even set.  A bool or a non-integer n
-    is refused."""
-    n = _integer(n, "the curve count")
-    if n < 1:
-        raise ValueError("curve count must be positive")
-    if n == 16:
-        return NodalCodeConstraints(n, code_d(5), "D5")
-    if n < 8:
-        return NodalCodeConstraints(n, LinearCode.zero(n), "zero")
-    return NodalCodeConstraints(n, None, None)
+        n = _integer(self.n, "the curve count")
+        if n < 1:
+            raise ValueError("curve count must be positive")
+        covers = (CoverVerdict.K3_COVER, CoverVerdict.TORUS_COVER)
+        weights = tuple(
+            k for k in range(1, min(n, 2 * K3_EULER // 3) + 1) if classify_even_set(k).verdict in covers
+        )
+        code, name = (code_d(5), "D5") if n == 16 else (LinearCode.zero(n), "zero") if n < 8 else (None, None)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "allowed_nonzero_weights", weights)
+        object.__setattr__(self, "dim_lower_bound", code_dim_lower_bound(n))
+        object.__setattr__(self, "forced_code", code)
+        object.__setattr__(self, "forced_code_name", name)
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ def verify_max_sixteen() -> TheoremCertificate:
     coordinate.  Larger sets reduce to seventeen by deleting surplus
     coordinates first, recorded as the monotonicity note.
     """
-    cons = nodal_code_constraints(16)
+    cons = NodalCodeConstraints(16)
     d5 = cons.forced_code
     sixteen = {
         "n": 16,
@@ -202,14 +203,15 @@ def verify_max_sixteen() -> TheoremCertificate:
 @dataclass(frozen=True)
 class SuiteReport:
     """Named (name, ok, detail) checks of the whole suite and the theorem
-    certificate they end with."""
+    certificate they end with.  ``ok`` holds only when every check and the
+    certificate pass, so the verdict never contradicts the certificate."""
 
     checks: tuple[tuple[str, bool, dict], ...]
     theorem: TheoremCertificate
 
     @property
     def ok(self) -> bool:
-        return all(good for _, good, _ in self.checks)
+        return self.theorem.ok and all(good for _, good, _ in self.checks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -272,7 +274,9 @@ MAX_TERM_DIGITS = 2000
 class DuValConfig:
     """Multiset of ADE singularity types: counts of A_n (n >= 1),
     D_n (n >= 4) and E_n (n in {6, 7, 8}).  Every index and count is
-    normalized to an int; a bool or a non-integer is refused."""
+    normalized to an int; a bool or a non-integer is refused.  Keys that
+    normalize to one index add their counts, as repeated terms do in
+    ``parse``."""
 
     a: Mapping[int, int] = field(default_factory=dict)
     d: Mapping[int, int] = field(default_factory=dict)
@@ -295,7 +299,7 @@ class DuValConfig:
                 if count < 0:
                     raise ValueError(f"negative count for {label}{n}")
                 if count:
-                    cleaned[n] = count
+                    cleaned[n] = cleaned.get(n, 0) + count
             object.__setattr__(self, label.lower(), cleaned)
 
     @classmethod

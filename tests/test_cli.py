@@ -14,6 +14,8 @@ import pytest
 
 from k3nodal import cli, codes, duval, lattice
 from k3nodal.cli import run
+from test_duval import random_config_text
+from test_gf2 import random_matrix_text
 from test_golden import GOLDEN_CLI, code_files  # noqa: F401 (code_files is a fixture)
 
 # stands for a file of a random [4096, 24] code, written by the test: 2^24
@@ -327,12 +329,14 @@ def test_verify_all_reports_a_failed_check(capsys, monkeypatch):
     lines = out.splitlines()
     assert "FAILED even-set sizes 0..100" in lines
     assert "9 checks, FAILURES PRESENT" in lines
-    assert lines[-1].startswith("THEOREM VERIFIED")  # the theorem does not use the sweep
+    # the sixteen-curve step reads its weights from the classifier
+    assert lines[-1].startswith("THEOREM REFUTED")
     rc, out, _ = _capture(capsys, ["verify", "all", "--json"])
     assert rc == 2
     payload = json.loads(out)
     assert payload["ok"] is False
-    assert [c["name"] for c in payload["checks"] if not c["ok"]] == ["even-set sizes 0..100"]
+    failed = [c["name"] for c in payload["checks"] if not c["ok"]]
+    assert failed == ["even-set sizes 0..100", "sixteen-curve theorem"]
 
 
 def test_help_exits_zero(capsys):
@@ -528,6 +532,22 @@ def test_leaf_dispatch_prints_what_the_full_tree_prints_on_fuzzed_argv(code_file
         assert rc in (0, 1, 2), argv
         assert "Traceback" not in out + err, argv
     assert {rc for rc, _, _ in leaf} == {0, 1, 2}
+
+
+def test_fuzzed_configurations_and_matrix_files_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(29)
+    corpus = []
+    for i in range(150):
+        corpus.append(["duval", "check", random_config_text(rng), *rng.choice([[], ["--json"]])])
+        path = tmp_path / f"matrix{i}.txt"
+        path.write_text(random_matrix_text(rng), encoding="utf-8")
+        corpus.append(["code", "weights", "--in", str(path), *rng.choice([[], ["--json"]])])
+    first = [_capture(capsys, argv) for argv in corpus]
+    assert [_capture(capsys, argv) for argv in corpus] == first
+    for argv, (rc, out, err) in zip(corpus, first):
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in out + err, argv
+    assert {rc for rc, _, _ in first} == {0, 1, 2}
 
 
 _JSON_TEXT = string.printable + '"\\\x00\x1f\x7f\u00e9\u2603\U0001f600'

@@ -78,8 +78,8 @@ INT_PARAMETERS = {
     "verify_beauville n_max": (lambda v: verify_beauville(3, v), 5),
     "CodeLattice sign": (lambda v: CodeLattice(code_d(3), v), -1),
     "ExtensionCertificate m": (lambda v: ExtensionCertificate(v, ()), 3),
-    "BeauvilleReport m": (lambda v: BeauvilleReport(v, 4, (), 0, ()), 3),
-    "BeauvilleReport n_max": (lambda v: BeauvilleReport(3, v, (), 0, ()), 4),
+    "BeauvilleReport m": (lambda v: BeauvilleReport(v, 4, (), ()), 3),
+    "BeauvilleReport n_max": (lambda v: BeauvilleReport(3, v, (), ()), 4),
 }
 
 
@@ -900,9 +900,13 @@ def test_verify_beauville_default_length_and_dimension_bound():
         assert rep.extremal_n == 1 << (m - 1)
         assert dataclasses.replace(rep, m=m + 1).extremal_n == 1 << m
         with pytest.raises(TypeError):
-            codes.BeauvilleReport(m, m, rep.per_n, 0, (), mode=rep.mode)
+            codes.BeauvilleReport(m, m, rep.per_n, (), mode=rep.mode)
         with pytest.raises(TypeError):
-            codes.BeauvilleReport(m, m, rep.per_n, 0, (), extremal_n=rep.extremal_n)
+            codes.BeauvilleReport(m, m, rep.per_n, (), extremal_n=rep.extremal_n)
+        with pytest.raises(TypeError):
+            codes.BeauvilleReport(m, m, rep.per_n, (), extremal_count=rep.extremal_count)
+        with pytest.raises(TypeError):
+            codes.BeauvilleReport(m, m, rep.per_n, rep.extremal_count, ())
     # one draw's rank test, m(m-1)/2 row sums, is checked on m alone,
     # before the 2^(m-1)-sized default or any count of that size is built
     for m in (1415, 20000, 10**9, 10**100):
@@ -937,6 +941,40 @@ def test_verify_beauville_budget():
     assert partial is not None
     assert [s.n for s in partial.per_n] == [4, 5, 6, 7, 8]
     assert (partial.mode, partial.extremal_n, partial.n_max) == ("exhaustive", 8, 9)
+
+
+def test_extremal_count_is_the_qualifying_count_at_the_extremal_length(monkeypatch):
+    # the scan tests each extremal basis once; the report counts them from per_n
+    tested = []
+    is_d = codes._is_d_code
+    monkeypatch.setattr(codes, "_is_d_code", lambda rows, n: tested.append(n) or is_d(rows, n))
+
+    def at_extremal(rep):
+        return [s.qualifying for s in rep.per_n if s.n == rep.extremal_n]
+
+    # the three exhaustive scans of verify_all and one sampled scan
+    for (m, n_max), count in (((2, 4), 1), ((3, 6), 1), ((4, 8), 30), ((5, 16), 1)):
+        tested.clear()
+        rep = verify_beauville(m, n_max)
+        assert rep.extremal_count == count == len(tested)
+        assert at_extremal(rep) == [count]
+    # a partial report holds the lengths it finished, the extremal one among them
+    tested.clear()
+    with pytest.raises(ResourceLimitError) as info:
+        verify_beauville(4, 9)
+    partial = info.value.partial
+    assert partial.extremal_count == 30 == len(tested)
+    assert at_extremal(partial) == [30]
+    # codes qualify beyond the extremal length too, but only it is counted
+    tested.clear()
+    rep = verify_beauville(3, 8)
+    assert [s.qualifying for s in rep.per_n] == [0, 1, 0, 30, 30, 2445]
+    assert rep.extremal_count == 1 == len(tested)
+    # below the extremal length no code is counted
+    assert verify_beauville(4, 7).extremal_count == 0
+    rep = verify_beauville(3, 4)
+    assert BeauvilleReport(3, 4, rep.per_n, ()).extremal_count == 1
+    assert dataclasses.replace(rep, per_n=rep.per_n[:-1]).extremal_count == 0
 
 
 def test_verify_beauville_validation():

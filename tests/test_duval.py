@@ -16,7 +16,6 @@ from k3nodal.duval import (
     TheoremCertificate,
     classify_even_set,
     code_dim_lower_bound,
-    nodal_code_constraints,
     verify_all,
     verify_max_sixteen,
 )
@@ -66,38 +65,82 @@ def test_code_dim_lower_bound():
 
 
 def test_nodal_code_constraints():
-    c16 = nodal_code_constraints(16)
+    c16 = NodalCodeConstraints(16)
     assert c16.allowed_nonzero_weights == (8, 16)
     assert c16.dim_lower_bound == 5
     assert c16.forced_code_name == "D5"
     assert c16.forced_code == code_d(5)
     # eight curves have the zero code or the all-ones line: neither is forced
-    c8 = nodal_code_constraints(8)
+    c8 = NodalCodeConstraints(8)
     assert c8.allowed_nonzero_weights == (8,)
     assert c8.forced_code is None and c8.forced_code_name is None
     for n in range(1, 8):
-        c = nodal_code_constraints(n)
+        c = NodalCodeConstraints(n)
         assert c.allowed_nonzero_weights == ()
         assert c.forced_code == LinearCode.zero(n) and c.forced_code_name == "zero"
-    c12 = nodal_code_constraints(12)
+    c12 = NodalCodeConstraints(12)
     assert c12.allowed_nonzero_weights == (8,)
     assert c12.forced_code is None
     with pytest.raises(ValueError):
-        nodal_code_constraints(0)
+        NodalCodeConstraints(0)
     # the weights and the dimension bound are read from n alone
     for n in range(1, 65):
-        c = nodal_code_constraints(n)
+        c = NodalCodeConstraints(n)
         assert c.allowed_nonzero_weights == tuple(w for w in (8, 16) if w <= n)
         assert c.dim_lower_bound == max(0, n - 11) == code_dim_lower_bound(n)
-        assert c == NodalCodeConstraints(n, c.forced_code, c.forced_code_name)
-        moved, there = dataclasses.replace(c, n=n + 1), nodal_code_constraints(n + 1)
+        assert c == NodalCodeConstraints(n)
+        moved, there = dataclasses.replace(c, n=n + 1), NodalCodeConstraints(n + 1)
         assert moved.allowed_nonzero_weights == there.allowed_nonzero_weights
         assert moved.dim_lower_bound == there.dim_lower_bound
     with pytest.raises(TypeError):
         NodalCodeConstraints(16, (8, 16), 5, code_d(5), "D5")
+    with pytest.raises(TypeError):
+        NodalCodeConstraints(16, code_d(5), "D5")
+    with pytest.raises(TypeError):
+        NodalCodeConstraints(16, forced_code=code_d(5))
+    with pytest.raises(TypeError):
+        NodalCodeConstraints(16, forced_code_name="D5")
 
 
-@pytest.mark.parametrize("function", [classify_even_set, code_dim_lower_bound, nodal_code_constraints])
+def test_nodal_code_constraints_are_read_from_n_alone():
+    for n in range(1, 65):
+        c = NodalCodeConstraints(n)
+        if n == 16:
+            assert (c.forced_code, c.forced_code_name) == (code_d(5), "D5")
+        elif n < 8:
+            assert (c.forced_code, c.forced_code_name) == (LinearCode.zero(n), "zero")
+        else:
+            assert (c.forced_code, c.forced_code_name) == (None, None)
+        # every derived field follows n, the forced code included
+        assert dataclasses.replace(c, n=n + 1) == NodalCodeConstraints(n + 1)
+    # no size above 48 / 3 = 16 is a cover, so the sizes tried stop there
+    big = NodalCodeConstraints(10**9)
+    assert big.allowed_nonzero_weights == (8, 16)
+    assert big.forced_code is None and big.dim_lower_bound == 10**9 - 11
+
+
+def test_nodal_code_weights_are_the_cover_sizes(monkeypatch):
+    tried = []
+
+    def every_size_a_torus(k):
+        tried.append(k)
+        return duval.EvenSetClass(k, CoverVerdict.TORUS_COVER, 0)
+
+    monkeypatch.setattr(duval, "classify_even_set", every_size_a_torus)
+    assert NodalCodeConstraints(12).allowed_nonzero_weights == tuple(range(1, 13))
+    tried.clear()
+    assert NodalCodeConstraints(40).allowed_nonzero_weights == tuple(range(1, 17))
+    assert tried == list(range(1, 17))
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        classify_even_set,
+        code_dim_lower_bound,
+        pytest.param(NodalCodeConstraints, id="nodal_code_constraints"),
+    ],
+)
 @pytest.mark.parametrize("bad", [8.0, 16.5, True, False, "8", None, Fraction(8)])
 def test_curve_counts_refuse_bools_and_non_integers(function, bad):
     with pytest.raises(ValueError, match="must be an integer"):
@@ -108,15 +151,15 @@ def test_curve_counts_normalize_index_objects_to_ints():
     assert classify_even_set(Index(8)) == classify_even_set(8)
     assert type(classify_even_set(Index(8)).euler_of_cover) is int
     assert code_dim_lower_bound(Index(16)) == 5
-    c16 = nodal_code_constraints(Index(16))
-    assert c16 == nodal_code_constraints(16)
+    c16 = NodalCodeConstraints(Index(16))
+    assert c16 == NodalCodeConstraints(16)
     assert type(c16.n) is int
-    assert nodal_code_constraints(Index(3)).forced_code == LinearCode.zero(3)
-    built = NodalCodeConstraints(Index(16), c16.forced_code, c16.forced_code_name)
+    assert NodalCodeConstraints(Index(3)).forced_code == LinearCode.zero(3)
+    built = NodalCodeConstraints(Index(16))
     assert built == c16 and type(built.n) is int
     for bad in (16.0, True):
         with pytest.raises(ValueError, match="must be an integer"):
-            NodalCodeConstraints(bad, None, None)
+            NodalCodeConstraints(bad)
 
 
 def test_parse_grammar():
@@ -148,6 +191,43 @@ def test_parse_bounds_the_digits_of_each_number():
             DuValConfig.parse(bad)
 
 
+# pieces of configuration texts: the grammar's own tokens, and characters
+# near it (other letters and separators, signs, non-ASCII digits)
+_CONFIG_PIECES = [*"ADEadexX,, F-+_0123456789", "\t", "\u0661", "\uff11"]
+
+
+def random_config_text(rng):
+    """A short random text; about one in five parses as a configuration."""
+    pieces = []
+    for _ in range(rng.randrange(1, 4)):
+        if rng.random() < 0.7:
+            term = rng.choice("ADEade") + str(rng.choice([0, 1, 2, 4, 6, 7, 8, 12, 16, 3, 5]))
+            if rng.random() < 0.5:
+                term += rng.choice("xX") + rng.choice(["0", "1", "2", "3", "16", "017"])
+            pieces.append(term)
+        else:
+            pieces.append("".join(rng.choice(_CONFIG_PIECES) for _ in range(rng.randrange(4))))
+        pieces.append(rng.choice([",", ",", ", ", ",,", " "]))
+    return "".join(pieces[:-1])
+
+
+def test_parse_fuzzed_texts_return_or_raise_value_error():
+    rng = random.Random(29)
+    parsed = 0
+    for _ in range(2000):
+        text = random_config_text(rng)
+        try:
+            cfg = DuValConfig.parse(text)
+        except ValueError:
+            continue
+        parsed += 1
+        # what parse returns prints a canonical text that parses back to it
+        assert cfg.canonical() != "(empty)", text
+        assert DuValConfig.parse(cfg.canonical()) == cfg, text
+        assert DuValConfig.parse(cfg.canonical()).canonical() == cfg.canonical()
+    assert 300 < parsed < 1000
+
+
 def test_config_refuses_non_integer_indices_and_counts():
     for kwargs in (
         {"a": {True: 1}},
@@ -170,6 +250,11 @@ def test_config_normalizes_index_objects_to_ints():
     assert cfg.canonical() == "A2x3,E8"
     assert all(type(x) is int for x in (*cfg.a, *cfg.a.values(), *cfg.e))
     assert delta(cfg) == 3 + 4
+    # two keys that normalize to one index add their counts, as parse does
+    merged = DuValConfig(a={1: 2, Index(1): 3}, d={Index(4): 1, 4: 0})
+    assert merged.a == {1: 5} and merged.d == {4: 1}
+    assert merged == DuValConfig.parse("A1x2,A1x3,D4")
+    assert delta(merged) == 5 + 3
 
 
 def test_delta_examples():
@@ -368,6 +453,22 @@ def test_suite_report_ok_needs_every_check():
     assert not broken.ok
     assert broken.to_json_dict()["ok"] is False
     assert broken.to_json_dict()["theorem_certificate"]["ok"] is True
+
+
+def test_suite_report_ok_needs_the_theorem():
+    suite = verify_all()
+    theorem = suite.theorem
+    full = theorem.seventeen_step
+    short = ExtensionCertificate(full.m, full.entries[:-1])
+    assert len(short.entries) == 239
+    refuted = TheoremCertificate(theorem.statement, theorem.sixteen_step, short, theorem.monotonicity)
+    assert not refuted.ok
+    # every check passes, but the verdict cannot contradict the certificate
+    report = SuiteReport(suite.checks, refuted)
+    assert all(good for _, good, _ in report.checks)
+    assert not report.ok
+    assert report.to_json_dict()["ok"] is False
+    assert report.to_json_dict()["theorem_certificate"]["ok"] is False
 
 
 def test_theorem_refuted_by_an_incomplete_witness_table(monkeypatch):

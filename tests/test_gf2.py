@@ -183,6 +183,43 @@ def test_bitvector_text_roundtrip():
     assert parse_matrix_text("00001").rows == (1 << 4,)
 
 
+_ROW_NOISE = ["2", "a", " ", "\t", "\r", "\x0b", "\u0661", "\u2028"]
+
+
+def random_matrix_text(rng):
+    """A small random text, about half of which parse as matrices: 0/1 rows
+    of mostly one width, blank lines, line breaks of several kinds and an
+    occasional character that is not 0 or 1."""
+    width = rng.randrange(1, 9)
+    lines = []
+    for _ in range(rng.randrange(5)):
+        row = "".join(rng.choice("01") for _ in range(width + (rng.random() < 0.1)))
+        if rng.random() < 0.1:
+            at = rng.randrange(len(row) + 1)
+            row = row[:at] + rng.choice(_ROW_NOISE) + row[at:]
+        lines.append(rng.choice(["", " ", "\t"]) + row + rng.choice(["", " "]))
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", "  "]))
+    return "".join(line + rng.choice(["\n", "\n", "\r\n", "\u2028"]) for line in lines)
+
+
+def test_matrix_text_fuzzed_texts_return_or_raise_value_error():
+    rng = random.Random(29)
+    parsed = 0
+    for _ in range(2000):
+        text = random_matrix_text(rng)
+        try:
+            m = parse_matrix_text(text)
+        except ValueError:
+            continue
+        parsed += 1
+        # the text format drops blank lines and surrounding whitespace only
+        rows = [line.strip() for line in text.splitlines() if line.strip()]
+        assert format_matrix_text(m) == "\n".join(rows), repr(text)
+        assert parse_matrix_text(format_matrix_text(m)) == m
+    assert 500 < parsed < 1500
+
+
 def test_matrix_text_errors():
     with pytest.raises(ValueError, match="no matrix rows found"):
         parse_matrix_text("\n \n")
