@@ -236,59 +236,52 @@ _COMMANDS = {
 _LEAVES = {(group, name): leaf for group, (_, leaves) in _COMMANDS.items() for name, *leaf in leaves}
 
 
-def _fill_leaf(parser: _Parser, handler: Callable, arguments: tuple) -> _Parser:
-    """``parser`` with a leaf's arguments, ``--json`` and handler."""
-    for flag, options in arguments:
-        parser.add_argument(flag, **options)
-    parser.add_argument("--json", action="store_true", help="emit the JSON schema instead of text")
-    parser.set_defaults(func=handler)
-    return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The full parser: every group and leaf, each with its help, built
-    anew on every call."""
-    parser = _Parser(prog="k3nodal", description=__doc__)
-    groups = parser.add_subparsers(dest="group", required=True)
-    for group, (group_help, leaves) in _COMMANDS.items():
-        sub = groups.add_parser(group, help=group_help).add_subparsers(dest="cmd", required=True)
-        for name, leaf_help, handler, arguments in leaves:
-            _fill_leaf(sub.add_parser(name, help=leaf_help), handler, arguments)
-    return parser
-
-
 @functools.cache
-def _leaf_parser(group: str, name: str) -> _Parser:
-    """The parser of one leaf, built alone: the sub-parser that the full
-    tree reaches through ``group`` and ``name``.  Each leaf parser is
-    built once per process and reused: ``parse_args`` starts a new
-    namespace from the defaults on every call and formats usage, help
-    and errors when it prints them, so a reused parser prints what a new
-    one would.  Reuse pays only in a process that calls ``run`` more than
-    once on a leaf (a program that embeds the CLI, the tests); a
-    ``k3nodal`` process runs one command and builds its parser once
-    either way."""
-    _, handler, arguments = _LEAVES[group, name]
-    return _fill_leaf(_Parser(prog=f"k3nodal {group} {name}"), handler, arguments)
+def _parser(path: tuple[str, ...] = ()) -> _Parser:
+    """The parser of one node of the command tree: ``()`` is the root,
+    ``(group,)`` a group and ``(group, leaf)`` a leaf, which gets its
+    arguments, ``--json`` and its handler.  The root and each group reach
+    their children through this function, so a leaf's parser is the one
+    object that both the root and a full command path use, and each node
+    is built once per process, when it is first needed.  Reuse keeps
+    every output byte: ``parse_args`` starts a new namespace from the
+    defaults on every call and formats usage, help and errors when it
+    prints them, so a reused parser prints what a new one would."""
+    parser = _Parser(prog=" ".join(("k3nodal", *path)), description=None if path else __doc__)
+    if path in _LEAVES:
+        _, handler, arguments = _LEAVES[path]
+        for flag, options in arguments:
+            parser.add_argument(flag, **options)
+        parser.add_argument("--json", action="store_true", help="emit the JSON schema instead of text")
+        parser.set_defaults(func=handler)
+        return parser
+    # argparse names a child's prog "<parent prog> <name>" and passes it to
+    # the factory, with keyword arguments that vary by Python version
+    children = parser.add_subparsers(dest="cmd" if path else "group", required=True,
+                                     parser_class=lambda prog, **_: _parser((*path, prog.split()[-1])))
+    entries = _COMMANDS[path[0]][1] if path else [(g, h) for g, (h, _) in _COMMANDS.items()]
+    for name, child_help, *_ in entries:
+        children.add_parser(name, help=child_help)
+    return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """argv parsed by the leaf parser that its first two tokens name, or
-    else by the full tree (help, usage errors, an option or ``--`` first,
-    a bare group, a group and a token that is not one of its leaves).
-    The leaf parser is the process's one copy of it; the full tree is
-    built anew on every call.
+    else by the root (help, usage errors, an option or ``--`` first, a
+    bare group, a group and a token that is not one of its leaves).
+    A full command path builds its own parser alone; any other argv
+    builds the rest of the tree, once per process.
 
-    This keeps every output byte.  argparse picks a sub-parser by the
+    Both routes print the same bytes.  argparse picks a sub-parser by the
     exact token in the command position and hands it the rest of argv,
-    and a sub-parser's ``prog`` is its parent's plus that token.  So a
-    group and one of its leaves in the first two places reach the parser
-    that ``_leaf_parser`` builds, which prints and raises what it would
-    in the full tree.
+    so a group and one of its leaves in the first two places reach,
+    through the root, the very parser that the leaf route parses with.
+    The leaf route skips the root and the group, which would cost about
+    four times as much per parse.
     """
     if tuple(argv[:2]) in _LEAVES:
-        return _leaf_parser(*argv[:2]).parse_args(argv[2:])
-    return build_parser().parse_args(argv)
+        return _parser(tuple(argv[:2])).parse_args(argv[2:])
+    return _parser().parse_args(argv)
 
 
 def _json(value: object, pad: str = "\n") -> str:

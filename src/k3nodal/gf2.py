@@ -239,8 +239,11 @@ def _transpose_ints(rows: Sequence[int], cols: int) -> list[int]:
 
 def parse_matrix_text(text: str) -> Gf2Matrix:
     """Parse the text matrix format: one '0'/'1' row per line, blank lines
-    ignored; the first character of a row is coordinate 0."""
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    ignored; the first character of a row is coordinate 0.  A line ends at a
+    line feed, a carriage return or both (the universal newlines) and not
+    at the other breaks of ``str.splitlines``, so a row that holds a form
+    feed or a line separator is refused."""
+    lines = [line.strip() for line in text.replace("\r", "\n").split("\n") if line.strip()]
     if not lines:
         raise ValueError("no matrix rows found")
     for line in lines:

@@ -15,7 +15,7 @@ import pytest
 from k3nodal import cli, codes, duval, lattice
 from k3nodal.cli import run
 from test_duval import random_config_text
-from test_gf2 import random_matrix_text
+from test_gf2 import NOT_NEWLINES, random_matrix_text
 from test_golden import GOLDEN_CLI, code_files  # noqa: F401 (code_files is a fixture)
 
 # stands for a file of a random [4096, 24] code, written by the test: 2^24
@@ -81,6 +81,24 @@ def test_code_dual_roundtrip(tmp_path, capsys):
     rc, out, _ = _capture(capsys, ["code", "dual", "--in", full.as_posix()])
     assert rc == 0
     assert out.strip() == "00"
+
+
+@pytest.mark.parametrize("char", NOT_NEWLINES, ids=lambda c: f"U+{ord(c):04X}")
+def test_code_file_row_that_holds_another_line_break_is_refused(char, tmp_path, capsys):
+    path = tmp_path / "code.txt"
+    path.write_bytes(f"01{char}10\n".encode())
+    rc, out, err = _capture(capsys, ["code", "weights", "--in", str(path)])
+    assert (rc, out) == (1, "") and err.startswith("error: not a 0/1 row: '01")
+
+
+def test_code_files_with_crlf_or_cr_line_ends_parse(tmp_path, capsys):
+    results = []
+    for newline in ("\n", "\r\n", "\r"):
+        path = tmp_path / "code.txt"
+        path.write_bytes("".join(row + newline for row in EQ2_ROWS).encode())
+        results.append(_capture(capsys, ["code", "weights", "--in", str(path)]))
+    assert results[0][:2] == (0, "n=16 k=4\nweight 0: 1\nweight 8: 15\n")
+    assert results == [results[0]] * 3
 
 
 def test_lattice_gamma(tmp_path, capsys):
@@ -378,11 +396,17 @@ PRUNING_CORPUS = [
 ]
 
 
+def _parse_from_the_root(monkeypatch):
+    """Make ``run`` parse every argv with the root node, as it does any
+    argv that is not a full command path."""
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
+
+
 @pytest.mark.parametrize("argv", PRUNING_CORPUS, ids=lambda argv: " ".join(argv) or "<empty>")
 def test_pruned_parser_prints_what_the_full_parser_prints(argv, code_files, capsys, monkeypatch):
     argv = [str(code_files.get(arg, arg)) for arg in argv]
     pruned = _capture(capsys, argv)
-    monkeypatch.setattr(cli, "_LEAVES", {})
+    _parse_from_the_root(monkeypatch)
     assert _capture(capsys, argv) == pruned
 
 
@@ -402,7 +426,7 @@ def test_run_builds_only_the_parsers_argv_names(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counted)
-    cli._leaf_parser.cache_clear()
+    cli._parser.cache_clear()
     assert _capture(capsys, ["duval", "check", "A1x16"])[0] == 0
     # a full command path builds its leaf parser alone, once per process
     assert built == ["k3nodal duval check"]
@@ -411,11 +435,13 @@ def test_run_builds_only_the_parsers_argv_names(capsys, monkeypatch):
     assert _capture(capsys, ["duval", "check", "-h"])[0] == 0
     assert _capture(capsys, ["duval", "check", "A1x16", "--bogus"])[0] == 1
     assert built == []
-    # the full tree is built anew on every call
-    for _ in range(2):
-        cli.build_parser()
-        assert len(built) == 1 + len(_GROUPS) + len(_LEAVES) == 16
-        built.clear()
+    # the first other argv builds the rest of the tree, and it is reused
+    assert _capture(capsys, ["-h"])[0] == 0
+    assert len(built) == len(set(built)) == len(_GROUPS) + len(_LEAVES) == 15
+    assert "k3nodal duval check" not in built
+    built.clear()
+    later = [_capture(capsys, argv)[0] for argv in (["-h"], ["duval", "-h"], ["nonsense"], ["duval", "bogus"])]
+    assert (later, built) == ([0, 0, 1, 1], [])
 
 
 def _sub_parsers(parser):
@@ -423,36 +449,23 @@ def _sub_parsers(parser):
     return action.choices
 
 
-def _parser_fields(parser):
-    """What a parser parses and prints with: its settings, its defaults
-    (the handler among them) and every field of every action."""
-    settings = ("prog", "usage", "description", "epilog", "formatter_class", "prefix_chars",
-                "fromfile_prefix_chars", "argument_default", "conflict_handler", "add_help",
-                "allow_abbrev", "exit_on_error")
-    actions = [
-        (type(a), {k: v for k, v in vars(a).items() if k != "container"}) for a in parser._actions
-    ]
-    return type(parser), {s: getattr(parser, s) for s in settings}, parser._defaults, actions
-
-
 def test_leaf_table_matches_the_full_tree():
     tree = {
         (group, name): leaf
-        for group, sub in _sub_parsers(cli.build_parser()).items()
+        for group, sub in _sub_parsers(cli._parser()).items()
         for name, leaf in _sub_parsers(sub).items()
     }
     assert list(cli._LEAVES) == list(tree) and len(tree) == 11
     for (group, name), sub in tree.items():
-        leaf = cli._leaf_parser(group, name)
-        assert leaf.prog == sub.prog == f"k3nodal {group} {name}"
-        assert leaf._defaults["func"] is sub._defaults["func"] is cli._LEAVES[group, name][1]
-        assert _parser_fields(leaf) == _parser_fields(sub)
-        assert leaf.format_help() == sub.format_help()
+        # the root reaches the very parser that a full command path uses
+        assert sub is cli._parser((group, name))
+        assert sub.prog == f"k3nodal {group} {name}"
+        assert sub._defaults["func"] is cli._LEAVES[group, name][1]
 
 
 def _cold_capture(capsys, argv):
-    """``_capture`` with every leaf parser built anew."""
-    cli._leaf_parser.cache_clear()
+    """``_capture`` with every parser built anew."""
+    cli._parser.cache_clear()
     return _capture(capsys, argv)
 
 
@@ -521,10 +534,11 @@ def test_leaf_dispatch_prints_what_the_full_tree_prints_on_fuzzed_argv(code_file
     assert 100 < sum(tuple(argv[:2]) in cli._LEAVES for argv in corpus) < 200
     leaf = [_capture(capsys, argv) for argv in corpus]
     assert [_capture(capsys, argv) for argv in corpus] == leaf
-    assert cli._leaf_parser.cache_info().currsize <= len(cli._LEAVES)
-    # a reused leaf parser prints what a new one prints
+    # one parser per node of the tree, whatever the argv
+    assert cli._parser.cache_info().currsize == 1 + len(_GROUPS) + len(_LEAVES)
+    # a reused parser prints what a new one prints
     assert [_cold_capture(capsys, argv) for argv in corpus] == leaf
-    monkeypatch.setattr(cli, "_LEAVES", {})
+    _parse_from_the_root(monkeypatch)
     full = [_capture(capsys, argv) for argv in corpus]
     for argv, result, expected in zip(corpus, leaf, full):
         assert result == expected, argv

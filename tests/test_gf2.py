@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -188,7 +189,7 @@ _ROW_NOISE = ["2", "a", " ", "\t", "\r", "\x0b", "\u0661", "\u2028"]
 
 def random_matrix_text(rng):
     """A small random text, about half of which parse as matrices: 0/1 rows
-    of mostly one width, blank lines, line breaks of several kinds and an
+    of mostly one width, blank lines, the three universal newlines and an
     occasional character that is not 0 or 1."""
     width = rng.randrange(1, 9)
     lines = []
@@ -200,7 +201,7 @@ def random_matrix_text(rng):
         lines.append(rng.choice(["", " ", "\t"]) + row + rng.choice(["", " "]))
         if rng.random() < 0.2:
             lines.append(rng.choice(["", "  "]))
-    return "".join(line + rng.choice(["\n", "\n", "\r\n", "\u2028"]) for line in lines)
+    return "".join(line + rng.choice(["\n", "\n", "\r\n", "\r"]) for line in lines)
 
 
 def test_matrix_text_fuzzed_texts_return_or_raise_value_error():
@@ -213,11 +214,27 @@ def test_matrix_text_fuzzed_texts_return_or_raise_value_error():
         except ValueError:
             continue
         parsed += 1
-        # the text format drops blank lines and surrounding whitespace only
-        rows = [line.strip() for line in text.splitlines() if line.strip()]
+        # the text format drops blank lines and surrounding whitespace only,
+        # and a line ends at a universal newline alone
+        rows = [line.strip() for line in re.split(r"\r\n|\r|\n", text) if line.strip()]
         assert format_matrix_text(m) == "\n".join(rows), repr(text)
         assert parse_matrix_text(format_matrix_text(m)) == m
     assert 500 < parsed < 1500
+
+
+# the breaks of str.splitlines that are not universal newlines
+NOT_NEWLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_NEWLINES, ids=lambda c: f"U+{ord(c):04X}")
+def test_matrix_text_refuses_a_row_that_holds_another_line_break(char):
+    with pytest.raises(ValueError, match="not a 0/1 row"):
+        parse_matrix_text(f"01{char}10")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_matrix_text_rows_end_at_universal_newlines(newline):
+    assert parse_matrix_text(f"01{newline}10{newline}").rows == (0b10, 0b01)
 
 
 def test_matrix_text_errors():

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from k3nodal.cli import build_parser, run
+from k3nodal.cli import _parser, run
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -155,7 +155,7 @@ def _leaf_commands(parser: argparse.ArgumentParser) -> list[list[str]]:
 
 
 def test_every_command_is_pinned():
-    leaves = _leaf_commands(build_parser())
+    leaves = _leaf_commands(_parser())
     assert len(leaves) == 11
     for leaf in leaves:
         pinned = [c.split() for c in GOLDEN_CLI if c.split()[: len(leaf)] == leaf]

@@ -82,3 +82,14 @@ def test_no_unused_import_or_private_definition():
                 if name.startswith("_") and not name.startswith("__") and name not in referenced
             ]
     assert dead == []
+
+
+def test_cli_reads_no_private_attribute():
+    # the command tree stays on public argparse API, which every supported
+    # Python shares; dunder names such as int.__repr__ are public
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    private = [
+        (node.lineno, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__")
+    ]
+    assert private == []
