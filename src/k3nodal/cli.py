@@ -13,7 +13,6 @@ import argparse
 import functools
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import Callable
 
 from . import codes, duval, lattice
@@ -34,7 +33,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_code(path: str) -> codes.LinearCode:
-    text = Path(path).read_text()
+    # the read is bounded by the budget of every generator matrix: one
+    # character past it is refused before the rest is read or a row reduced
+    with open(path) as f:
+        text = f.read(codes.MAX_GENERATOR_BITS + 1)
+    if len(text) > codes.MAX_GENERATOR_BITS:
+        raise codes.ResourceLimitError(
+            f"a code file of over {codes.MAX_GENERATOR_BITS} characters exceeds the budget"
+        )
     return codes.from_generators(parse_matrix_text(text))
 
 

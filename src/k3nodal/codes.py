@@ -75,7 +75,8 @@ class LinearCode:
 
     def contains(self, word: int) -> bool:
         """True when the bit-packed word lies in the code; a word outside
-        [0, 2^n) is refused."""
+        [0, 2^n), a bool or a non-integer is refused."""
+        word = _integer(word, "the word")
         if word < 0 or word >> self.n:
             raise ValueError(f"word does not fit the code length {self.n}")
         for row in self.gen.rows:

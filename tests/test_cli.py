@@ -21,6 +21,8 @@ from test_golden import GOLDEN_CLI, code_files  # noqa: F401 (code_files is a fi
 # stands for a file of a random [4096, 24] code, written by the test: 2^24
 # codewords fit the dimension budget, 4096 x 2^24 codeword bits do not
 WIDE_CODE = "<random [4096, 24] code>"
+# stands for a code file one character longer than MAX_GENERATOR_BITS
+LONG_FILE = "<code file past the budget>"
 
 EQ2_ROWS = [
     "0101010101010101",
@@ -59,6 +61,10 @@ def test_code_d_weights_pipeline(tmp_path, capsys):
     rc, out, _ = _capture(capsys, ["code", "weights", "--in", str(path)])
     assert rc == 0
     assert out.splitlines() == ["n=16 k=5", "weight 0: 1", "weight 8: 30", "weight 16: 1"]
+    # padded with blank lines to exactly the read budget, it is still D_5
+    padded = tmp_path / "d5_padded.txt"
+    padded.write_text(path.read_text().ljust(codes.MAX_GENERATOR_BITS, "\n"))
+    assert _capture(capsys, ["code", "weights", "--in", str(padded)]) == (rc, out, "")
 
 
 def test_code_weights_json(tmp_path, capsys):
@@ -273,15 +279,23 @@ def test_duval_classify(capsys):
         # refused on m alone, before the binomials are summed
         ["code", "rm", "--degree", "8000", "--m", "16000"],
         ["code", "weights", "--in", WIDE_CODE],
+        ["code", "weights", "--in", LONG_FILE],
+        ["code", "dual", "--in", LONG_FILE],
+        ["lattice", "gamma", "--in", LONG_FILE],
     ],
 )
 def test_errors_exit_one(argv, capsys, tmp_path):
-    wide = WIDE_CODE in argv
+    wide, long = WIDE_CODE in argv, LONG_FILE in argv
     if wide:
         rng = random.Random(4096)
         path = tmp_path / "wide.txt"
         path.write_text("\n".join(format(rng.getrandbits(4096), "04096b") for _ in range(24)))
         argv = [str(path) if a == WIDE_CODE else a for a in argv]
+    if long:
+        # D_5's rows, padded with blank lines to one character past the budget
+        path = tmp_path / "long.txt"
+        path.write_text(str(codes.code_d(5).gen).ljust(codes.MAX_GENERATOR_BITS + 1, "\n"))
+        argv = [str(path) if a == LONG_FILE else a for a in argv]
     t0 = time.perf_counter()
     rc, out, err = _capture(capsys, argv)
     assert time.perf_counter() - t0 < 1
@@ -297,6 +311,10 @@ def test_errors_exit_one(argv, capsys, tmp_path):
         assert err == (
             "error: enumerating 2^24 codewords of length 4096 exceeds the budget of "
             "2^34 codeword bits\n"
+        )
+    if long:
+        assert err == (
+            f"error: a code file of over {codes.MAX_GENERATOR_BITS} characters exceeds the budget\n"
         )
 
 

@@ -68,6 +68,7 @@ INT_PARAMETERS = {
     "Gf2Matrix row": (lambda v: Gf2Matrix((v,), 3), 1),
     "LinearCode.zero": (LinearCode.zero, 3),
     "LinearCode.repetition": (LinearCode.repetition, 3),
+    "LinearCode.contains": (code_d(3).contains, 0b1111),
     "reed_muller_generators max_degree": (lambda v: reed_muller_generators(v, 3), 1),
     "reed_muller_generators m": (lambda v: reed_muller_generators(1, v), 3),
     "code_d": (code_d, 3),
@@ -376,6 +377,14 @@ def test_is_isomorphic_to_d_examples():
     even4 = dual(LinearCode.repetition(4))
     assert is_isomorphic_to_d(even4)
     assert permutation_equivalent(even4, code_d(3))
+    # the [7, 4] Hamming code with a zero coordinate has the length 2^3 of
+    # D_4, but weight 3 is below half of it
+    hamming = from_generators(Gf2Matrix.from_ints([0b1101000, 0b0110100, 0b0011010, 0b0001101], 8))
+    assert (hamming.n, hamming.k) == (8, 4)
+    assert weight_distribution(hamming).nonzero_weights() == {3, 4, 7}
+    assert not is_isomorphic_to_d(hamming)
+    # D_1 is the full code of length 1
+    assert is_isomorphic_to_d(LinearCode.repetition(1))
 
 
 def test_permutation_equivalent_examples():
@@ -468,6 +477,8 @@ def test_d_code_test_beyond_the_permutation_budget():
         assert d.n > MAX_PERM_SEARCH_LEN and _is_d_code(shuffled.gen.rows, shuffled.n)
     copied = _column_copied(code_d(6), 0, 1)
     assert not _is_d_code(copied.gen.rows, copied.n)
+    # three distinct odd columns fill 3 of the 4 points of the hyperplane
+    assert not _is_d_code([0b001, 0b010, 0b100], 3)
 
 
 def _random_code_of_dim(rng: random.Random, n: int, k: int) -> LinearCode:
@@ -684,6 +695,9 @@ def test_extension_certificate_checks_every_witness():
     # pairs outside range(N) or with k == l
     far = ExtensionWitness(8, 0, 3, 5)
     assert not ExtensionCertificate(4, tuple(entries[:-1] + [far])).ok
+    # a correctly weighted witness that duplicates or deletes column N = 4
+    for forged in (ExtensionWitness(4, 2, 1, 1), ExtensionWitness(2, 4, 1, 3)):
+        assert not ExtensionCertificate(3, verify_no_extension(3).entries[:-1] + (forged,)).ok
 
 
 def test_extension_certificate_refuses_half_weight():

@@ -11,6 +11,7 @@ from k3nodal.duval import (
     AdmissibilityReport,
     CoverVerdict,
     DuValConfig,
+    EvenSetClass,
     NodalCodeConstraints,
     SuiteReport,
     TheoremCertificate,
@@ -39,6 +40,7 @@ def test_classify_examples():
     assert classify_even_set(16).euler_of_cover == 0
     assert classify_even_set(4).verdict is CoverVerdict.IMPOSSIBLE
     assert classify_even_set(0).verdict is CoverVerdict.EMPTY
+    assert classify_even_set(0) == EvenSetClass(0, CoverVerdict.EMPTY, 48)
     with pytest.raises(ValueError):
         classify_even_set(-1)
 
@@ -60,6 +62,7 @@ def test_code_dim_lower_bound():
     assert code_dim_lower_bound(17) == 6
     assert code_dim_lower_bound(8) == 0
     assert code_dim_lower_bound(11) == 0
+    assert code_dim_lower_bound(0) == 0
     with pytest.raises(ValueError):
         code_dim_lower_bound(-1)
 
