@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
-from .gf2 import Gf2Matrix, _integer, _rref_ints, _transpose_ints, is_rref, kernel
+from .gf2 import Gf2Matrix, _integer, _rref_ints, _transpose_ints, _xor_sums, is_rref, kernel
 
 MAX_ENUM_DIM = 28
 MAX_ENUM_BITS = 1 << 34
@@ -66,8 +66,11 @@ class LinearCode:
 
     @classmethod
     def repetition(cls, n: int) -> LinearCode:
-        """The line spanned by the all-ones word."""
+        """The line spanned by the all-ones word; a length over
+        MAX_GENERATOR_BITS is refused before the row is built."""
         n = _integer(n, "n")
+        if n > MAX_GENERATOR_BITS:
+            raise ResourceLimitError(f"{n} generator bits exceed the budget of {MAX_GENERATOR_BITS}")
         return cls(Gf2Matrix(((1 << n) - 1,), n))
 
     def pivots(self) -> tuple[int, ...]:
@@ -143,13 +146,10 @@ _BLOCK_BITS = 14
 def _block_characters(low: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """The all-ones mask of a block of 2^low messages and two tables whose
     entries ``below[u & (2^(low//2) - 1)] ^ above[u >> low//2]`` give, for
-    any u < 2^low, the block pattern whose bit l is the parity of l & u."""
-    below, above = [0], [0]
-    for i in range(low):
-        pattern = _coordinate_pattern(low, i)
-        table = above if i >= low // 2 else below
-        table += [x ^ pattern for x in table]
-    return (1 << (1 << low)) - 1, tuple(below), tuple(above)
+    any u < 2^low, the block pattern whose bit l is the parity of l & u:
+    the XOR sums of the low and the high half of the coordinate patterns."""
+    patterns = [_coordinate_pattern(low, i) for i in range(low)]
+    return (1 << (1 << low)) - 1, tuple(_xor_sums(patterns[: low // 2])), tuple(_xor_sums(patterns[low // 2 :]))
 
 
 def _add_columns(planes: list[int], columns: Sequence[int]) -> None:
@@ -533,7 +533,7 @@ def verify_no_extension(m: int) -> ExtensionCertificate:
         raise ValueError("verify_no_extension supports 2 <= m <= 8")
     nbig = 1 << (m - 1)
     half = nbig // 2
-    lowest = [0] + [(diff & -diff).bit_length() - 1 for diff in range(1, nbig)]
+    lowest = [(diff & -diff).bit_length() - 1 for diff in range(nbig)]
     # the NamedTuple's own __new__ is a Python function; tuple.__new__
     # builds the same record without that call
     witness = functools.partial(tuple.__new__, ExtensionWitness)

@@ -10,6 +10,7 @@ for ADE singularity configurations.
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -157,7 +158,7 @@ class TheoremCertificate:
     def to_json_dict(self) -> dict:
         return {
             "statement": self.statement,
-            "sixteen_curve_step": self.sixteen_step,
+            "sixteen_curve_step": copy.deepcopy(self.sixteen_step),
             "seventeen_curve_step": self.seventeen_step.to_json_dict(),
             "monotonicity": self.monotonicity,
             "ok": self.ok,
@@ -178,10 +179,10 @@ def verify_max_sixteen() -> TheoremCertificate:
     cons = NodalCodeConstraints(16)
     d5 = cons.forced_code
     sixteen = {
-        "n": 16,
+        "n": cons.n,
         "dim_lower_bound": cons.dim_lower_bound,
         "allowed_nonzero_weights": list(cons.allowed_nonzero_weights),
-        "length_is_extremal": 16 == 1 << (cons.dim_lower_bound - 1),
+        "length_is_extremal": cons.n == 1 << (cons.dim_lower_bound - 1),
         "forced_code": cons.forced_code_name,
         "forced_code_parameters": {"n": d5.n, "k": d5.k},
         "forced_code_weight_counts": {str(w): c for w, c in weight_distribution(d5).counts.items()},
@@ -252,10 +253,10 @@ def verify_all() -> SuiteReport:
         checks.append((f"{name} lattice", all(facts.values()), facts))
 
     expected = {0: CoverVerdict.EMPTY, 8: CoverVerdict.K3_COVER, 16: CoverVerdict.TORUS_COVER}
-    sweep_ok = all(
-        classify_even_set(k).verdict is expected.get(k, CoverVerdict.IMPOSSIBLE) for k in range(101)
-    )
-    checks.append(("even-set sizes 0..100", sweep_ok, {"allowed": [0, 8, 16]}))
+    sweep = {k: classify_even_set(k).verdict for k in range(101)}
+    sweep_ok = all(v is expected.get(k, CoverVerdict.IMPOSSIBLE) for k, v in sweep.items())
+    name = f"even-set sizes {min(sweep)}..{max(sweep)}"
+    checks.append((name, sweep_ok, {"allowed": sorted(expected)}))
 
     theorem = verify_max_sixteen()
     checks.append(("sixteen-curve theorem", theorem.ok, {"statement": theorem.statement}))

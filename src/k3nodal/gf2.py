@@ -68,6 +68,15 @@ class RrefResult:
     pivots: tuple[int, ...]
 
 
+def _xor_sums(values: Sequence[int]) -> list[int]:
+    """The 2^len(values) XOR sums of the values: entry u is the XOR of
+    ``values[j]`` over the set bits j of u.  A zero value doubles the table."""
+    table = [0]
+    for v in values:
+        table += [t ^ v for t in table] if v else table
+    return table
+
+
 def _rref_ints(rows: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form of bit-packed rows: (rows, pivot columns).
 
@@ -146,10 +155,7 @@ def _rref_strips(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
             for low in lows[:j]:
                 if basis[low] & high:
                     basis[low] ^= prow
-        table = [0]
-        for b in range(width):
-            prow = basis.get(1 << b)
-            table += [t ^ prow for t in table] if prow else table
+        table = _xor_sums([basis.get(1 << b, 0) for b in range(width)])
         # the parked source rows clear to zero and take the pivot rows
         rows = [x ^ table[(x & mask) >> c] for x in rows]
         rows[r : r + len(lows)] = [basis[low] for low in lows]
@@ -211,13 +217,7 @@ def kernel(m: Gf2Matrix) -> Gf2Matrix:
     pivot_set = {cols - 1 - p for p in pivots}
     free = [f for f in range(cols) if f not in pivot_set]
     w = min(max(len(free).bit_length(), 1), 8)
-    tables = []
-    for i in range(0, len(pivots), w):
-        table = [0]
-        for p in pivots[i : i + w]:
-            bit = 1 << (cols - 1 - p)
-            table += [t | bit for t in table]
-        tables.append(table)
+    tables = [_xor_sums([1 << (cols - 1 - p) for p in pivots[i : i + w]]) for i in range(0, len(pivots), w)]
     basis = []
     wmask = (1 << w) - 1
     for f in free:

@@ -10,6 +10,8 @@ codeword in Gray-code order, a pivot-column count per lead, one
 free-entry flip per reduced basis, one shift per matrix entry, and one
 column per elimination step (the package eliminates a strip of columns
 at a time).
+``subset_xors`` XORs each subset of a list of ints on its own, one
+membership test per value (the package doubles one table per value).
 ``elementwise_leading_minors`` is the package's fraction-free pass on
 plain lists of ints, one entry at a time (the package packs each row into
 one int).
@@ -129,6 +131,19 @@ def span_ints(rows: Iterable[int]) -> list[int]:
     for row in rows:
         words += [w ^ row for w in words]
     return words
+
+
+def subset_xors(values: list[int]) -> list[int]:
+    """Entry u is the XOR of values[j] over the set bits j of u, each
+    subset summed from zero."""
+    sums = []
+    for u in range(1 << len(values)):
+        total = 0
+        for j, value in enumerate(values):
+            if (u >> j) & 1:
+                total ^= value
+        sums.append(total)
+    return sums
 
 
 def permute_bits(word: int, perm: list[int]) -> int:

@@ -1000,3 +1000,25 @@ def test_verify_beauville_validation():
     for samples in (0, 1, 500):
         with pytest.raises(TypeError):
             verify_beauville(5, samples=samples)
+
+
+def test_block_characters_match_the_per_pattern_loop():
+    # a reference build: one doubling per coordinate pattern, into below
+    # or above by its index
+    for low in range(codes._BLOCK_BITS + 1):
+        below, above = [0], [0]
+        for i in range(low):
+            pattern = codes._coordinate_pattern(low, i)
+            table = above if i >= low // 2 else below
+            table += [x ^ pattern for x in table]
+        expected = ((1 << (1 << low)) - 1, tuple(below), tuple(above))
+        assert codes._block_characters(low) == expected, low
+
+
+def test_repetition_budget():
+    # the one generator row has n bits, at most MAX_GENERATOR_BITS
+    rep = LinearCode.repetition(MAX_GENERATOR_BITS)
+    assert (rep.n, rep.k, rep.gen.rows) == (MAX_GENERATOR_BITS, 1, ((1 << MAX_GENERATOR_BITS) - 1,))
+    for n in (MAX_GENERATOR_BITS + 1, 10**9, 1 << 80):
+        with pytest.raises(ResourceLimitError, match="generator bits exceed the budget"):
+            LinearCode.repetition(n)

@@ -423,6 +423,20 @@ def test_theorem_verdict_follows_its_steps():
         TheoremCertificate(cert.statement, s, full, cert.monotonicity, ok=True)
 
 
+def test_theorem_document_is_a_copy():
+    cert = verify_max_sixteen()
+    before = json.dumps(cert.to_json_dict(), sort_keys=True)
+    doc = cert.to_json_dict()
+    doc["sixteen_curve_step"]["dim_lower_bound"] = 4
+    doc["sixteen_curve_step"]["forced_code_weight_counts"]["8"] = 31
+    doc["sixteen_curve_step"]["allowed_nonzero_weights"].append(12)
+    assert cert.sixteen_step["dim_lower_bound"] == 5
+    assert cert.sixteen_step["forced_code_weight_counts"] == {"0": 1, "8": 30, "16": 1}
+    assert cert.sixteen_step["allowed_nonzero_weights"] == [8, 16]
+    assert json.dumps(cert.to_json_dict(), sort_keys=True) == before
+    assert cert.ok and dataclasses.replace(cert).ok
+
+
 def test_verify_max_sixteen_deterministic():
     a = json.dumps(verify_max_sixteen().to_json_dict(), sort_keys=True, indent=2)
     b = json.dumps(verify_max_sixteen().to_json_dict(), sort_keys=True, indent=2)

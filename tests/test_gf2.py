@@ -8,6 +8,7 @@ from k3nodal.gf2 import (
     Gf2Matrix,
     _rref_ints,
     _transpose_ints,
+    _xor_sums,
     format_matrix_text,
     is_rref,
     kernel,
@@ -21,6 +22,7 @@ from oracles import (
     naive_rank,
     naive_rref,
     naive_transpose,
+    subset_xors,
 )
 
 EQ2_ROWS = [
@@ -378,3 +380,17 @@ def test_kernel_on_strip_shapes():
         assert naive_is_rref(ker) and all(ker)
         assert all((v & row).bit_count() % 2 == 0 for v in ker for row in rows)
         assert len(ker) == cols - len(column_rref_ints(rows, cols)[1])
+
+
+def test_xor_sums_match_subset_oracle():
+    rng = random.Random(43)
+    for count in range(9):
+        for _ in range(6):
+            # zeros and repeated values among random ones of mixed widths
+            pool = [0, rng.getrandbits(5), rng.getrandbits(70)]
+            values = [rng.choice(pool + [rng.getrandbits(rng.randrange(1, 90))]) for _ in range(count)]
+            assert _xor_sums(values) == subset_xors(values), values
+    assert _xor_sums([]) == [0]
+    assert _xor_sums([0, 0]) == [0, 0, 0, 0]
+    assert _xor_sums([5, 5]) == [0, 5, 5, 0]
+    assert _xor_sums([1, 0, 4]) == [0, 1, 0, 1, 4, 5, 4, 5]
