@@ -290,28 +290,37 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return _parser().parse_args(argv)
 
 
+# the writer of each JSON scalar, keyed by its exact type
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _json(value: object, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, without the
     pure-Python encoder that ``json`` runs whenever ``indent`` is set.
-    The checks come in ``json``'s order, but on exact types, so a str or
-    int subclass (an enum member) raises ``TypeError`` like any other
-    type instead of being written as its base."""
-    kind, inner = type(value), pad + "  "
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if kind is int:
-        return int.__repr__(value)
+    A scalar is written by the one entry of ``_SCALAR_TEXT`` that its
+    exact type keys, so a str or int subclass (an enum member), a float
+    or a ``Fraction`` raises ``TypeError`` like any other type instead of
+    being written as its base.  A list, tuple or dict writes its scalar
+    items in its own comprehension, so ``_json`` is entered once per
+    container, and once for each value of any other type, to refuse it."""
+    kind, scalar = type(value), _SCALAR_TEXT.get
+    if text := scalar(kind):
+        return text(value)
+    inner = pad + "  "
     if kind is list or kind is tuple:
-        brackets, items = "[]", [_json(item, inner) for item in value]
+        brackets = "[]"
+        items = [text(v) if (text := scalar(type(v))) else _json(v, inner) for v in value]
     elif kind is dict:
         brackets = "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        items = [
+            f"{encode_basestring_ascii(k)}: {text(v) if (text := scalar(type(v))) else _json(v, inner)}"
+            for k, v in sorted(value.items())
+        ]
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not items:

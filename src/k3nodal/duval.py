@@ -216,7 +216,9 @@ class SuiteReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "checks": [{"name": name, "ok": good, "detail": detail} for name, good, detail in self.checks],
+            "checks": [
+                {"name": name, "ok": good, "detail": copy.deepcopy(detail)} for name, good, detail in self.checks
+            ],
             "theorem_certificate": self.theorem.to_json_dict(),
             "ok": self.ok,
         }

@@ -1,4 +1,5 @@
 import argparse
+import enum
 import itertools
 import json
 import os
@@ -614,6 +615,14 @@ def test_json_writer_matches_stdlib_json():
         assert cli._json(document) == json.dumps(document, indent=2, sort_keys=True)
 
 
+def _containers(value):
+    if isinstance(value, dict):
+        return 1 + sum(map(_containers, value.values()))
+    if isinstance(value, (list, tuple)):
+        return 1 + sum(map(_containers, value))
+    return 0
+
+
 @pytest.mark.parametrize("command", sorted(c for c in GOLDEN_CLI if "--json" in c))
 def test_json_writer_matches_stdlib_json_on_every_golden_document(command, code_files, capsys, monkeypatch):
     documents = []
@@ -630,10 +639,50 @@ def test_json_writer_matches_stdlib_json_on_every_golden_document(command, code_
     assert out == json.dumps(documents[0], indent=2, sort_keys=True) + "\n"
 
 
+def test_json_writer_is_entered_once_per_container(code_files, capsys, monkeypatch):
+    # scalar items are written inside their container's comprehension
+    write = cli._json
+    calls = []
+
+    def recorded(value, pad="\n"):
+        calls.append(value)
+        return write(value, pad)
+
+    monkeypatch.setattr(cli, "_json", recorded)
+    for command in sorted(c for c in GOLDEN_CLI if "--json" in c):
+        calls.clear()
+        _capture(capsys, [str(code_files.get(arg, arg)) for arg in command.split()])
+        assert len(calls) == _containers(calls[0]), command
+        if command == "lattice kummer --json":
+            assert len(calls) == 20
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+
+
 @pytest.mark.parametrize(
     "value",
-    [Fraction(1, 2), 0.5, duval.CoverVerdict.IMPOSSIBLE, {"a": [1, {"b": Fraction(1, 2)}]}],
-    ids=["Fraction", "float", "str enum", "nested Fraction"],
+    [
+        Fraction(1, 2),
+        0.5,
+        duval.CoverVerdict.IMPOSSIBLE,
+        {"a": [1, {"b": Fraction(1, 2)}]},
+        [duval.CoverVerdict.IMPOSSIBLE],
+        {"v": duval.CoverVerdict.EMPTY},
+        [1, _Small.ONE],
+        [0.5],
+    ],
+    ids=[
+        "Fraction",
+        "float",
+        "str enum",
+        "nested Fraction",
+        "str enum in a list",
+        "str enum in a dict",
+        "int enum in a list",
+        "float in a list",
+    ],
 )
 def test_json_writer_refuses_other_types(value):
     with pytest.raises(TypeError):

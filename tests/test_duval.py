@@ -488,6 +488,19 @@ def test_suite_report_ok_needs_the_theorem():
     assert report.to_json_dict()["theorem_certificate"]["ok"] is False
 
 
+def test_suite_document_is_a_copy():
+    suite = verify_all()
+    before = json.dumps(suite.to_json_dict(), sort_keys=True)
+    doc = suite.to_json_dict()
+    doc["checks"][0]["detail"]["ok"] = "edited"
+    doc["checks"][0]["detail"]["per_n"][0]["qualifying"] = 2
+    doc["checks"][3]["detail"]["weights"].append(5)
+    assert suite.checks[0][2]["ok"] is True
+    assert suite.checks[0][2]["per_n"][0]["qualifying"] == 1
+    assert suite.checks[3][2] == {"m": 3, "pairs": 12, "weights": [1, 3]}
+    assert json.dumps(suite.to_json_dict(), sort_keys=True) == before
+
+
 def test_theorem_refuted_by_an_incomplete_witness_table(monkeypatch):
     full = duval.verify_no_extension
 

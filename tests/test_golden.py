@@ -4,7 +4,9 @@ Each CLI entry is the sha256 of the exit code, stdout and stderr of one
 command run in-process through ``cli.run``; each demo entry is the sha256
 of the demo's stdout.  Each digest was recorded before the change it
 guards (the rank-64 ``lattice gamma`` runs before the lattice invariants
-were cached, the rank-256 ones before the minors were packed), and pins
+were cached, the rank-256 ones before the minors were packed, the sampled
+``verify beauville --m 5 --json`` and the non-integral ``RM23`` one before
+the JSON writer wrote scalar items inside their container), and pins
 every byte of the output that refactors of the CLI or the library must
 keep.
 """
@@ -40,9 +42,12 @@ D5_TEXT = "\n".join(
 # for the path of a file holding what ``code rm --degree 2 --m 6`` prints
 # (an integral code lattice of rank 64), "RM18" for the path of a file
 # holding what ``code rm --degree 1 --m 8`` prints (a lattice of rank 256),
-# and "RM13" for the path of a file holding what ``code rm --degree 1 --m 3``
+# "RM13" for the path of a file holding what ``code rm --degree 1 --m 3``
 # prints (RM(1,3) is self-dual and doubly even, so its lattice is E_8, with
-# determinant 1 and a trivial discriminant group)
+# determinant 1 and a trivial discriminant group), and "RM23" for the path
+# of a file holding what ``code rm --degree 2 --m 3`` prints (RM(2,3) is not
+# self-orthogonal, so its lattice is not integral and has no elementary
+# divisors)
 GOLDEN_CLI = {
     "verify all": "61250777e1f3bea3dd60de2c8487eb4e2725d3fea450afa760f32fcb4a219485",
     "verify all --json": "ebcb6bfc5e79358fb8674689fcc36922c45a69ffafc1a0e6719cf6cd9371328b",
@@ -85,6 +90,8 @@ GOLDEN_CLI = {
     "lattice gamma --in RM18 --json": "1bfcece02efc2375911f25084bcd67dde6ebc3f653ce28e7060bc32a31022fd0",
     "lattice gamma --in RM13": "d008498a3fba32fe22c80656434f92b7afbadc02ef2d9fa73353f9d5062cf9ce",
     "lattice gamma --in RM13 --json": "b5c5aff7762d006c4ccef97c380f238220c724213fe83807b63bbd180aaa8441",
+    "lattice gamma --in RM23 --json": "7dadd666afc411adac2463376535c2c21b405cfdd3bb86de315101736faf5da3",
+    "verify beauville --m 5 --json": "468349f938f63c21458446878cc6a6c53117f218c867c1df70643be28b1e34ac",
 }
 
 GOLDEN_DEMOS = {
@@ -130,7 +137,10 @@ def code_files(tmp_path, capsys):
     assert run(["code", "rm", "--degree", "1", "--m", "3"]) == 0
     rm13 = tmp_path / "rm13.txt"
     rm13.write_text(capsys.readouterr().out)
-    return {"D5": d5, "RM26": rm26, "RM18": rm18, "RM13": rm13}
+    assert run(["code", "rm", "--degree", "2", "--m", "3"]) == 0
+    rm23 = tmp_path / "rm23.txt"
+    rm23.write_text(capsys.readouterr().out)
+    return {"D5": d5, "RM26": rm26, "RM18": rm18, "RM13": rm13, "RM23": rm23}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_CLI))
