@@ -62,6 +62,11 @@ class LinearCode:
 
     @classmethod
     def zero(cls, n: int) -> LinearCode:
+        """The code {0} of length n; a length over MAX_GENERATOR_BITS is
+        refused, as by ``repetition``."""
+        n = _integer(n, "n")
+        if n > MAX_GENERATOR_BITS:
+            raise ResourceLimitError(f"length {n} exceeds the budget of {MAX_GENERATOR_BITS}")
         return cls(Gf2Matrix((), n))
 
     @classmethod
@@ -212,17 +217,24 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
     bits.  The columns are summed into counter planes (``_add_columns``)
     and the block's mask is split by weight (``_split_by_planes``); each
     part is counted with ``int.bit_count``.  Only columns with both masks
-    nonzero change from block to block.  Those with no high mask (in
-    reduced form, every pivot column of a low row) are summed once, and
-    each block's sum starts from a copy of those planes.  Those with no
-    low mask are all zeros or all ones over a block, so they shift every
-    weight in it by the number of them the high part meets oddly.  The
-    cost grows as n 2^k: more than 2^MAX_ENUM_DIM codewords, or more than
-    MAX_ENUM_BITS codeword bits, are refused before any block is built.
+    nonzero change from block to block; each holds its pattern and the
+    complement as a pair, built once per call, and a block picks one by
+    that parity.  Those with no high mask (in reduced form, every pivot
+    column of a low row) are summed once, and each block's sum starts
+    from a copy of those planes.  Those with no low mask are all zeros or
+    all ones over a block, so they shift every weight in it by the number
+    of them the high part meets oddly.  The cost grows as n 2^k: more
+    than 2^MAX_ENUM_DIM codewords or more than MAX_ENUM_BITS codeword
+    bits are refused before any block is built, and a length over
+    MAX_GENERATOR_BITS before the columns are transposed.
     """
     if c.k > MAX_ENUM_DIM:
         raise ResourceLimitError(
             f"enumerating 2^{c.k} codewords exceeds the 2^{MAX_ENUM_DIM} budget"
+        )
+    if c.n > MAX_GENERATOR_BITS:
+        raise ResourceLimitError(
+            f"enumerating codewords of length {c.n} exceeds the length budget of {MAX_GENERATOR_BITS}"
         )
     if c.n << c.k > MAX_ENUM_BITS:
         raise ResourceLimitError(
@@ -243,15 +255,13 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
         elif not base:
             shifts.append(high)
         else:
-            varying.append((base, high))
+            varying.append(((base, base ^ full), high))
     fixed_planes = [0] * (len(fixed) + len(varying)).bit_length()
     _add_columns(fixed_planes, fixed)
     counts: dict[int, int] = {}
     for h in range(1 << (c.k - low)):
         planes = fixed_planes.copy()
-        _add_columns(
-            planes, [base ^ full if (h & high).bit_count() & 1 else base for base, high in varying]
-        )
+        _add_columns(planes, [pair[(h & high).bit_count() & 1] for pair, high in varying])
         shift = sum((h & high).bit_count() & 1 for high in shifts)
         for part, w in _split_by_planes(planes, full):
             counts[w + shift] = counts.get(w + shift, 0) + part.bit_count()
@@ -459,7 +469,8 @@ class ExtensionCertificate:
     For m >= 3 these weights lie off the {0, N/2, N} spectrum of D_m,
     which is the contradiction being certified; for m = 2 they collide
     with it and the certificate is marked degenerate.  N and degeneracy
-    come from m.
+    come from m.  The entries are stored as a tuple, so the table cannot
+    change and ``ok`` is computed once, on first read.
     """
 
     m: int
@@ -473,8 +484,9 @@ class ExtensionCertificate:
             raise ValueError("an extension certificate needs m >= 2")
         object.__setattr__(self, "block_length", 1 << (self.m - 1))
         object.__setattr__(self, "degenerate", self.m == 2)
+        object.__setattr__(self, "entries", tuple(self.entries))
 
-    @property
+    @functools.cached_property
     def ok(self) -> bool:
         """Non-degenerate, with one correct witness for every ordered column
         pair: the pairs (k, l), k != l, of range(N) each appear once, each
@@ -701,7 +713,8 @@ def verify_beauville(m: int, n_max: int | None = None, *, seed: int = 0) -> Beau
     For larger m it samples SAMPLES_PER_LENGTH random dimension-m codes
     per n from a seeded generator, always including D_m itself at the
     extremal length.
-    A draw of m rows is kept when ``_independent`` finds them independent;
+    A draw of m rows, m calls of ``getrandbits(n)`` mapped over one list
+    of widths, is kept when ``_independent`` finds them independent;
     the half-weight test walks the span of the rows as drawn, and only a
     draw that passes it is reduced, so every basis passed on is reduced.
     (b) is decided at every length on the reduced rows by their columns
@@ -783,8 +796,9 @@ def verify_beauville(m: int, n_max: int | None = None, *, seed: int = 0) -> Beau
             bases: list[list[int]] = []
             if n == extremal_n:
                 bases.append(list(code_d(m).gen.row_bits()))
+            widths = [n] * m
             while len(bases) < SAMPLES_PER_LENGTH:
-                rows = [rng.getrandbits(n) for _ in range(m)]
+                rows = list(map(rng.getrandbits, widths))
                 if _independent(rows):
                     bases.append(rows)
             qualifying = 0

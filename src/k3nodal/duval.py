@@ -131,20 +131,21 @@ class NodalCodeConstraints:
 class TheoremCertificate:
     """Machine-checkable composition proving the 16-curve bound.
 
-    ``ok`` is read from the two steps, not passed: the sixteen-curve step
-    must state the dimension bound 5, the allowed weights {8, 16}, an
-    extremal length, a forced code that passes the characterization and
-    the weight counts {0: 1, 8: 30, 16: 1} of D_5, and the seventeen-curve
-    witness table must be ``ok``.
+    ``ok`` is read from the two steps on every read, not passed: the
+    sixteen-curve step must state the dimension bound 5, the allowed
+    weights {8, 16}, an extremal length, a forced code that passes the
+    characterization and the weight counts {0: 1, 8: 30, 16: 1} of D_5,
+    and the seventeen-curve witness table must be ``ok``.  The step is a
+    plain dict that a caller can edit, so the verdict follows its data.
     """
 
     statement: str
     sixteen_step: dict
     seventeen_step: ExtensionCertificate
     monotonicity: str
-    ok: bool = field(init=False)
 
-    def __post_init__(self) -> None:
+    @property
+    def ok(self) -> bool:
         s = self.sixteen_step
         sixteen_ok = (
             s["dim_lower_bound"] == 5
@@ -153,7 +154,7 @@ class TheoremCertificate:
             and s["forced_code_passes_characterization"]
             and s["forced_code_weight_counts"] == {"0": 1, "8": 30, "16": 1}
         )
-        object.__setattr__(self, "ok", sixteen_ok and self.seventeen_step.ok)
+        return sixteen_ok and self.seventeen_step.ok
 
     def to_json_dict(self) -> dict:
         return {

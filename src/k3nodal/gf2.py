@@ -200,29 +200,53 @@ def kernel(m: Gf2Matrix) -> Gf2Matrix:
 
     The returned matrix has cols - rank(m) independent rows v with
     m . v^T = 0.  The rows of m are reduced with their columns reversed,
-    so every reduced row has its pivot as its highest bit; the null-space
-    vector of a free column f then has f as its lowest bit, and the
-    vectors taken in order of f are already the reduced echelon basis.
-    Its other bits are the pivots of the reduced rows holding bit f.  One
-    transpose of the reduced rows gives, per column f, those rows as the
-    bits of an int; it is read w bits at a time (w about log2 of the free
-    column count, at most 8) through tables of the 2^w sums of the pivot
-    bits of w consecutive rows.
+    so every reduced row has its pivot as its highest bit, its pivot
+    place; the null-space vector of a free column f then has f as its
+    lowest bit, and the vectors taken in order of f are already the
+    reduced echelon basis.  Its other bits are the pivot places of the
+    reduced rows holding bit f.  One transpose of the reduced rows gives,
+    per column f, those rows as the bits of an int, ``holders``.  A run
+    of at least w consecutive pivot places (w about log2 of the free
+    column count, at most 8) sits at consecutive bits of ``holders`` in
+    ascending place order, so it is deposited with one shift and mask.
+    The other pivots follow in descending place order, so that a free
+    column's holders come lowest, and are read w bits at a time, until
+    none is left, through tables of the 2^w sums of w of their places.
     """
     cols = m.cols
     width = f"0{cols}b"
     flipped, pivots = _rref_ints([int(format(b, width)[::-1], 2) for b in m.row_bits()], cols)
-    # bit i of columns[f] is bit f of the i-th reduced row, unflipped
-    columns = _transpose_ints(flipped[: len(pivots)], cols)[::-1]
-    pivot_set = {cols - 1 - p for p in pivots}
-    free = [f for f in range(cols) if f not in pivot_set]
+    rank = len(pivots)
+    # the reduced rows in ascending order of their pivot places
+    reduced = flipped[:rank][::-1]
+    places = [cols - 1 - p for p in reversed(pivots)]
+    place_set = set(places)
+    free = [f for f in range(cols) if f not in place_set]
     w = min(max(len(free).bit_length(), 1), 8)
-    tables = [_xor_sums([1 << (cols - 1 - p) for p in pivots[i : i + w]]) for i in range(0, len(pivots), w)]
-    basis = []
+    # each span of consecutive places runs from one bound to the next
+    bounds = [0, *(i for i in range(1, rank) if places[i] - places[i - 1] > 1), rank]
+    runs, order = [], []
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a >= w:
+            runs.append((len(order), (1 << (b - a)) - 1, places[a]))
+            order += range(a, b)
+    shift = len(order)
+    taken = set(order)
+    rest = [i for i in reversed(range(rank)) if i not in taken]
+    # bit i of columns[f] is bit f of the i-th row taken, unflipped: the
+    # runs in ascending place order, then the rest in descending order
+    columns = _transpose_ints([reduced[i] for i in order + rest], cols)[::-1]
+    tables = [_xor_sums([1 << places[i] for i in rest[j : j + w]]) for j in range(0, len(rest), w)]
     wmask = (1 << w) - 1
+    basis = []
     for f in free:
         holders, v = columns[f], 1 << f
+        for i, mask, place in runs:
+            v |= (holders >> i & mask) << place
+        holders >>= shift
         for table in tables:
+            if not holders:
+                break
             v |= table[holders & wmask]
             holders >>= w
         basis.append(v)

@@ -4,12 +4,13 @@ Almost everything here works on plain lists of 0/1 ints (or adjacency
 lists), deliberately avoiding the bit-packed representations and
 algorithms of the package, so agreement between the two routes is
 meaningful.  ``gray_weight_distribution``, ``naive_is_rref``,
-``gray_order_bases``, ``naive_transpose`` and ``column_rref_ints`` work
-on bit-packed int rows, but use none of the package's code: one XOR per
-codeword in Gray-code order, a pivot-column count per lead, one
-free-entry flip per reduced basis, one shift per matrix entry, and one
-column per elimination step (the package eliminates a strip of columns
-at a time).
+``gray_order_bases``, ``naive_transpose``, ``column_rref_ints`` and
+``column_kernel_ints`` work on bit-packed int rows, but use none of the
+package's code: one XOR per codeword in Gray-code order, a pivot-column
+count per lead, one free-entry flip per reduced basis, one shift per
+matrix entry, one column per elimination step (the package eliminates a
+strip of columns at a time), and one null-space word per free column
+built bit by bit from the reduced rows.
 ``subset_xors`` XORs each subset of a list of ints on its own, one
 membership test per value (the package doubles one table per value).
 ``elementwise_leading_minors`` is the package's fraction-free pass on
@@ -105,6 +106,21 @@ def column_rref_ints(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
         rows[r] = prow
         pivots.append(c)
     return rows, pivots
+
+
+def column_kernel_ints(rows: list[int], cols: int) -> list[int]:
+    """Reduced echelon basis of the null space of bit-packed rows: for each
+    free column f of ``column_rref_ints``, the word with bit f and the
+    pivot bit of every reduced row that holds bit f, reduced again by
+    ``column_rref_ints`` (the package reduces with the columns reversed
+    and reads each free column's pivots from one transpose)."""
+    reduced, pivots = column_rref_ints(rows, cols)
+    words = [
+        (1 << f) | sum(1 << p for p, row in zip(pivots, reduced) if row >> f & 1)
+        for f in range(cols)
+        if f not in pivots
+    ]
+    return column_rref_ints(words, cols)[0]
 
 
 def naive_rank(rows: list[list[int]]) -> int:

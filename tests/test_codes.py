@@ -204,6 +204,13 @@ def test_dual_budget():
     assert dual(_full_code(2049)) == LinearCode.zero(2049)
 
 
+def test_dual_of_reed_muller_is_reed_muller():
+    # RM(r, m) and RM(m - r - 1, m) are each other's duals
+    for m in range(1, 9):
+        for r in range(m):
+            assert dual(reed_muller(r, m)) == reed_muller(m - r - 1, m), (r, m)
+
+
 def test_is_isotropic_examples():
     assert is_isotropic(LinearCode.repetition(2))
     assert not is_isotropic(from_generators(parse_matrix_text("10")))
@@ -289,6 +296,26 @@ def test_weight_distribution_budget():
         rows = [(1 << i) | (rng.getrandbits(n - k) << k) for i in range(k)]
         c = LinearCode(Gf2Matrix.from_ints(rows, n))
         with pytest.raises(ResourceLimitError, match="budget of 2\\^34 codeword bits"):
+            weight_distribution(c)
+
+
+def test_weight_distribution_length_budget(monkeypatch):
+    # at k = 0 the n 2^k bound admits n up to 2^34, so the length has its
+    # own bound, MAX_GENERATOR_BITS, checked before the columns are transposed
+    class Transposed(Exception):
+        pass
+
+    def transpose(rows, cols):
+        raise Transposed(cols)
+
+    monkeypatch.setattr(codes, "_transpose_ints", transpose)
+    with pytest.raises(Transposed):
+        weight_distribution(LinearCode.zero(MAX_GENERATOR_BITS))
+    longer = (MAX_GENERATOR_BITS + 1, 1 << 34)
+    codes_over = [LinearCode(Gf2Matrix((), n)) for n in longer]
+    codes_over.append(LinearCode(Gf2Matrix((1 << MAX_GENERATOR_BITS,), MAX_GENERATOR_BITS + 1)))
+    for c in codes_over:
+        with pytest.raises(ResourceLimitError, match=f"length {c.n} exceeds the length budget"):
             weight_distribution(c)
 
 
@@ -904,6 +931,22 @@ def test_sampled_scan_hands_on_reduced_bases(monkeypatch):
         assert naive_is_rref(rows), line
 
 
+def test_sampled_scan_pins_the_kept_bases(monkeypatch):
+    # every kept basis made to qualify prints as a counterexample below the
+    # extremal length, and at it unless it spans D_m, so the digest of the
+    # lines pins which draws of the seeded generator are kept, and in what
+    # order; the report's digest holds only counts
+    monkeypatch.setattr(codes, "_weights_reach_half", lambda rows, n, flips: True)
+    expected = {
+        (5, 16, 0): (5999, "82ae8bad72290f8310f3746a098a68d1bd41093d681e9bfb268ac4ff35b2ea8d"),
+        (6, 10, 5): (2500, "65df344a6a72cfd08fe98aae43b0276b0532ec83df9d8a2e9551de11ab51bf2e"),
+    }
+    for (m, n_max, seed), (lines, digest) in expected.items():
+        rep = verify_beauville(m, n_max, seed=seed)
+        assert len(rep.counterexamples) == lines
+        assert hashlib.sha256("\n".join(rep.counterexamples).encode()).hexdigest() == digest
+
+
 def test_verify_beauville_default_length_and_dimension_bound():
     # n_max defaults to the extremal length 2^(m-1)
     assert verify_beauville(3).to_json_dict() == verify_beauville(3, 4).to_json_dict()
@@ -1022,3 +1065,17 @@ def test_repetition_budget():
     for n in (MAX_GENERATOR_BITS + 1, 10**9, 1 << 80):
         with pytest.raises(ResourceLimitError, match="generator bits exceed the budget"):
             LinearCode.repetition(n)
+
+
+def test_zero_code_budget():
+    # the zero code has no generator bits, but its length is bounded as
+    # the repetition code's is
+    zero = LinearCode.zero(MAX_GENERATOR_BITS)
+    assert (zero.n, zero.k, zero.gen.rows) == (MAX_GENERATOR_BITS, 0, ())
+    for n in (MAX_GENERATOR_BITS + 1, 10**9, 1 << 80):
+        with pytest.raises(ResourceLimitError, match=f"length {n} exceeds the budget"):
+            LinearCode.zero(n)
+    assert LinearCode.zero(Index(3)) == LinearCode.zero(3)
+    for n in (True, 3.0, "3"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            LinearCode.zero(n)

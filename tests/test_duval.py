@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from k3nodal import duval
-from k3nodal.codes import ExtensionCertificate, code_d
+from k3nodal.codes import ExtensionCertificate, code_d, verify_no_extension
 from k3nodal.duval import (
     AdmissibilityReport,
     CoverVerdict,
@@ -435,6 +435,35 @@ def test_theorem_document_is_a_copy():
     assert cert.sixteen_step["allowed_nonzero_weights"] == [8, 16]
     assert json.dumps(cert.to_json_dict(), sort_keys=True) == before
     assert cert.ok and dataclasses.replace(cert).ok
+
+
+def test_theorem_verdict_follows_an_edited_step(monkeypatch, capsys):
+    # the step is a plain dict a caller can edit; the verdict, the document
+    # and the CLI's text and exit status all read the edited data
+    cert = verify_max_sixteen()
+    assert cert.ok
+    cert.sixteen_step["dim_lower_bound"] = 4
+    assert not cert.ok and cert.to_json_dict()["ok"] is False
+    monkeypatch.setattr(duval, "verify_max_sixteen", lambda: cert)
+    capsys.readouterr()
+    assert run(["verify", "no-seventeen"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("sixteen curves: code dimension >= 4,")
+    assert lines[-1] == f"THEOREM REFUTED: {cert.statement}"
+    cert.sixteen_step["dim_lower_bound"] = 5
+    assert cert.ok
+    assert run(["verify", "no-seventeen"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"THEOREM VERIFIED: {cert.statement}"
+
+
+def test_extension_certificate_keeps_its_table():
+    # the witness table is stored as a tuple, so the verdict computed on
+    # first read cannot go stale
+    entries = list(verify_no_extension(4).entries)
+    cert = ExtensionCertificate(4, entries)
+    assert cert.ok and isinstance(cert.entries, tuple)
+    entries.pop()
+    assert len(cert.entries) == 56 and cert.ok
 
 
 def test_verify_max_sixteen_deterministic():

@@ -16,6 +16,7 @@ from k3nodal.gf2 import (
     rref,
 )
 from oracles import (
+    column_kernel_ints,
     column_rref_ints,
     matrix_coords,
     naive_is_rref,
@@ -380,6 +381,57 @@ def test_kernel_on_strip_shapes():
         assert naive_is_rref(ker) and all(ker)
         assert all((v & row).bit_count() % 2 == 0 for v in ker for row in rows)
         assert len(ker) == cols - len(column_rref_ints(rows, cols)[1])
+
+
+def _runs(*spans):
+    """The pivot places of half-open spans [a, b), ascending."""
+    return sorted(q for a, b in spans for q in range(a, b))
+
+
+# (cols, pivot places, w) by the runs of consecutive places that ``kernel``
+# deposits with one shift, against w = min(bit length of the free column
+# count, 8): 5 at 40 columns with 16 to 31 free, 8 at 300 columns
+_PIVOT_LAYOUTS = {
+    "runs shorter than w": (40, _runs((0, 4), (6, 10), (12, 16), (20, 24)), 5),
+    "runs of exactly w": (40, _runs((2, 7), (10, 15), (30, 35)), 5),
+    "runs longer than w": (40, _runs((5, 11), (20, 29)), 5),
+    "isolated pivots": (40, _runs(*((q, q + 1) for q in range(1, 30, 2))), 5),
+    "runs at both ends": (40, _runs((0, 6), (17, 18), (19, 20), (34, 40)), 5),
+    "mixed runs": (40, _runs((0, 1), (2, 8), (9, 10), (11, 15), (16, 21), (39, 40)), 5),
+    "w = 8, runs of 7, 8 and 9": (300, _runs((0, 7), (50, 51), (52, 53), (100, 108), (200, 201), (291, 300)), 8),
+    "one run": (40, _runs((10, 25)), 5),
+    "every column a pivot": (12, _runs((0, 12)), 1),
+    "rank 0": (40, [], 6),
+}
+
+
+def _rows_with_pivot_places(rng, cols, places):
+    """Rows whose row space has exactly the given pivot places (the highest
+    bits of a basis with distinct highest bits): one row per place with
+    random bits below it, each plus a row of a lower place, then sums of
+    pairs and zero rows, shuffled."""
+    rows = []
+    for q in places:
+        row = (1 << q) | rng.getrandbits(q)
+        rows.append(row ^ rng.choice(rows) if rows and rng.getrandbits(1) else row)
+    rows += [rng.choice(rows) ^ rng.choice(rows) for _ in range(len(rows) // 3)]
+    rows += [0] * rng.randint(0, 2)
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("layout", list(_PIVOT_LAYOUTS))
+def test_kernel_pivot_runs_match_oracle(layout):
+    cols, places, w = _PIVOT_LAYOUTS[layout]
+    assert w == min(max((cols - len(places)).bit_length(), 1), 8)
+    rng = random.Random(47)
+    for _ in range(6):
+        rows = _rows_with_pivot_places(rng, cols, places)
+        flipped = [int(format(r, f"0{cols}b")[::-1], 2) for r in rows]
+        # the pivot places are the pivots of the reversed columns, reversed
+        assert sorted(cols - 1 - p for p in column_rref_ints(flipped, cols)[1]) == places
+        ker = kernel(Gf2Matrix.from_ints(rows, cols))
+        assert list(ker.rows) == column_kernel_ints(rows, cols), layout
 
 
 def test_xor_sums_match_subset_oracle():
