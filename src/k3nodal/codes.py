@@ -26,7 +26,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
-from .gf2 import Gf2Matrix, _integer, _rref_ints, _transpose_ints, _xor_sums, is_rref, kernel
+from .gf2 import (
+    Gf2Matrix,
+    _independent,
+    _integer,
+    _rref_ints,
+    _transpose_ints,
+    _xor_sums,
+    is_rref,
+    kernel,
+)
 
 MAX_ENUM_DIM = 28
 MAX_ENUM_BITS = 1 << 34
@@ -223,7 +232,8 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
     column of a low row) are summed once, and each block's sum starts
     from a copy of those planes.  Those with no low mask are all zeros or
     all ones over a block, so they shift every weight in it by the number
-    of them the high part meets oddly.  The cost grows as n 2^k: more
+    of them the high part meets oddly.  All-zero columns are dropped
+    before the planes are sized.  The cost grows as n 2^k: more
     than 2^MAX_ENUM_DIM codewords or more than MAX_ENUM_BITS codeword
     bits are refused before any block is built, and a length over
     MAX_GENERATOR_BITS before the columns are transposed.
@@ -243,8 +253,9 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
         )
     low = min(c.k, _BLOCK_BITS)
     full, below, above = _block_characters(low)
-    # one message mask per column (bit i = entry of generator row i)
-    masks = _transpose_ints(c.gen.row_bits(), c.n)
+    # one message mask per column (bit i = entry of generator row i); a
+    # zero column adds nothing to any weight, so it is dropped here
+    masks = filter(None, _transpose_ints(c.gen.row_bits(), c.n))
     half, low_mask = low // 2, (1 << low) - 1
     half_mask = (1 << half) - 1
     fixed, varying, shifts = [], [], []
@@ -662,26 +673,6 @@ def _half_weight_bases(n: int, m: int, visit: Callable[[list[int]], None]) -> tu
             candidates.append(level)
         extend(candidates, [], [])
     return examined, qualifying
-
-
-def _independent(rows: Sequence[int]) -> bool:
-    """True when the rows are linearly independent over GF(2).
-
-    Each row is reduced against a small XOR basis keyed by highest bit
-    until its highest bit is new, and joins the basis; a row that reduces
-    to zero depends on the rows before it.
-    """
-    basis: dict[int, int] = {}
-    for row in rows:
-        while row:
-            top = row.bit_length()
-            if top not in basis:
-                basis[top] = row
-                break
-            row ^= basis[top]
-        else:
-            return False
-    return True
 
 
 def _weights_reach_half(rows: list[int], n: int, flips: list[int]) -> bool:

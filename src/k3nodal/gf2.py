@@ -110,6 +110,27 @@ def _rref_ints(rows: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
     return rows, pivots
 
 
+def _independent(rows: Sequence[int]) -> bool:
+    """True when the rows are linearly independent over GF(2): the rank
+    test of ``_rref_ints`` without the reduction.
+
+    Each row is reduced against a small XOR basis keyed by highest bit
+    until its highest bit is new, and joins the basis; a row that reduces
+    to zero depends on the rows before it.
+    """
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+        else:
+            return False
+    return True
+
+
 def _rref_strips(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
     """``_rref_ints`` a strip of s columns at a time (the Method of Four
     Russians), s = floor(log2 rows) up to 8.
@@ -255,7 +276,10 @@ def kernel(m: Gf2Matrix) -> Gf2Matrix:
 
 def _transpose_ints(rows: Sequence[int], cols: int) -> list[int]:
     """Columns of bit-packed rows (bit i of column j is bit j of row i), each
-    a stride slice of the rows' fixed-width binary text, last row first."""
+    a stride slice of the rows' fixed-width binary text, last row first.
+    With no rows every column is zero, and none is sliced."""
+    if not rows:
+        return [0] * cols
     width = f"0{cols}b"
     text = "".join([format(r, width) for r in reversed(rows)])
     return [int(text[p::cols] or "0", 2) for p in range(cols - 1, -1, -1)]

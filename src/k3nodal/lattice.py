@@ -15,9 +15,9 @@ dense basis and the doubled Gram matrix gram2_ij = sign s_i s_j
 (the JSON document and ``format_gram``) do; gram2 takes popcounts only
 between generators, since a 2e_j row pairs with a generator through the
 generator's bit j.  Every invariant is exact.  Integrality (the isotropy
-of the code), the leading minors and the Smith diagonal are each
-computed at most once per lattice and kept on it.  The invariants come
-from:
+of the code), the leading minors and the discriminant group are each
+computed at most once per lattice and kept on it, so every caller gets
+the same group object.  The invariants come from:
 
 - membership from the parity word alone: the lattice is
   {x in Z^n : x mod 2 in C}, so x is a member exactly when the word of
@@ -44,7 +44,8 @@ from:
   r ones and n - r twos.  For an isotropic code C the lattice is
   Gamma(C), its dual is Gamma(C-perp) and Gamma*/Gamma is C-perp/C, an
   elementary abelian 2-group of order 2^(n - 2k), so r = 2k, and r is
-  read off the k x (n - k) block of generator bits at the non-pivots.
+  read off the k x (n - k) block of generator bits at the non-pivots by
+  an independence test of its k rows, which builds no echelon form.
 
 The two named lattices of interest are the rank-16 lattice of sixteen
 disjoint nodal curves on a desingularized Kummer surface and the rank-8
@@ -63,7 +64,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .codes import LinearCode, ResourceLimitError, code_d, is_isotropic
-from .gf2 import _integer, _rref_ints, _transpose_ints
+from .gf2 import _independent, _integer, _transpose_ints
 
 MAX_LATTICE_RANK = 256
 
@@ -78,7 +79,7 @@ class CodeLattice:
     The true Gram matrix is gram2 / 2; keeping the doubled copy as plain
     integers keeps every computation exact without a fraction type in hot
     paths.  The dense basis, gram2, integrality, the leading minors and
-    the Smith diagonal are computed on first use and kept on the
+    the discriminant group are computed on first use and kept on the
     instance; no invariant reads the basis or gram2.  The basis is upper
     triangular with respect to the leading coordinate, with diagonal 1 at
     pivots and 2 elsewhere.  A sign other than the integer +1 or -1 (a
@@ -185,9 +186,10 @@ class CodeLattice:
         return tuple(minors)
 
     @functools.cached_property
-    def _smith(self) -> tuple[int, ...]:
-        """Smith diagonal of gram2 // 2, the true Gram matrix G when the
-        lattice is integral.
+    def _smith(self) -> DiscriminantGroup:
+        """The discriminant group of gram2 // 2, the true Gram matrix G when
+        the lattice is integral, read from its Smith diagonal; the one
+        group that ``discriminant_group`` hands out for this lattice.
 
         Lemma: if G is a nonsingular integer n x n matrix of rank r over
         GF(2) and |det G| = 2^(n-r), its Smith diagonal is r ones followed
@@ -209,13 +211,15 @@ class CodeLattice:
         of the basis: the triangular basis B has k ones and n - k twos on
         its diagonal, so |det G| = det(B)^2 / 2^n = 4^(n-k) / 2^n =
         2^(n-2k) for every code lattice, and rank N = k gives k <= n - k.
-        The rank is the one runtime check; a failure is a bug and raises
-        ``AssertionError``.  No n x n elimination runs.
+        The rank is the one runtime check, an independence test of the k
+        rows of N (``_independent``), which builds no echelon form; a
+        failure is a bug and raises ``AssertionError``.  No n x n
+        elimination runs.
         """
         n, k, mask = self.n, self.code.k, sum(1 << j for j in self.code.pivots())
-        if len(_rref_ints([g & ~mask for g in self.code.gen.rows], n)[1]) != k:
+        if not _independent([g & ~mask for g in self.code.gen.rows]):
             raise AssertionError("the Smith certificate of a code lattice failed: rank N < k")
-        return (1,) * (2 * k) + (2,) * (n - 2 * k)
+        return DiscriminantGroup((2,) * (n - 2 * k))
 
     def contains(self, vec: Sequence[int]) -> bool:
         """True when vec lies in the lattice {x in Z^n : x mod 2 in C}: its
@@ -257,15 +261,17 @@ class CodeLattice:
 @dataclass(frozen=True)
 class DiscriminantGroup:
     """Elementary divisors (> 1) of an integral Gram matrix, in a
-    divisibility chain."""
+    divisibility chain.  Divisors given as any iterable are stored as a
+    tuple of exact ints; a bool or a non-integer is refused."""
 
     elementary_divisors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for d in self.elementary_divisors:
-            if d <= 1:
-                raise ValueError("elementary divisors must exceed 1")
-        for a, b in zip(self.elementary_divisors, self.elementary_divisors[1:]):
+        divisors = tuple(_integer(d, "an elementary divisor") for d in self.elementary_divisors)
+        object.__setattr__(self, "elementary_divisors", divisors)
+        if divisors and min(divisors) <= 1:
+            raise ValueError("elementary divisors must exceed 1")
+        for a, b in zip(divisors, divisors[1:]):
             if b % a:
                 raise ValueError("each divisor must divide the next")
 
@@ -453,10 +459,11 @@ def is_negative_definite(lat: CodeLattice) -> bool:
 
 def discriminant_group(lat: CodeLattice) -> DiscriminantGroup:
     """Cokernel of the integral true Gram matrix as a product of cyclic
-    groups, from the Smith normal form."""
+    groups, from the Smith normal form: one group per lattice, built on
+    first read and kept on it."""
     if not is_integral(lat):
         raise ValueError("discriminant group requires an integral lattice")
-    return DiscriminantGroup(tuple(d for d in lat._smith if d > 1))
+    return lat._smith
 
 
 def format_gram(lat: CodeLattice) -> str:

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from k3nodal import codes
+from k3nodal import codes, gf2
 from k3nodal.codes import (
     MAX_GENERATOR_BITS,
     MAX_PERM_SEARCH_LEN,
@@ -283,6 +283,29 @@ def test_weight_distribution_special_codes_match_gray():
         dist = weight_distribution(c)
         assert dist.counts == gray_weight_distribution(list(c.gen.row_bits()), c.n)
         assert dist.total() == 2**c.k
+
+
+def test_weight_distribution_drops_zero_columns():
+    # a zero column adds nothing to any weight: the zero code of the
+    # longest admitted length is enumerated without summing its columns
+    t0 = time.process_time()
+    assert weight_distribution(LinearCode.zero(MAX_GENERATOR_BITS)).counts == {0: 1}
+    assert time.process_time() - t0 < 0.1
+    rng = random.Random(37)
+    for k, n in ((1, 9), (5, 40), (15, 60), (16, 70)):
+        base = from_generators(Gf2Matrix.from_ints([rng.getrandbits(n) | 1 for _ in range(k)], n))
+        # zero columns spread between the code's own, and a zero tail
+        columns = naive_transpose(list(base.gen.rows), n)
+        padded = []
+        for col in columns:
+            padded += [col] + [0] * rng.randint(0, 2)
+        padded += [0] * 5
+        rows = naive_transpose(padded, base.k)
+        c = LinearCode(Gf2Matrix.from_ints(rows, len(padded)))
+        dist = weight_distribution(c)
+        assert dist.counts == gray_weight_distribution(rows, c.n)
+        assert dist.counts == weight_distribution(base).counts
+        assert dist.n == len(padded) and dist.total() == 2**base.k
 
 
 def test_weight_distribution_budget():
@@ -912,12 +935,15 @@ def test_independence_test_matches_rref_rank():
         cases.append((rows + [0], n))  # a zero row
         cases.append((rows + [rows[i] ^ rows[j]], n))  # a dependent triple
         cases.append((rows + [rng.getrandbits(n) for _ in range(n + 1 - len(rows))], n))  # m > n
-    independent = 0
-    for rows, n in cases:
-        fast = codes._independent(rows)
-        assert fast == (len(_rref_ints(rows, n)[1]) == len(rows)), (rows, n)
-        independent += fast
-    assert 50 < independent < len(cases) - 200
+    # the sampled scan reads the test through codes, the Smith certificate
+    # of a code lattice through gf2
+    for independent_test in (codes._independent, gf2._independent):
+        independent = 0
+        for rows, n in cases:
+            fast = independent_test(rows)
+            assert fast == (len(_rref_ints(rows, n)[1]) == len(rows)), (rows, n)
+            independent += fast
+        assert 50 < independent < len(cases) - 200
 
 
 def test_sampled_scan_hands_on_reduced_bases(monkeypatch):

@@ -23,6 +23,7 @@ from k3nodal.lattice import (
     leading_principal_minors,
 )
 from oracles import (
+    Index,
     elementwise_leading_minors,
     naive_code_lattice,
     naive_det,
@@ -174,6 +175,18 @@ def test_discriminant_group_refusals_and_trivial_text():
             lattice.DiscriminantGroup(divisors)
     assert str(lattice.DiscriminantGroup((2, 4, 8))) == "Z/2 x Z/4 x Z/8"
     assert lattice.DiscriminantGroup(()).order == 1
+    # a bool, a float or a string is not a divisor; the record is frozen
+    # and shared, so what it stores is a hashable tuple of exact ints
+    for divisors in ((2.0, 4.0), ("2",), (True,), (2, False), (2, 4.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            lattice.DiscriminantGroup(divisors)
+    group = lattice.DiscriminantGroup([2, Index(4)])
+    assert type(group.elementary_divisors) is tuple
+    assert list(map(type, group.elementary_divisors)) == [int, int]
+    assert group == lattice.DiscriminantGroup((2, 4)) and hash(group) == hash(lattice.DiscriminantGroup((2, 4)))
+    assert str(group) == "Z/2 x Z/4" and group.order == 8
+    with pytest.raises(ValueError, match="divide the next"):
+        lattice.DiscriminantGroup(iter([Index(4), 6]))
     # RM(1,3) is self-dual and doubly even: its lattice is E_8, unimodular
     e8 = gamma_from_code(reed_muller(1, 3))
     assert is_integral(e8) and is_even(e8) and determinant(e8) == 1
@@ -286,6 +299,23 @@ def test_code_lattices_take_the_smith_certificate():
         assert discriminant_group(lat).elementary_divisors == (2,) * (c.n - 2 * c.k)
     assert discriminant_group(kummer_lattice()).elementary_divisors == (2,) * 6
     assert discriminant_group(even_eight_lattice()).elementary_divisors == (2,) * 6
+
+
+def test_each_lattice_keeps_one_discriminant_group():
+    # the group is built on the first read and every later caller, the
+    # JSON document among them, gets that same object
+    for c in (code_d(5), reed_muller(1, 5), reed_muller(2, 6), LinearCode.zero(3), reed_muller(1, 3)):
+        for sign in (1, -1):
+            lat = gamma_from_code(c, sign)
+            group = discriminant_group(lat)
+            assert discriminant_group(lat) is group and lat._smith is group
+            assert lat.to_json_dict()["elementary_divisors"] == list(group.elementary_divisors)
+            assert discriminant_group(lat) is group
+            # a second lattice of the same code builds its own, equal group
+            assert discriminant_group(gamma_from_code(c, sign)) == group
+    kummer = kummer_lattice()
+    assert kummer.to_json_dict()["elementary_divisors"] == [2] * 6
+    assert discriminant_group(kummer) is kummer._smith
 
 
 def test_code_lattice_is_its_code_and_sign():
