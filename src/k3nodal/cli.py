@@ -184,7 +184,7 @@ def _format_admissibility(report: duval.AdmissibilityReport) -> str:
         f"ratio {report.ratio if report.ratio is not None else 'n/a'}",
     ]
     if report.admissible:
-        lines.append("admissible: delta <= 16")
+        lines.append(f"admissible: delta <= {duval.MAX_NODAL_CURVES}")
     else:
         lines.extend(f"inadmissible: {reason}" for reason in report.reasons)
     return "\n".join(lines)

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .codes import (
     ExtensionCertificate,
@@ -39,6 +39,9 @@ from .lattice import (
 
 K3_EULER = 24
 K3_B2 = 22
+# the most disjoint nodal curves a K3 surface carries: the bound that
+# verify_max_sixteen proves and the du Val verdict applies to delta
+MAX_NODAL_CURVES = 16
 
 
 class CoverVerdict(str, Enum):
@@ -272,6 +275,8 @@ _TERM_RE = re.compile(r"^([ADE])([0-9]+)(?:X([0-9]+))?$")
 # products of two such numbers, so every accepted configuration prints
 # within CPython's 4300-digit limit on int-to-str conversion.
 MAX_TERM_DIGITS = 2000
+# (type, field, least index, greatest index) of the du Val types, in field order
+_INDEX_RANGES = (("A", "a", 1, float("inf")), ("D", "d", 4, float("inf")), ("E", "e", 6, 8))
 
 
 @dataclass(frozen=True)
@@ -287,24 +292,23 @@ class DuValConfig:
     e: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for label, counts, check in (
-            ("A", self.a, lambda n: n >= 1),
-            ("D", self.d, lambda n: n >= 4),
-            ("E", self.e, lambda n: n in (6, 7, 8)),
-        ):
-            terms = [
-                (_integer(n, f"the index of {label}"), _integer(count, f"the count of {label}{n}"))
-                for n, count in counts.items()
-            ]
+        for (label, name, low, high), counts in zip(_INDEX_RANGES, (self.a, self.d, self.e)):
             cleaned = {}
-            for n, count in sorted(terms):
-                if not check(n):
-                    raise ValueError(f"{label}{n} is not a du Val singularity type")
-                if count < 0:
-                    raise ValueError(f"negative count for {label}{n}")
-                if count:
-                    cleaned[n] = cleaned.get(n, 0) + count
-            object.__setattr__(self, label.lower(), cleaned)
+            if counts:
+                # _integer's refusal text is formatted only for a value it refuses
+                terms = sorted([
+                    (n if type(n) is int else _integer(n, f"the index of {label}"),
+                     count if type(count) is int else _integer(count, f"the count of {label}{n}"))
+                    for n, count in counts.items()
+                ])
+                for n, count in terms:
+                    if not low <= n <= high:
+                        raise ValueError(f"{label}{n} is not a du Val singularity type")
+                    if count < 0:
+                        raise ValueError(f"negative count for {label}{n}")
+                    if count:
+                        cleaned[n] = cleaned.get(n, 0) + count
+            object.__setattr__(self, name, cleaned)
 
     @classmethod
     def parse(cls, text: str) -> DuValConfig:
@@ -312,9 +316,7 @@ class DuValConfig:
         terms with a positive count, case-insensitive, e.g. ``A1x16`` or
         ``A2,D4x2,E7``.  Indices and counts have at most MAX_TERM_DIGITS
         digits."""
-        a: dict[int, int] = {}
-        d: dict[int, int] = {}
-        e: dict[int, int] = {}
+        maps: dict[str, dict[int, int]] = {"A": {}, "D": {}, "E": {}}
         for raw in text.split(","):
             term = raw.strip().upper()
             if not term:
@@ -322,21 +324,23 @@ class DuValConfig:
             match = _TERM_RE.match(term)
             if not match:
                 raise ValueError(f"cannot parse term {raw.strip()!r}")
-            if max(len(match.group(2)), len(match.group(3) or "")) > MAX_TERM_DIGITS:
+            letter, index, times = match.groups()
+            if len(index) > MAX_TERM_DIGITS or times is not None and len(times) > MAX_TERM_DIGITS:
                 raise ValueError(
                     f"term {raw.strip()[:12]}... has a number of more than {MAX_TERM_DIGITS} digits"
                 )
-            letter, n, count = match.group(1), int(match.group(2)), int(match.group(3) or 1)
+            n, count = int(index), int(times) if times else 1
             if count == 0:
                 raise ValueError(f"zero count in term {raw.strip()!r}")
-            target = {"A": a, "D": d, "E": e}[letter]
+            target = maps[letter]
             target[n] = target.get(n, 0) + count
-        return cls(a, d, e)
+        return cls(*maps.values())
 
     def terms(self) -> Iterator[tuple[str, int, int]]:
-        """(letter, index, count) triples, sorted A before D before E."""
+        """(letter, index, count) triples, A before D before E and each type
+        in ascending index order, the order ``__post_init__`` stores."""
         for letter, counts in (("A", self.a), ("D", self.d), ("E", self.e)):
-            for n, count in sorted(counts.items()):
+            for n, count in counts.items():
                 yield letter, n, count
 
     def canonical(self) -> str:
@@ -347,15 +351,7 @@ class DuValConfig:
         return ",".join(parts) if parts else "(empty)"
 
 
-def _delta_per_singularity(letter: str, n: int) -> int:
-    # disjoint nodal curves extracted from one singularity of the type
-    if letter == "D":
-        return (n + 2) // 2
-    return (n + 1) // 2
-
-
-@dataclass(frozen=True)
-class TypeBreakdown:
+class TypeBreakdown(NamedTuple):
     label: str
     count: int
     delta_each: int
@@ -384,15 +380,22 @@ class AdmissibilityReport:
 
     def __post_init__(self) -> None:
         breakdown = []
+        delta = mu = 0
         for letter, n, count in self.config.terms():
-            each = _delta_per_singularity(letter, n)
-            breakdown.append(TypeBreakdown(f"{letter}{n}", count, each, each * count, n * count))
+            # disjoint nodal curves extracted from one singularity of the type
+            each = (n + 2) // 2 if letter == "D" else (n + 1) // 2
+            delta_total, milnor_total = each * count, n * count
+            breakdown.append(TypeBreakdown(f"{letter}{n}", count, each, delta_total, milnor_total))
+            delta += delta_total
+            mu += milnor_total
         object.__setattr__(self, "nodal_count_per_type", tuple(breakdown))
-        object.__setattr__(self, "delta", sum(t.delta_total for t in breakdown))
-        object.__setattr__(self, "mu", sum(t.milnor_total for t in breakdown))
-        object.__setattr__(self, "ratio", Fraction(self.delta, self.mu) if self.mu else None)
-        object.__setattr__(self, "admissible", self.delta <= 16)
-        reasons = () if self.admissible else (f"delta {self.delta} exceeds the bound of 16 disjoint nodal curves",)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "ratio", Fraction(delta, mu) if mu else None)
+        object.__setattr__(self, "admissible", delta <= MAX_NODAL_CURVES)
+        reasons = () if self.admissible else (
+            f"delta {delta} exceeds the bound of {MAX_NODAL_CURVES} disjoint nodal curves",
+        )
         object.__setattr__(self, "reasons", reasons)
 
     def to_json_dict(self) -> dict:

@@ -243,6 +243,16 @@ def test_config_refuses_non_integer_indices_and_counts():
     ):
         with pytest.raises(ValueError, match="must be an integer"):
             DuValConfig(**kwargs)
+    # the full refusal texts, which are formatted only for a refused value
+    for kwargs, text in (
+        ({"d": {"4": 1}}, "the index of D must be an integer, got '4'"),
+        ({"a": {1: 2.5}}, "the count of A1 must be an integer, got 2.5"),
+        ({"e": {None: 1}}, "the index of E must be an integer, got None"),
+        ({"a": {1: True}}, "the count of A1 must be an integer, got True"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            DuValConfig(**kwargs)
+        assert str(refused.value) == text
     with pytest.raises(ValueError, match="negative count for A1"):
         DuValConfig(a={1: -1})
 
@@ -258,6 +268,15 @@ def test_config_normalizes_index_objects_to_ints():
     assert merged.a == {1: 5} and merged.d == {4: 1}
     assert merged == DuValConfig.parse("A1x2,A1x3,D4")
     assert delta(merged) == 5 + 3
+    # unsorted maps are stored in ascending index order, which terms(),
+    # canonical() and the JSON breakdown all follow
+    mixed = DuValConfig(a={12: 1, Index(2): 1, 7: 3}, e={8: 1, 6: 2})
+    assert list(mixed.a.items()) == [(2, 1), (7, 3), (12, 1)]
+    assert list(mixed.e.items()) == [(6, 2), (8, 1)]
+    assert list(mixed.terms()) == [("A", 2, 1), ("A", 7, 3), ("A", 12, 1), ("E", 6, 2), ("E", 8, 1)]
+    assert mixed.canonical() == "A2,A7x3,A12,E6x2,E8"
+    per_type = AdmissibilityReport(mixed).to_json_dict()["per_type"]
+    assert [t["type"] for t in per_type] == ["A2", "A7", "A12", "E6", "E8"]
 
 
 def test_delta_examples():
