@@ -28,8 +28,46 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # a leaf's plain route, set by ``_parser``: each option string's action,
+    # the positional actions, the dests that argv must give, and the
+    # values that ``parse_args`` starts its namespace from
+    plain: tuple[dict, list, set, dict]
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+    def parse_plain(self, tail: list[str]) -> argparse.Namespace | None:
+        """The namespace that ``parse_args(tail)`` returns, read from the
+        table alone when the tail is spelled out: each option is one of
+        the leaf's own option strings, in full and at most once, a valued
+        option takes the next token, which does not begin with ``-`` and
+        which the option's type converts, every other token fills the
+        next positional, and every required argument is given.  Any other
+        tail (``=``, an abbreviation, ``--``, ``-h``, a repeated option, a
+        negative number, a missing value or argument, an extra positional)
+        gets None, and ``parse_args`` reads it and prints any message."""
+        options, positionals, required, defaults = self.plain
+        values, tokens, free = dict(defaults), iter(tail), iter(positionals)
+        given = set()
+        for token in tokens:
+            if token[:1] != "-":
+                if (action := next(free, None)) is None:
+                    return None
+                value = token
+            elif (action := options.get(token)) is None or action.dest in given:
+                return None
+            elif action.nargs == 0:
+                value = action.const
+            elif (value := next(tokens, "-"))[:1] == "-":
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (TypeError, ValueError):
+                    return None
+            given.add(action.dest)
+            values[action.dest] = value
+        return argparse.Namespace(**values) if required <= given else None
 
 
 def _read_code(path: str) -> codes.LinearCode:
@@ -246,20 +284,27 @@ _LEAVES = {(group, name): leaf for group, (_, leaves) in _COMMANDS.items() for n
 def _parser(path: tuple[str, ...] = ()) -> _Parser:
     """The parser of one node of the command tree: ``()`` is the root,
     ``(group,)`` a group and ``(group, leaf)`` a leaf, which gets its
-    arguments, ``--json`` and its handler.  The root and each group reach
-    their children through this function, so a leaf's parser is the one
-    object that both the root and a full command path use, and each node
-    is built once per process, when it is first needed.  Reuse keeps
+    arguments, ``--json``, its handler and, from the actions that these
+    arguments make, the table of its plain route.  The root and each
+    group reach their children through this function, so a leaf's parser
+    is the one object that both the root and a full command path use, and
+    each node is built once per process, when it is first needed.  Reuse keeps
     every output byte: ``parse_args`` starts a new namespace from the
     defaults on every call and formats usage, help and errors when it
     prints them, so a reused parser prints what a new one would."""
     parser = _Parser(prog=" ".join(("k3nodal", *path)), description=None if path else __doc__)
     if path in _LEAVES:
         _, handler, arguments = _LEAVES[path]
-        for flag, options in arguments:
-            parser.add_argument(flag, **options)
-        parser.add_argument("--json", action="store_true", help="emit the JSON schema instead of text")
+        actions = [parser.add_argument(flag, **options) for flag, options in arguments]
+        actions.append(parser.add_argument("--json", action="store_true",
+                                           help="emit the JSON schema instead of text"))
         parser.set_defaults(func=handler)
+        parser.plain = (
+            {flag: action for action in actions for flag in action.option_strings},
+            [action for action in actions if not action.option_strings],
+            {action.dest for action in actions if action.required},
+            {"func": handler, **{action.dest: action.default for action in actions}},
+        )
         return parser
     # argparse names a child's prog "<parent prog> <name>" and passes it to
     # the factory, with keyword arguments that vary by Python version
@@ -283,11 +328,16 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     so a group and one of its leaves in the first two places reach,
     through the root, the very parser that the leaf route parses with.
     The leaf route skips the root and the group, which would cost about
-    four times as much per parse.
+    four times as much per parse.  A leaf's tail spelled out in full is
+    read from the leaf's table (``_Parser.parse_plain``) without argparse,
+    in a fifth to a tenth of its time; any other tail, and so every help,
+    usage and error text, comes from the leaf's ``parse_args``.
     """
-    if tuple(argv[:2]) in _LEAVES:
-        return _parser(tuple(argv[:2])).parse_args(argv[2:])
-    return _parser().parse_args(argv)
+    path = tuple(argv[:2])
+    if path not in _LEAVES:
+        return _parser().parse_args(argv)
+    parser, tail = _parser(path), argv[2:]
+    return parser.parse_plain(tail) or parser.parse_args(tail)
 
 
 # the writer of each JSON scalar, keyed by its exact type

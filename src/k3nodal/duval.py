@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
 from .codes import (
@@ -285,7 +286,7 @@ class DuValConfig:
     D_n (n >= 4) and E_n (n in {6, 7, 8}).  Every index and count is
     normalized to an int; a bool or a non-integer is refused.  Keys that
     normalize to one index add their counts, as repeated terms do in
-    ``parse``."""
+    ``parse``.  Each map is stored read-only, in ascending index order."""
 
     a: Mapping[int, int] = field(default_factory=dict)
     d: Mapping[int, int] = field(default_factory=dict)
@@ -308,7 +309,12 @@ class DuValConfig:
                         raise ValueError(f"negative count for {label}{n}")
                     if count:
                         cleaned[n] = cleaned.get(n, 0) + count
-            object.__setattr__(self, name, cleaned)
+            object.__setattr__(self, name, MappingProxyType(cleaned))
+
+    def __reduce__(self):
+        # a read-only map cannot be pickled or deep-copied; the copy is
+        # built, and validated, from plain dicts
+        return type(self), (dict(self.a), dict(self.d), dict(self.e))
 
     @classmethod
     def parse(cls, text: str) -> DuValConfig:

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import enum
+import io
 import itertools
 import json
 import os
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import k3nodal
 from k3nodal import cli, codes, duval, lattice
 from k3nodal.cli import run
 from test_duval import random_config_text
@@ -565,6 +568,85 @@ def test_leaf_dispatch_prints_what_the_full_tree_prints_on_fuzzed_argv(code_file
         assert rc in (0, 1, 2), argv
         assert "Traceback" not in out + err, argv
     assert {rc for rc, _, _ in leaf} == {0, 1, 2}
+
+
+# what the parity corpus inserts as often as a fuzz token: an option with
+# "=", twice, or with a value that begins with "-", or that int reads with a
+# space or in another script's digits; "-" as a file; an empty token; "--"
+_PLAIN_EDGES = [
+    ["--m=3"], ["--json", "--json"], ["--m", "3", "--m", "4"], ["--m", "-1"], ["--m", " 4"],
+    ["--m", "\u0663"], ["--in", "-"], [""], ["--"],
+]
+
+
+def _parse_args_vars(parser, tail):
+    """vars() of what ``parse_args(tail)`` returns, or None when it refuses
+    the tail or prints help."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return vars(parser.parse_args(tail))
+        except (cli._UsageError, SystemExit):
+            return None
+
+
+def test_plain_route_returns_what_parse_args_returns():
+    rng = random.Random(37)
+    taken = refused = 0
+    for leaf in cli._LEAVES:
+        parser = cli._parser(leaf)
+        golden = [c.split()[2:] for c in sorted(GOLDEN_CLI) if tuple(c.split()[:2]) == leaf]
+        for _ in range(600):
+            tail = list(rng.choice(golden))
+            for _ in range(rng.randrange(4)):
+                i, edit = rng.randrange(len(tail) + 1), rng.randrange(3)
+                if edit == 0 or i == len(tail):
+                    tail[i:i] = rng.choice(_PLAIN_EDGES) if rng.random() < 0.5 else [rng.choice(_FUZZ_TOKENS)]
+                elif edit == 1:
+                    del tail[i]
+                else:
+                    tail[i] = rng.choice(_FUZZ_TOKENS)
+            plain = parser.parse_plain(tail)
+            if plain is None:
+                refused += 1
+            else:
+                taken += 1
+                assert vars(plain) == _parse_args_vars(parser, tail), (leaf, tail)
+    # both outcomes are common
+    assert taken > 1000 and refused > 1000
+
+
+def test_plain_route_models_every_argument_option():
+    # a key outside the model would make the plain route read an argument
+    # differently from argparse
+    for leaf, (_, _, arguments) in cli._LEAVES.items():
+        assert sum(not flag.startswith("-") for flag, _ in arguments) <= 1, leaf
+        for flag, options in arguments:
+            assert set(options) <= {"type", "required", "dest", "help", "action"}, (leaf, flag)
+            assert options.get("action", "store_true") == "store_true", (leaf, flag)
+
+
+def test_golden_commands_and_chain_ops_take_the_plain_route(monkeypatch):
+    # a table that sent every argv to argparse would keep every byte and
+    # lose the speed, so each command that argparse accepts must take it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    chain = {op.key for seed in (1, 7) for op in workloads.build(k3nodal, "chain", seed)}
+    assert len(chain) > 100
+    refused = set()
+    for command in sorted(GOLDEN_CLI) + sorted(chain):
+        argv = command.split()
+        if tuple(argv[:2]) not in cli._LEAVES:
+            refused.add(command)
+            continue
+        parser = cli._parser(tuple(argv[:2]))
+        plain = parser.parse_plain(argv[2:])
+        if plain is None:
+            refused.add(command)
+        else:
+            assert vars(plain) == _parse_args_vars(parser, argv[2:]), command
+    # the golden usage errors, which argparse reports
+    assert refused == {"nonsense", "code rm --degree 1", "code rm --degree 1 --m 4 --bogus"}
 
 
 def test_fuzzed_configurations_and_matrix_files_exit_cleanly(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -277,6 +279,33 @@ def test_config_normalizes_index_objects_to_ints():
     assert mixed.canonical() == "A2,A7x3,A12,E6x2,E8"
     per_type = AdmissibilityReport(mixed).to_json_dict()["per_type"]
     assert [t["type"] for t in per_type] == ["A2", "A7", "A12", "E6", "E8"]
+
+
+def test_config_maps_are_read_only():
+    cfg = DuValConfig(a={2: 1})
+    for counts in (cfg.a, cfg.d, cfg.e):
+        with pytest.raises(TypeError):
+            counts[1] = 1
+    assert not hasattr(cfg.a, "pop") and not hasattr(cfg.a, "update")
+    # the refused writes left the configuration as it was
+    assert cfg.a == {2: 1} and cfg.d == {} and cfg.e == {}
+    assert cfg.canonical() == "A2" and cfg == DuValConfig.parse("A2")
+    assert cfg != DuValConfig.parse("A2,A1")
+    # replace builds a new configuration, validated like any other
+    assert dataclasses.replace(cfg, d={4: 2}) == DuValConfig.parse("A2,D4x2")
+    assert dataclasses.replace(cfg).a == {2: 1}
+    with pytest.raises(ValueError, match="A0 is not a du Val singularity type"):
+        dataclasses.replace(cfg, a={0: 3})
+
+
+def test_config_survives_copy_and_pickle():
+    cfg = DuValConfig.parse("A2,D4x2,E7")
+    report = AdmissibilityReport(cfg)
+    for copied in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert copied == cfg and copied.canonical() == "A2,D4x2,E7"
+        with pytest.raises(TypeError):
+            copied.e[8] = 1
+    assert copy.deepcopy(report) == report == pickle.loads(pickle.dumps(report))
 
 
 def test_delta_examples():
