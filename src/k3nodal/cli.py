@@ -28,46 +28,8 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # a leaf's plain route, set by ``_parser``: each option string's action,
-    # the positional actions, the dests that argv must give, and the
-    # values that ``parse_args`` starts its namespace from
-    plain: tuple[dict, list, set, dict]
-
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
-
-    def parse_plain(self, tail: list[str]) -> argparse.Namespace | None:
-        """The namespace that ``parse_args(tail)`` returns, read from the
-        table alone when the tail is spelled out: each option is one of
-        the leaf's own option strings, in full and at most once, a valued
-        option takes the next token, which does not begin with ``-`` and
-        which the option's type converts, every other token fills the
-        next positional, and every required argument is given.  Any other
-        tail (``=``, an abbreviation, ``--``, ``-h``, a repeated option, a
-        negative number, a missing value or argument, an extra positional)
-        gets None, and ``parse_args`` reads it and prints any message."""
-        options, positionals, required, defaults = self.plain
-        values, tokens, free = dict(defaults), iter(tail), iter(positionals)
-        given = set()
-        for token in tokens:
-            if token[:1] != "-":
-                if (action := next(free, None)) is None:
-                    return None
-                value = token
-            elif (action := options.get(token)) is None or action.dest in given:
-                return None
-            elif action.nargs == 0:
-                value = action.const
-            elif (value := next(tokens, "-"))[:1] == "-":
-                return None
-            if action.type is not None:
-                try:
-                    value = action.type(value)
-                except (TypeError, ValueError):
-                    return None
-            given.add(action.dest)
-            values[action.dest] = value
-        return argparse.Namespace(**values) if required <= given else None
 
 
 def _read_code(path: str) -> codes.LinearCode:
@@ -244,8 +206,21 @@ def _cmd_duval_classify(ns: argparse.Namespace) -> _Result:
     )
 
 
-_REQUIRED_INT = {"type": int, "required": True}
+def _int(text: str) -> int:
+    """An int option's value: ``int(text)`` for ASCII text without ``_``.
+    ``int`` also reads other scripts' digits and ``_`` separators, which
+    the configuration grammar of ``duval check`` refuses."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
+# argparse names the type in its message: "invalid int value: 'x'"
+_int.__name__ = "int"
+
+_REQUIRED_INT = {"type": _int, "required": True}
 _INFILE = {"dest": "infile", "required": True}
+_JSON = ("--json", {"action": "store_true", "help": "emit the JSON schema instead of text"})
 
 # group -> (help, leaf commands); a leaf is (name, help, handler, arguments)
 _COMMANDS = {
@@ -263,7 +238,7 @@ _COMMANDS = {
     )),
     "verify": ("run the verification suite", (
         ("beauville", "half-weight extremal characterization", _cmd_verify_beauville,
-         (("--m", _REQUIRED_INT), ("--nmax", {"type": int}))),
+         (("--m", _REQUIRED_INT), ("--nmax", {"type": _int}))),
         ("no-seventeen", "certificate that 17 nodal curves are impossible", _cmd_verify_no_seventeen, ()),
         ("all", "full verification suite", _cmd_verify_all, ()),
     )),
@@ -276,68 +251,84 @@ _COMMANDS = {
 }
 
 
-# (group, leaf) -> (help, handler, arguments), for every leaf in _COMMANDS
-_LEAVES = {(group, name): leaf for group, (_, leaves) in _COMMANDS.items() for name, *leaf in leaves}
+def _plain_table(handler: Callable, arguments: tuple) -> tuple[dict, set, dict]:
+    """A leaf's plain route, read from the arguments that its parser in
+    the tree gets: the (dest, type, flag) of each option string, and of
+    the one positional under the key None; the dests that argv must give;
+    and the namespace that ``parse_args`` starts from.  It models only
+    the keys that ``_COMMANDS`` uses: ``type``, ``required``, ``dest``,
+    ``help`` and ``action="store_true"``."""
+    options, required, start = {}, set(), {"func": handler}
+    for name, spec in (*arguments, _JSON):
+        positional, flag = name[:1] != "-", spec.get("action") == "store_true"
+        dest = name if positional else spec.get("dest", name.lstrip("-").replace("-", "_"))
+        options[None if positional else name] = (dest, spec.get("type"), flag)
+        if positional or spec.get("required"):
+            required.add(dest)
+        start[dest] = False if flag else None
+    return options, required, start
+
+
+# (group, leaf) -> that leaf's plain route, for every leaf in _COMMANDS
+_PLAIN = {(group, name): _plain_table(handler, arguments)
+          for group, (_, leaves) in _COMMANDS.items() for name, _, handler, arguments in leaves}
 
 
 @functools.cache
-def _parser(path: tuple[str, ...] = ()) -> _Parser:
-    """The parser of one node of the command tree: ``()`` is the root,
-    ``(group,)`` a group and ``(group, leaf)`` a leaf, which gets its
-    arguments, ``--json``, its handler and, from the actions that these
-    arguments make, the table of its plain route.  The root and each
-    group reach their children through this function, so a leaf's parser
-    is the one object that both the root and a full command path use, and
-    each node is built once per process, when it is first needed.  Reuse keeps
-    every output byte: ``parse_args`` starts a new namespace from the
-    defaults on every call and formats usage, help and errors when it
-    prints them, so a reused parser prints what a new one would."""
-    parser = _Parser(prog=" ".join(("k3nodal", *path)), description=None if path else __doc__)
-    if path in _LEAVES:
-        _, handler, arguments = _LEAVES[path]
-        actions = [parser.add_argument(flag, **options) for flag, options in arguments]
-        actions.append(parser.add_argument("--json", action="store_true",
-                                           help="emit the JSON schema instead of text"))
-        parser.set_defaults(func=handler)
-        parser.plain = (
-            {flag: action for action in actions for flag in action.option_strings},
-            [action for action in actions if not action.option_strings],
-            {action.dest for action in actions if action.required},
-            {"func": handler, **{action.dest: action.default for action in actions}},
-        )
-        return parser
-    # argparse names a child's prog "<parent prog> <name>" and passes it to
-    # the factory, with keyword arguments that vary by Python version
-    children = parser.add_subparsers(dest="cmd" if path else "group", required=True,
-                                     parser_class=lambda prog, **_: _parser((*path, prog.split()[-1])))
-    entries = _COMMANDS[path[0]][1] if path else [(g, h) for g, (h, _) in _COMMANDS.items()]
-    for name, child_help, *_ in entries:
-        children.add_parser(name, help=child_help)
-    return parser
+def _root() -> _Parser:
+    """The whole argparse tree, which reads every argv that the plain
+    route refuses and so prints every help, usage and error text.  It is
+    built once per process, on first use."""
+    root = _Parser(prog="k3nodal", description=__doc__)
+    groups = root.add_subparsers(dest="group", required=True)
+    for group, (group_help, leaves) in _COMMANDS.items():
+        names = groups.add_parser(group, help=group_help).add_subparsers(dest="cmd", required=True)
+        for name, leaf_help, handler, arguments in leaves:
+            leaf = names.add_parser(name, help=leaf_help)
+            for flag, options in (*arguments, _JSON):
+                leaf.add_argument(flag, **options)
+            leaf.set_defaults(func=handler)
+    return root
+
+
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that the tree's leaf parser returns for ``argv[2:]``,
+    read from the table of the leaf that ``argv[:2]`` names, when the tail
+    is spelled out: each option is one of the leaf's own option strings,
+    in full and at most once, a valued option takes the next token, which
+    does not begin with ``-`` and which the option's type converts, every
+    other token fills the next positional, and every required argument is
+    given.  Any other argv (no leaf named, ``=``, an abbreviation, ``--``,
+    ``-h``, a repeated option, a negative number, a missing value or
+    argument, an extra positional) gets None."""
+    if (table := _PLAIN.get(tuple(argv[:2]))) is None:
+        return None
+    options, required, start = table
+    values, tokens, given = dict(start), iter(argv[2:]), set()
+    for token in tokens:
+        positional = token[:1] != "-"
+        if (option := options.get(None if positional else token)) is None or option[0] in given:
+            return None
+        dest, kind, flag = option
+        given.add(dest)
+        if flag:
+            values[dest] = True
+            continue
+        if not positional and (token := next(tokens, "-"))[:1] == "-":
+            return None
+        try:
+            values[dest] = kind(token) if kind else token
+        except (TypeError, ValueError):
+            return None
+    return argparse.Namespace(**values) if required <= given else None
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed by the leaf parser that its first two tokens name, or
-    else by the root (help, usage errors, an option or ``--`` first, a
-    bare group, a group and a token that is not one of its leaves).
-    A full command path builds its own parser alone; any other argv
-    builds the rest of the tree, once per process.
-
-    Both routes print the same bytes.  argparse picks a sub-parser by the
-    exact token in the command position and hands it the rest of argv,
-    so a group and one of its leaves in the first two places reach,
-    through the root, the very parser that the leaf route parses with.
-    The leaf route skips the root and the group, which would cost about
-    four times as much per parse.  A leaf's tail spelled out in full is
-    read from the leaf's table (``_Parser.parse_plain``) without argparse,
-    in a fifth to a tenth of its time; any other tail, and so every help,
-    usage and error text, comes from the leaf's ``parse_args``.
-    """
-    path = tuple(argv[:2])
-    if path not in _LEAVES:
-        return _parser().parse_args(argv)
-    parser, tail = _parser(path), argv[2:]
-    return parser.parse_plain(tail) or parser.parse_args(tail)
+    """argv read by the plain route, which builds no parser, or else by
+    the root of the argparse tree (help, usage errors, ``--m=3``, ``--js``,
+    ``--``, a bare group), which prints every message.  Both routes give
+    a spelled-out command the same namespace."""
+    return _parse_plain(argv) or _root().parse_args(argv)
 
 
 # the writer of each JSON scalar, keyed by its exact type

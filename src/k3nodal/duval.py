@@ -311,6 +311,10 @@ class DuValConfig:
                         cleaned[n] = cleaned.get(n, 0) + count
             object.__setattr__(self, name, MappingProxyType(cleaned))
 
+    def __hash__(self) -> int:
+        # a read-only map does not hash; equal configurations have equal terms
+        return hash(tuple(self.terms()))
+
     def __reduce__(self):
         # a read-only map cannot be pickled or deep-copied; the copy is
         # built, and validated, from plain dicts

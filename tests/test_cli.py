@@ -267,6 +267,9 @@ def test_duval_classify(capsys):
         ["code", "weights", "--in", "/nonexistent/file.txt"],
         ["verify", "beauville", "--m", "4", "--nmax", "9"],
         ["code", "d", "--m", "1"],
+        # int() reads these as 5 and 8; the int options read ASCII digits only
+        ["code", "d", "--m", "\u0665"],
+        ["duval", "classify-even-set", "--k", "0_8"],
         ["duval", "check", "A1x0"],
         ["verify", "beauville", "--m", "40"],
         ["code", "d", "--m", "22"],
@@ -309,6 +312,8 @@ def test_errors_exit_one(argv, capsys, tmp_path):
     assert "set_int_max_str_digits" not in err
     if argv[:2] == ["duval", "check"] and not argv[2].isascii():
         assert err.startswith("error: cannot parse term")
+    if argv[3:] in (["\u0665"], ["0_8"]):
+        assert err == f"error: argument {argv[2]}: invalid int value: {argv[3]!r}\n"
     if argv[:2] == ["code", "rm"] and "16000" in argv:
         assert f"budget of {codes.MAX_GENERATOR_BITS}" in err
     if wide:
@@ -320,6 +325,20 @@ def test_errors_exit_one(argv, capsys, tmp_path):
         assert err == (
             f"error: a code file of over {codes.MAX_GENERATOR_BITS} characters exceeds the budget\n"
         )
+
+
+@pytest.mark.parametrize(
+    "value, read",
+    [("5", "5"), (" 5", "5"), ("+5", "5"), ("05", "5"), ("\u0665", None), ("\uff15", None),
+     ("0_5", None), ("5\u2003", None), ("x", None), ("5.0", None), ("", None)],
+)
+def test_int_options_read_ascii_digits_only(value, read, capsys):
+    # spelled out and with "=", so both parse routes read the value
+    for argv in (["code", "d", "--m", value], ["code", "d", f"--m={value}"]):
+        if read is None:
+            assert _capture(capsys, argv) == (1, "", f"error: argument --m: invalid int value: {value!r}\n")
+        else:
+            assert _capture(capsys, argv) == _capture(capsys, ["code", "d", "--m", read])
 
 
 @pytest.mark.parametrize("m", ["20000", "1000000000"])
@@ -419,9 +438,9 @@ PRUNING_CORPUS = [
 
 
 def _parse_from_the_root(monkeypatch):
-    """Make ``run`` parse every argv with the root node, as it does any
-    argv that is not a full command path."""
-    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
+    """Make ``run`` parse every argv with the argparse tree, as it does
+    any argv that the plain route refuses."""
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._root().parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", PRUNING_CORPUS, ids=lambda argv: " ".join(argv) or "<empty>")
@@ -448,22 +467,22 @@ def test_run_builds_only_the_parsers_argv_names(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counted)
-    cli._parser.cache_clear()
-    assert _capture(capsys, ["duval", "check", "A1x16"])[0] == 0
-    # a full command path builds its leaf parser alone, once per process
-    assert built == ["k3nodal duval check"]
-    built.clear()
-    assert _capture(capsys, ["duval", "check", "A1x17"])[0] == 2
-    assert _capture(capsys, ["duval", "check", "-h"])[0] == 0
-    assert _capture(capsys, ["duval", "check", "A1x16", "--bogus"])[0] == 1
+    cli._root.cache_clear()
+    # a spelled-out command builds no parser
+    spelled = [["duval", "check", "A1x16"], ["duval", "check", "A1x17", "--json"],
+               ["code", "d", "--m", "4"], ["lattice", "kummer", "--json"], ["verify", "beauville", "--m", "3"]]
+    assert [_capture(capsys, argv)[0] for argv in spelled] == [0, 2, 0, 0, 0]
     assert built == []
-    # the first other argv builds the rest of the tree, and it is reused
-    assert _capture(capsys, ["-h"])[0] == 0
-    assert len(built) == len(set(built)) == len(_GROUPS) + len(_LEAVES) == 15
-    assert "k3nodal duval check" not in built
+    # the first other argv builds the whole tree, one parser per node
+    assert _capture(capsys, ["duval", "check", "-h"])[0] == 0
+    assert len(built) == len(set(built)) == 1 + len(_GROUPS) + len(_LEAVES) == 16
+    assert built[0] == "k3nodal" and "k3nodal duval check" in built
     built.clear()
-    later = [_capture(capsys, argv)[0] for argv in (["-h"], ["duval", "-h"], ["nonsense"], ["duval", "bogus"])]
-    assert (later, built) == ([0, 0, 1, 1], [])
+    # and it is reused for the rest of the process
+    later = [["-h"], ["duval", "-h"], ["nonsense"], ["duval", "bogus"], ["duval", "check", "A1x16", "--bogus"],
+             ["code", "d", "--m=4"], *spelled]
+    assert [_capture(capsys, argv)[0] for argv in later] == [0, 0, 1, 1, 1, 0, 0, 2, 0, 0, 0]
+    assert built == []
 
 
 def _sub_parsers(parser):
@@ -471,23 +490,42 @@ def _sub_parsers(parser):
     return action.choices
 
 
-def test_leaf_table_matches_the_full_tree():
-    tree = {
+def _tree_leaves():
+    """(group, leaf) -> the parser of that leaf in the argparse tree."""
+    return {
         (group, name): leaf
-        for group, sub in _sub_parsers(cli._parser()).items()
+        for group, sub in _sub_parsers(cli._root()).items()
         for name, leaf in _sub_parsers(sub).items()
     }
-    assert list(cli._LEAVES) == list(tree) and len(tree) == 11
-    for (group, name), sub in tree.items():
-        # the root reaches the very parser that a full command path uses
-        assert sub is cli._parser((group, name))
-        assert sub.prog == f"k3nodal {group} {name}"
-        assert sub._defaults["func"] is cli._LEAVES[group, name][1]
+
+
+def test_leaf_table_matches_the_full_tree():
+    tree = _tree_leaves()
+    handlers = {(group, name): handler for group, (_, leaves) in cli._COMMANDS.items()
+                for name, _, handler, _ in leaves}
+    assert list(cli._PLAIN) == list(tree) == list(handlers) and len(tree) == 11
+    for leaf, sub in tree.items():
+        assert sub.prog == "k3nodal " + " ".join(leaf)
+        options, required, start = cli._PLAIN[leaf]
+        # every action but help: -h and --help are left to argparse
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        expected = {}
+        for action in actions:
+            flag = type(action) is argparse._StoreTrueAction
+            assert flag or type(action) is argparse._StoreAction, (leaf, action)
+            assert (action.nargs, action.const) == ((0, True) if flag else (None, None)), (leaf, action)
+            for option in action.option_strings or [None]:
+                expected[option] = (action.dest, action.type, flag)
+        assert options == expected, leaf
+        assert sum(not a.option_strings for a in actions) == (None in options) <= 1, leaf
+        assert required == {a.dest for a in actions if a.required}, leaf
+        assert start == {"func": handlers[leaf], **{a.dest: a.default for a in actions}}, leaf
+        assert sub._defaults == {"func": handlers[leaf]}, leaf
 
 
 def _cold_capture(capsys, argv):
-    """``_capture`` with every parser built anew."""
-    cli._parser.cache_clear()
+    """``_capture`` with the argparse tree built anew."""
+    cli._root.cache_clear()
     return _capture(capsys, argv)
 
 
@@ -513,7 +551,7 @@ _INTERLEAVED = {
 
 
 def test_reused_leaf_parsers_keep_no_options_between_calls(code_files, capsys):
-    assert list(_INTERLEAVED) == list(cli._LEAVES)
+    assert list(_INTERLEAVED) == list(cli._PLAIN)
     per_leaf = [[[*leaf, *(str(code_files.get(a, a)) for a in args)] for args in calls]
                 for leaf, calls in _INTERLEAVED.items()]
     # each leaf's calls in turn, then one call of each leaf in turn
@@ -553,11 +591,12 @@ def test_leaf_dispatch_prints_what_the_full_tree_prints_on_fuzzed_argv(code_file
     rng = random.Random(26)
     corpus = [[str(code_files.get(arg, arg)) for arg in _fuzz_argv(rng)] for _ in range(300)]
     # both parsing routes are taken often
-    assert 100 < sum(tuple(argv[:2]) in cli._LEAVES for argv in corpus) < 200
+    assert 100 < sum(tuple(argv[:2]) in cli._PLAIN for argv in corpus) < 200
     leaf = [_capture(capsys, argv) for argv in corpus]
     assert [_capture(capsys, argv) for argv in corpus] == leaf
-    # one parser per node of the tree, whatever the argv
-    assert cli._parser.cache_info().currsize == 1 + len(_GROUPS) + len(_LEAVES)
+    # one tree, with one parser per node, whatever the argv
+    assert cli._root.cache_info().currsize == 1
+    assert len(_sub_parsers(cli._root())) + len(_tree_leaves()) == len(_GROUPS) + len(_LEAVES)
     # a reused parser prints what a new one prints
     assert [_cold_capture(capsys, argv) for argv in corpus] == leaf
     _parse_from_the_root(monkeypatch)
@@ -579,12 +618,18 @@ _PLAIN_EDGES = [
 ]
 
 
+def _typed_vars(ns):
+    """Each attribute of a namespace with its value's type, so that 1 and
+    True, or a str subclass and its value, are told apart."""
+    return {name: (type(value), value) for name, value in vars(ns).items()}
+
+
 def _parse_args_vars(parser, tail):
-    """vars() of what ``parse_args(tail)`` returns, or None when it refuses
-    the tail or prints help."""
+    """``_typed_vars`` of what ``parse_args(tail)`` returns, or None when
+    it refuses the tail or prints help."""
     with contextlib.redirect_stdout(io.StringIO()):
         try:
-            return vars(parser.parse_args(tail))
+            return _typed_vars(parser.parse_args(tail))
         except (cli._UsageError, SystemExit):
             return None
 
@@ -592,8 +637,7 @@ def _parse_args_vars(parser, tail):
 def test_plain_route_returns_what_parse_args_returns():
     rng = random.Random(37)
     taken = refused = 0
-    for leaf in cli._LEAVES:
-        parser = cli._parser(leaf)
+    for leaf, parser in _tree_leaves().items():
         golden = [c.split()[2:] for c in sorted(GOLDEN_CLI) if tuple(c.split()[:2]) == leaf]
         for _ in range(600):
             tail = list(rng.choice(golden))
@@ -605,12 +649,12 @@ def test_plain_route_returns_what_parse_args_returns():
                     del tail[i]
                 else:
                     tail[i] = rng.choice(_FUZZ_TOKENS)
-            plain = parser.parse_plain(tail)
+            plain = cli._parse_plain([*leaf, *tail])
             if plain is None:
                 refused += 1
             else:
                 taken += 1
-                assert vars(plain) == _parse_args_vars(parser, tail), (leaf, tail)
+                assert _typed_vars(plain) == _parse_args_vars(parser, tail), (leaf, tail)
     # both outcomes are common
     assert taken > 1000 and refused > 1000
 
@@ -618,11 +662,13 @@ def test_plain_route_returns_what_parse_args_returns():
 def test_plain_route_models_every_argument_option():
     # a key outside the model would make the plain route read an argument
     # differently from argparse
-    for leaf, (_, _, arguments) in cli._LEAVES.items():
-        assert sum(not flag.startswith("-") for flag, _ in arguments) <= 1, leaf
-        for flag, options in arguments:
-            assert set(options) <= {"type", "required", "dest", "help", "action"}, (leaf, flag)
-            assert options.get("action", "store_true") == "store_true", (leaf, flag)
+    for group, (_, leaves) in cli._COMMANDS.items():
+        for name, _, _, arguments in leaves:
+            leaf = (group, name)
+            assert sum(not flag.startswith("-") for flag, _ in arguments) <= 1, leaf
+            for flag, options in arguments:
+                assert set(options) <= {"type", "required", "dest", "help", "action"}, (leaf, flag)
+                assert options.get("action", "store_true") == "store_true", (leaf, flag)
 
 
 def test_golden_commands_and_chain_ops_take_the_plain_route(monkeypatch):
@@ -633,18 +679,14 @@ def test_golden_commands_and_chain_ops_take_the_plain_route(monkeypatch):
 
     chain = {op.key for seed in (1, 7) for op in workloads.build(k3nodal, "chain", seed)}
     assert len(chain) > 100
-    refused = set()
+    tree, refused = _tree_leaves(), set()
     for command in sorted(GOLDEN_CLI) + sorted(chain):
         argv = command.split()
-        if tuple(argv[:2]) not in cli._LEAVES:
-            refused.add(command)
-            continue
-        parser = cli._parser(tuple(argv[:2]))
-        plain = parser.parse_plain(argv[2:])
+        plain = cli._parse_plain(argv)
         if plain is None:
             refused.add(command)
         else:
-            assert vars(plain) == _parse_args_vars(parser, argv[2:]), command
+            assert _typed_vars(plain) == _parse_args_vars(tree[tuple(argv[:2])], argv[2:]), command
     # the golden usage errors, which argparse reports
     assert refused == {"nonsense", "code rm --degree 1", "code rm --degree 1 --m 4 --bogus"}
 

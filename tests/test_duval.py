@@ -308,6 +308,22 @@ def test_config_survives_copy_and_pickle():
     assert copy.deepcopy(report) == report == pickle.loads(pickle.dumps(report))
 
 
+def test_config_hashes_as_it_compares():
+    parsed, built = DuValConfig.parse("A1,A1"), DuValConfig(a={1: 2})
+    assert parsed == built and hash(parsed) == hash(built)
+    assert {parsed, built, DuValConfig.parse("A1x2,D4"), DuValConfig(a={1: 2}, d={4: 1})} == {
+        built, DuValConfig.parse("D4,A1x2")}
+    table = {parsed: "two nodes"}
+    assert table[built] == "two nodes"
+    assert DuValConfig.parse("A1") not in table and DuValConfig.parse("A1x2,E6") not in table
+    # copies and replacements hash like their originals; a zero count is no term
+    for copied in (copy.copy(parsed), copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed)),
+                   dataclasses.replace(built), dataclasses.replace(DuValConfig(), a={1: 2})):
+        assert copied in table and hash(copied) == hash(parsed)
+    assert {DuValConfig(), DuValConfig(a={1: 0}, e={7: 0})} == {DuValConfig()}
+    assert repr(parsed) == repr(built) == "DuValConfig(a=mappingproxy({1: 2}), d=mappingproxy({}), e=mappingproxy({}))"
+
+
 def test_delta_examples():
     assert delta(DuValConfig.parse("A1x16")) == 16
     assert delta(DuValConfig()) == 0

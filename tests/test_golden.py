@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from k3nodal.cli import _parser, run
+from k3nodal.cli import _root, run
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -165,7 +165,7 @@ def _leaf_commands(parser: argparse.ArgumentParser) -> list[list[str]]:
 
 
 def test_every_command_is_pinned():
-    leaves = _leaf_commands(_parser())
+    leaves = _leaf_commands(_root())
     assert len(leaves) == 11
     for leaf in leaves:
         pinned = [c.split() for c in GOLDEN_CLI if c.split()[: len(leaf)] == leaf]
