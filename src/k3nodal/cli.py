@@ -9,10 +9,10 @@ refuted, 1 on usage or I/O errors.  All output is deterministic; pass
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Callable
 
 from . import codes, duval, lattice
@@ -21,15 +21,6 @@ from .gf2 import Gf2Matrix, parse_matrix_text
 # what a command handler returns: its JSON document and its text, each built
 # only when ``run`` renders it, and the exit status
 _Result = tuple[Callable[[], dict], Callable[[], str], int]
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
 
 
 def _read_code(path: str) -> codes.LinearCode:
@@ -55,18 +46,18 @@ def _generators(gens: Gf2Matrix) -> _Result:
     )
 
 
-def _cmd_code_rm(ns: argparse.Namespace) -> _Result:
+def _cmd_code_rm(ns: SimpleNamespace) -> _Result:
     # the monomial rows are independent, so k is their count
     return _generators(codes.reed_muller_generators(ns.degree, ns.m))
 
 
-def _cmd_code_d(ns: argparse.Namespace) -> _Result:
+def _cmd_code_d(ns: SimpleNamespace) -> _Result:
     if ns.m < 2:
-        raise _UsageError("code d requires --m >= 2")
+        raise ValueError("code d requires --m >= 2")
     return _generators(codes.reed_muller_generators(1, ns.m - 1))
 
 
-def _cmd_code_weights(ns: argparse.Namespace) -> _Result:
+def _cmd_code_weights(ns: SimpleNamespace) -> _Result:
     code = _read_code(ns.infile)
     counts = codes.weight_distribution(code).counts
     return (
@@ -77,7 +68,7 @@ def _cmd_code_weights(ns: argparse.Namespace) -> _Result:
     )
 
 
-def _cmd_code_dual(ns: argparse.Namespace) -> _Result:
+def _cmd_code_dual(ns: SimpleNamespace) -> _Result:
     return _generators(codes.dual(_read_code(ns.infile)).gen)
 
 
@@ -100,12 +91,12 @@ def _format_lattice(lat: lattice.CodeLattice) -> str:
     return "\n".join([*lines, "gram:", lattice.format_gram(lat)])
 
 
-def _cmd_lattice_gamma(ns: argparse.Namespace) -> _Result:
+def _cmd_lattice_gamma(ns: SimpleNamespace) -> _Result:
     lat = lattice.gamma_from_code(_read_code(ns.infile), -1 if ns.neg else 1)
     return lat.to_json_dict, lambda: _format_lattice(lat), 0
 
 
-def _cmd_lattice_kummer(ns: argparse.Namespace) -> _Result:
+def _cmd_lattice_kummer(ns: SimpleNamespace) -> _Result:
     lat = lattice.kummer_lattice()
     return lat.to_json_dict, lambda: _format_lattice(lat), 0
 
@@ -137,7 +128,7 @@ def _format_beauville(report: codes.BeauvilleReport) -> str:
     return "\n".join(lines)
 
 
-def _cmd_verify_beauville(ns: argparse.Namespace) -> _Result:
+def _cmd_verify_beauville(ns: SimpleNamespace) -> _Result:
     report = codes.verify_beauville(ns.m, ns.nmax)
     return report.to_json_dict, lambda: _format_beauville(report), 0 if report.ok else 2
 
@@ -156,7 +147,7 @@ def _format_theorem(cert: duval.TheoremCertificate) -> str:
     return "\n".join(lines)
 
 
-def _cmd_verify_no_seventeen(ns: argparse.Namespace) -> _Result:
+def _cmd_verify_no_seventeen(ns: SimpleNamespace) -> _Result:
     cert = duval.verify_max_sixteen()
     return cert.to_json_dict, lambda: _format_theorem(cert), 0 if cert.ok else 2
 
@@ -167,7 +158,7 @@ def _format_suite(suite: duval.SuiteReport) -> str:
     return "\n".join([*lines, _format_theorem(suite.theorem)])
 
 
-def _cmd_verify_all(ns: argparse.Namespace) -> _Result:
+def _cmd_verify_all(ns: SimpleNamespace) -> _Result:
     suite = duval.verify_all()
     return suite.to_json_dict, lambda: _format_suite(suite), 0 if suite.ok else 2
 
@@ -190,12 +181,12 @@ def _format_admissibility(report: duval.AdmissibilityReport) -> str:
     return "\n".join(lines)
 
 
-def _cmd_duval_check(ns: argparse.Namespace) -> _Result:
+def _cmd_duval_check(ns: SimpleNamespace) -> _Result:
     report = duval.AdmissibilityReport(duval.DuValConfig.parse(ns.config))
     return report.to_json_dict, lambda: _format_admissibility(report), 0 if report.admissible else 2
 
 
-def _cmd_duval_classify(ns: argparse.Namespace) -> _Result:
+def _cmd_duval_classify(ns: SimpleNamespace) -> _Result:
     result = duval.classify_even_set(ns.k)
     euler = result.euler_of_cover
     return (
@@ -275,11 +266,18 @@ _PLAIN = {(group, name): _plain_table(handler, arguments)
 
 
 @functools.cache
-def _root() -> _Parser:
+def _root():
     """The whole argparse tree, which reads every argv that the plain
     route refuses and so prints every help, usage and error text.  It is
-    built once per process, on first use."""
-    root = _Parser(prog="k3nodal", description=__doc__)
+    built once per process, on first use, and only then is argparse
+    imported.  Each parser reports a usage error as ``ValueError``."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # type: ignore[override]
+            raise ValueError(message)
+
+    root = Parser(prog="k3nodal", description=__doc__)
     groups = root.add_subparsers(dest="group", required=True)
     for group, (group_help, leaves) in _COMMANDS.items():
         names = groups.add_parser(group, help=group_help).add_subparsers(dest="cmd", required=True)
@@ -291,7 +289,7 @@ def _root() -> _Parser:
     return root
 
 
-def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
     """The namespace that the tree's leaf parser returns for ``argv[2:]``,
     read from the table of the leaf that ``argv[:2]`` names, when the tail
     is spelled out: each option is one of the leaf's own option strings,
@@ -320,15 +318,15 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
             values[dest] = kind(token) if kind else token
         except (TypeError, ValueError):
             return None
-    return argparse.Namespace(**values) if required <= given else None
+    return SimpleNamespace(**values) if required <= given else None
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv read by the plain route, which builds no parser, or else by
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """argv read by the plain route, which imports no argparse, or else by
     the root of the argparse tree (help, usage errors, ``--m=3``, ``--js``,
     ``--``, a bare group), which prints every message.  Both routes give
-    a spelled-out command the same namespace."""
-    return _parse_plain(argv) or _root().parse_args(argv)
+    a spelled-out command the same ``SimpleNamespace``."""
+    return _parse_plain(argv) or _root().parse_args(argv, SimpleNamespace())
 
 
 # the writer of each JSON scalar, keyed by its exact type
@@ -377,7 +375,7 @@ def run(argv: list[str]) -> int:
         return status
     except SystemExit as exc:  # --help exits through argparse
         return 0 if exc.code in (0, None) else 1
-    except (_UsageError, codes.ResourceLimitError, ValueError, OSError) as exc:
+    except (codes.ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

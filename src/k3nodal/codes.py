@@ -137,6 +137,9 @@ class WeightDistribution:
     n: int
     counts: dict[int, int]
 
+    # a dict does not hash, so neither does the record
+    __hash__ = None  # type: ignore[assignment]
+
     def total(self) -> int:
         return sum(self.counts.values())
 

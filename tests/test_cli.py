@@ -12,6 +12,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -460,13 +461,13 @@ def test_every_named_parser_has_help(argv, capsys):
 
 def test_run_builds_only_the_parsers_argv_names(capsys, monkeypatch):
     built = []
-    init = cli._Parser.__init__
+    init = argparse.ArgumentParser.__init__
 
     def counted(self, *args, **kwargs):
         built.append(kwargs["prog"])
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     cli._root.cache_clear()
     # a spelled-out command builds no parser
     spelled = [["duval", "check", "A1x16"], ["duval", "check", "A1x17", "--json"],
@@ -591,7 +592,8 @@ def test_leaf_dispatch_prints_what_the_full_tree_prints_on_fuzzed_argv(code_file
     rng = random.Random(26)
     corpus = [[str(code_files.get(arg, arg)) for arg in _fuzz_argv(rng)] for _ in range(300)]
     # both parsing routes are taken often
-    assert 100 < sum(tuple(argv[:2]) in cli._PLAIN for argv in corpus) < 200
+    plain = sum(cli._parse_plain(argv) is not None for argv in corpus)
+    assert plain >= 50 and len(corpus) - plain >= 50
     leaf = [_capture(capsys, argv) for argv in corpus]
     assert [_capture(capsys, argv) for argv in corpus] == leaf
     # one tree, with one parser per node, whatever the argv
@@ -630,7 +632,7 @@ def _parse_args_vars(parser, tail):
     with contextlib.redirect_stdout(io.StringIO()):
         try:
             return _typed_vars(parser.parse_args(tail))
-        except (cli._UsageError, SystemExit):
+        except (ValueError, SystemExit):
             return None
 
 
@@ -657,6 +659,15 @@ def test_plain_route_returns_what_parse_args_returns():
                 assert _typed_vars(plain) == _parse_args_vars(parser, tail), (leaf, tail)
     # both outcomes are common
     assert taken > 1000 and refused > 1000
+
+
+def test_both_routes_return_a_simple_namespace():
+    spelled, other = ["code", "rm", "--degree", "1", "--m", "4"], ["code", "rm", "--degree=1", "--m=4"]
+    assert cli._parse_plain(spelled) is not None and cli._parse_plain(other) is None
+    plain, tree = cli._parse(spelled), cli._parse(other)
+    assert type(plain) is type(tree) is SimpleNamespace
+    # the root also stores the group and leaf names
+    assert vars(tree) == {**vars(plain), "group": "code", "cmd": "rm"}
 
 
 def test_plain_route_models_every_argument_option():
@@ -835,14 +846,40 @@ def test_integrality_is_read_once_per_lattice(code_files, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def _fresh_env():
+    """The environment of a new interpreter that imports this k3nodal."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _fresh_run(argv):
     """(exit status, stdout, stderr) of ``python -m k3nodal.cli`` in a new interpreter."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "k3nodal.cli", *argv], capture_output=True, env=env, timeout=60
+        [sys.executable, "-m", "k3nodal.cli", *argv], capture_output=True, env=_fresh_env(), timeout=60
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _argparse_loaded(*commands):
+    """The exit status of ``cli.run`` of each command, run in turn in a
+    new interpreter, and then whether ``argparse`` is in ``sys.modules``."""
+    script = (
+        "import sys\n"
+        "from k3nodal import cli\n"
+        "print(*[cli.run(command.split()) for command in sys.argv[1:]], 'argparse' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *commands], capture_output=True, text=True, env=_fresh_env(), timeout=60
+    )
+    return proc.stdout.splitlines()[-1]
+
+
+def test_only_the_argparse_tree_imports_argparse():
+    # a spelled-out command is parsed without argparse; help and usage
+    # errors build the tree, which imports it
+    assert _argparse_loaded("duval check A1x16", "lattice kummer --json") == "0 0 False"
+    assert _argparse_loaded("duval check -h") == "0 True"
+    assert _argparse_loaded("code rm --degree=x --m 4") == "1 True"
 
 
 def test_module_entry_point_prints_what_run_prints(capsys):

@@ -1,6 +1,9 @@
+import collections.abc
+import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 import random
 import re
 import time
@@ -235,6 +238,15 @@ def test_weight_distribution_examples():
     assert weight_distribution(LinearCode.repetition(8)).counts == {0: 1, 8: 1}
     assert weight_distribution(_full_code(2)).counts == {0: 1, 1: 2, 2: 1}
     assert weight_distribution(code_d(5)).counts == {0: 1, 8: 30, 16: 1}
+
+
+def test_weight_distribution_is_unhashable():
+    # its counts are a dict, so the frozen record must not advertise a hash
+    dist = weight_distribution(code_d(3))
+    assert not isinstance(dist, collections.abc.Hashable)
+    with pytest.raises(TypeError, match="unhashable type: 'WeightDistribution'"):
+        hash(dist)
+    assert dataclasses.replace(dist) == dist == copy.deepcopy(dist) == pickle.loads(pickle.dumps(dist))
 
 
 def test_weight_distribution_matches_naive():

@@ -1,3 +1,4 @@
+import collections.abc
 import copy
 import dataclasses
 import json
@@ -534,6 +535,24 @@ def test_verify_max_sixteen_deterministic():
     a = json.dumps(verify_max_sixteen().to_json_dict(), sort_keys=True, indent=2)
     b = json.dumps(verify_max_sixteen().to_json_dict(), sort_keys=True, indent=2)
     assert a.encode() == b.encode()
+
+
+def test_theorem_certificate_is_unhashable():
+    # its sixteen-curve step is an editable dict
+    cert = verify_max_sixteen()
+    assert not isinstance(cert, collections.abc.Hashable)
+    with pytest.raises(TypeError, match="unhashable type: 'TheoremCertificate'"):
+        hash(cert)
+    assert dataclasses.replace(cert) == cert == copy.deepcopy(cert) == pickle.loads(pickle.dumps(cert))
+
+
+def test_suite_report_is_unhashable():
+    # its check details are dicts
+    suite = verify_all()
+    assert not isinstance(suite, collections.abc.Hashable)
+    with pytest.raises(TypeError, match="unhashable type: 'SuiteReport'"):
+        hash(suite)
+    assert dataclasses.replace(suite) == suite == copy.deepcopy(suite) == pickle.loads(pickle.dumps(suite))
 
 
 def test_verify_all_checks_in_order():
