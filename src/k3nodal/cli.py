@@ -24,15 +24,21 @@ _Result = tuple[Callable[[], dict], Callable[[], str], int]
 
 
 def _read_code(path: str) -> codes.LinearCode:
-    # the read is bounded by the budget of every generator matrix: one
-    # character past it is refused before the rest is read or a row reduced
+    # r rows of c >= 1 bits print as r(c + 1) <= 2 MAX_GENERATOR_BITS
+    # characters (universal newlines read each line end as one), so the read
+    # stops one character past that, before a longer file is parsed; a matrix
+    # of more bits than the budget is refused before a row is reduced
+    bound = 2 * codes.MAX_GENERATOR_BITS
     with open(path) as f:
-        text = f.read(codes.MAX_GENERATOR_BITS + 1)
-    if len(text) > codes.MAX_GENERATOR_BITS:
+        text = f.read(bound + 1)
+    if len(text) > bound:
+        raise codes.ResourceLimitError(f"a code file of over {bound} characters exceeds the budget")
+    gens = parse_matrix_text(text)
+    if gens.nrows * gens.cols > codes.MAX_GENERATOR_BITS:
         raise codes.ResourceLimitError(
-            f"a code file of over {codes.MAX_GENERATOR_BITS} characters exceeds the budget"
+            f"{gens.nrows} x {gens.cols} generator bits exceed the budget of {codes.MAX_GENERATOR_BITS}"
         )
-    return codes.from_generators(parse_matrix_text(text))
+    return codes.from_generators(gens)
 
 
 def _generators(gens: Gf2Matrix) -> _Result:

@@ -225,14 +225,11 @@ def kernel(m: Gf2Matrix) -> Gf2Matrix:
     place; the null-space vector of a free column f then has f as its
     lowest bit, and the vectors taken in order of f are already the
     reduced echelon basis.  Its other bits are the pivot places of the
-    reduced rows holding bit f.  One transpose of the reduced rows gives,
-    per column f, those rows as the bits of an int, ``holders``.  A run
-    of at least w consecutive pivot places (w about log2 of the free
-    column count, at most 8) sits at consecutive bits of ``holders`` in
-    ascending place order, so it is deposited with one shift and mask.
-    The other pivots follow in descending place order, so that a free
-    column's holders come lowest, and are read w bits at a time, until
-    none is left, through tables of the 2^w sums of w of their places.
+    reduced rows holding bit f.  One transpose of the reduced rows, in
+    ascending place order, gives per column f those rows as the bits of
+    an int, ``holders``.  Each maximal run of consecutive pivot places,
+    a single place included, sits at consecutive bits of ``holders``, so
+    it is deposited with one shift and mask.
     """
     cols = m.cols
     width = f"0{cols}b"
@@ -243,33 +240,16 @@ def kernel(m: Gf2Matrix) -> Gf2Matrix:
     places = [cols - 1 - p for p in reversed(pivots)]
     place_set = set(places)
     free = [f for f in range(cols) if f not in place_set]
-    w = min(max(len(free).bit_length(), 1), 8)
-    # each span of consecutive places runs from one bound to the next
-    bounds = [0, *(i for i in range(1, rank) if places[i] - places[i - 1] > 1), rank]
-    runs, order = [], []
-    for a, b in zip(bounds, bounds[1:]):
-        if b - a >= w:
-            runs.append((len(order), (1 << (b - a)) - 1, places[a]))
-            order += range(a, b)
-    shift = len(order)
-    taken = set(order)
-    rest = [i for i in reversed(range(rank)) if i not in taken]
-    # bit i of columns[f] is bit f of the i-th row taken, unflipped: the
-    # runs in ascending place order, then the rest in descending order
-    columns = _transpose_ints([reduced[i] for i in order + rest], cols)[::-1]
-    tables = [_xor_sums([1 << places[i] for i in rest[j : j + w]]) for j in range(0, len(rest), w)]
-    wmask = (1 << w) - 1
+    # each run of consecutive places runs from its start to the next one
+    starts = [i for i in range(rank) if not i or places[i] - places[i - 1] > 1]
+    runs = [(a, (1 << (b - a)) - 1, places[a]) for a, b in zip(starts, starts[1:] + [rank])]
+    # bit i of columns[f] is bit f of reduced[i], unflipped
+    columns = _transpose_ints(reduced, cols)[::-1]
     basis = []
     for f in free:
         holders, v = columns[f], 1 << f
         for i, mask, place in runs:
             v |= (holders >> i & mask) << place
-        holders >>= shift
-        for table in tables:
-            if not holders:
-                break
-            v |= table[holders & wmask]
-            holders >>= w
         basis.append(v)
     return Gf2Matrix.from_ints(basis, cols)
 
@@ -282,7 +262,7 @@ def _transpose_ints(rows: Sequence[int], cols: int) -> list[int]:
         return [0] * cols
     width = f"0{cols}b"
     text = "".join([format(r, width) for r in reversed(rows)])
-    return [int(text[p::cols] or "0", 2) for p in range(cols - 1, -1, -1)]
+    return [int(text[p::cols], 2) for p in range(cols - 1, -1, -1)]
 
 
 def parse_matrix_text(text: str) -> Gf2Matrix:

@@ -26,7 +26,7 @@ from test_golden import GOLDEN_CLI, code_files  # noqa: F401 (code_files is a fi
 # stands for a file of a random [4096, 24] code, written by the test: 2^24
 # codewords fit the dimension budget, 4096 x 2^24 codeword bits do not
 WIDE_CODE = "<random [4096, 24] code>"
-# stands for a code file one character longer than MAX_GENERATOR_BITS
+# stands for a code file one character longer than 2 MAX_GENERATOR_BITS
 LONG_FILE = "<code file past the budget>"
 
 EQ2_ROWS = [
@@ -300,9 +300,9 @@ def test_errors_exit_one(argv, capsys, tmp_path):
         path.write_text("\n".join(format(rng.getrandbits(4096), "04096b") for _ in range(24)))
         argv = [str(path) if a == WIDE_CODE else a for a in argv]
     if long:
-        # D_5's rows, padded with blank lines to one character past the budget
+        # D_5's rows, padded with blank lines to one character past the bound
         path = tmp_path / "long.txt"
-        path.write_text(str(codes.code_d(5).gen).ljust(codes.MAX_GENERATOR_BITS + 1, "\n"))
+        path.write_text(str(codes.code_d(5).gen).ljust(2 * codes.MAX_GENERATOR_BITS + 1, "\n"))
         argv = [str(path) if a == LONG_FILE else a for a in argv]
     t0 = time.perf_counter()
     rc, out, err = _capture(capsys, argv)
@@ -324,7 +324,7 @@ def test_errors_exit_one(argv, capsys, tmp_path):
         )
     if long:
         assert err == (
-            f"error: a code file of over {codes.MAX_GENERATOR_BITS} characters exceeds the budget\n"
+            f"error: a code file of over {2 * codes.MAX_GENERATOR_BITS} characters exceeds the budget\n"
         )
 
 
@@ -904,6 +904,30 @@ def test_code_dual_budget(tmp_path, capsys):
     assert (rc, out) == (1, "")
     assert err == (
         f"error: 4083 x 4096 dual generator bits exceed the budget of {codes.MAX_GENERATOR_BITS}\n"
+    )
+
+
+def test_code_files_at_the_budget_edge_are_read(tmp_path, capsys, monkeypatch):
+    # the one row of RM(0, 22) holds MAX_GENERATOR_BITS bits and prints with
+    # its line feed, one character past the budget: the file is read, and
+    # its dual is refused by the dual budget, not by the file bound
+    rc, out, _ = _capture(capsys, ["code", "rm", "--degree", "0", "--m", "22"])
+    assert rc == 0 and len(out) == codes.MAX_GENERATOR_BITS + 1
+    (tmp_path / "rm0_22.txt").write_text(out)
+    rc, out, err = _capture(capsys, ["code", "dual", "--in", str(tmp_path / "rm0_22.txt")])
+    assert (rc, out) == (1, "")
+    assert err == (
+        f"error: {codes.MAX_GENERATOR_BITS - 1} x {codes.MAX_GENERATOR_BITS} dual generator bits "
+        f"exceed the budget of {codes.MAX_GENERATOR_BITS}\n"
+    )
+    # one bit more is refused after the parse, before a row is reduced
+    (tmp_path / "over.txt").write_text("1" * (codes.MAX_GENERATOR_BITS + 1))
+    monkeypatch.setattr(codes, "from_generators", lambda gens: pytest.fail("rows reduced"))
+    rc, out, err = _capture(capsys, ["code", "dual", "--in", str(tmp_path / "over.txt")])
+    assert (rc, out) == (1, "")
+    assert err == (
+        f"error: 1 x {codes.MAX_GENERATOR_BITS + 1} generator bits exceed the budget of "
+        f"{codes.MAX_GENERATOR_BITS}\n"
     )
 
 

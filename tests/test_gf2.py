@@ -388,20 +388,21 @@ def _runs(*spans):
     return sorted(q for a, b in spans for q in range(a, b))
 
 
-# (cols, pivot places, w) by the runs of consecutive places that ``kernel``
-# deposits with one shift, against w = min(bit length of the free column
-# count, 8): 5 at 40 columns with 16 to 31 free, 8 at 300 columns
+# (cols, pivot places) by the runs of consecutive places that ``kernel``
+# deposits each with one shift, single places included.  The names measure
+# run lengths against w = min(bit length of the free column count, 8): 5 at
+# 40 columns with 16 to 31 free, 8 at 300 columns
 _PIVOT_LAYOUTS = {
-    "runs shorter than w": (40, _runs((0, 4), (6, 10), (12, 16), (20, 24)), 5),
-    "runs of exactly w": (40, _runs((2, 7), (10, 15), (30, 35)), 5),
-    "runs longer than w": (40, _runs((5, 11), (20, 29)), 5),
-    "isolated pivots": (40, _runs(*((q, q + 1) for q in range(1, 30, 2))), 5),
-    "runs at both ends": (40, _runs((0, 6), (17, 18), (19, 20), (34, 40)), 5),
-    "mixed runs": (40, _runs((0, 1), (2, 8), (9, 10), (11, 15), (16, 21), (39, 40)), 5),
-    "w = 8, runs of 7, 8 and 9": (300, _runs((0, 7), (50, 51), (52, 53), (100, 108), (200, 201), (291, 300)), 8),
-    "one run": (40, _runs((10, 25)), 5),
-    "every column a pivot": (12, _runs((0, 12)), 1),
-    "rank 0": (40, [], 6),
+    "runs shorter than w": (40, _runs((0, 4), (6, 10), (12, 16), (20, 24))),
+    "runs of exactly w": (40, _runs((2, 7), (10, 15), (30, 35))),
+    "runs longer than w": (40, _runs((5, 11), (20, 29))),
+    "isolated pivots": (40, _runs(*((q, q + 1) for q in range(1, 30, 2)))),
+    "runs at both ends": (40, _runs((0, 6), (17, 18), (19, 20), (34, 40))),
+    "mixed runs": (40, _runs((0, 1), (2, 8), (9, 10), (11, 15), (16, 21), (39, 40))),
+    "w = 8, runs of 7, 8 and 9": (300, _runs((0, 7), (50, 51), (52, 53), (100, 108), (200, 201), (291, 300))),
+    "one run": (40, _runs((10, 25))),
+    "every column a pivot": (12, _runs((0, 12))),
+    "rank 0": (40, []),
 }
 
 
@@ -420,18 +421,23 @@ def _rows_with_pivot_places(rng, cols, places):
     return rows
 
 
-@pytest.mark.parametrize("layout", list(_PIVOT_LAYOUTS))
+@pytest.mark.parametrize("layout", [*_PIVOT_LAYOUTS, "RM(1..5, 8)"])
 def test_kernel_pivot_runs_match_oracle(layout):
-    cols, places, w = _PIVOT_LAYOUTS[layout]
-    assert w == min(max((cols - len(places)).bit_length(), 1), 8)
-    rng = random.Random(47)
-    for _ in range(6):
-        rows = _rows_with_pivot_places(rng, cols, places)
-        flipped = [int(format(r, f"0{cols}b")[::-1], 2) for r in rows]
-        # the pivot places are the pivots of the reversed columns, reversed
-        assert sorted(cols - 1 - p for p in column_rref_ints(flipped, cols)[1]) == places
-        ker = kernel(Gf2Matrix.from_ints(rows, cols))
-        assert list(ker.rows) == column_kernel_ints(rows, cols), layout
+    if layout in _PIVOT_LAYOUTS:
+        cols, places = _PIVOT_LAYOUTS[layout]
+        rng = random.Random(47)
+        matrices = []
+        for _ in range(6):
+            rows = _rows_with_pivot_places(rng, cols, places)
+            flipped = [int(format(r, f"0{cols}b")[::-1], 2) for r in rows]
+            # the pivot places are the pivots of the reversed columns, reversed
+            assert sorted(cols - 1 - p for p in column_rref_ints(flipped, cols)[1]) == places
+            matrices.append(Gf2Matrix.from_ints(rows, cols))
+    else:
+        # wide structured codes: 7 to 35 runs of pivot places each
+        matrices = [reed_muller_generators(degree, 8) for degree in range(1, 6)]
+    for m in matrices:
+        assert list(kernel(m).rows) == column_kernel_ints(list(m.rows), m.cols), layout
 
 
 def test_xor_sums_match_subset_oracle():
