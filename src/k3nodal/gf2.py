@@ -3,8 +3,9 @@
 A row packs its coordinates into a single arbitrary-precision integer
 (bit j = coordinate j), so row addition is XOR and the Hamming weight is
 ``int.bit_count()``.  A ``Gf2Matrix`` holds such plain int rows, from the
-'0'/'1' text format to every kernel.  Every value is immutable and every
-operation is a pure function, so unrestricted concurrent use is safe.
+'0'/'1' text format (read by ``parse_matrix_text``, written by ``str``) to
+every kernel.  Every value is immutable and every operation is a pure
+function, so unrestricted concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ class Gf2Matrix:
         return self.rows
 
     def __str__(self) -> str:
-        return format_matrix_text(self)
+        """The text matrix format of ``parse_matrix_text``."""
+        return "\n".join(f"{r:0{self.cols}b}"[::-1] for r in self.rows)
 
 
 @dataclass(frozen=True)
@@ -270,19 +272,20 @@ def parse_matrix_text(text: str) -> Gf2Matrix:
     ignored; the first character of a row is coordinate 0.  A line ends at a
     line feed, a carriage return or both (the universal newlines) and not
     at the other breaks of ``str.splitlines``, so a row that holds a form
-    feed or a line separator is refused."""
-    lines = [line.strip() for line in text.replace("\r", "\n").split("\n") if line.strip()]
-    if not lines:
-        raise ValueError("no matrix rows found")
-    for line in lines:
-        if set(line) - {"0", "1"}:
+    feed or a line separator is refused.
+
+    One pass strips each line once and refuses a row that holds any other
+    character as soon as it reaches it, so that row is reported ahead of
+    ragged rows wherever it sits.
+    """
+    rows, widths = [], set()
+    for line in filter(None, map(str.strip, text.replace("\r", "\n").split("\n"))):
+        if line.strip("01"):
             raise ValueError(f"not a 0/1 row: {line!r}")
-    if len({len(line) for line in lines}) > 1:
+        rows.append(int(line[::-1], 2))
+        widths.add(len(line))
+    if not rows:
+        raise ValueError("no matrix rows found")
+    if len(widths) > 1:
         raise ValueError("ragged rows: all rows must have the same length")
-    return Gf2Matrix.from_ints([int(line[::-1], 2) for line in lines], len(lines[0]))
-
-
-def format_matrix_text(m: Gf2Matrix) -> str:
-    """The text matrix format of ``parse_matrix_text``."""
-    width = f"0{m.cols}b"
-    return "\n".join(format(r, width)[::-1] for r in m.rows)
+    return Gf2Matrix.from_ints(rows, widths.pop())

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from k3nodal import codes, gf2
+from k3nodal.cli import run
 from k3nodal.codes import (
     MAX_GENERATOR_BITS,
     MAX_PERM_SEARCH_LEN,
@@ -851,6 +852,19 @@ def test_verify_beauville_counts_match_recursive_qbinomial():
     rep = verify_beauville(3, 6)
     for s in rep.per_n:
         assert s.examined == qbinom_recursive(s.n, 3)
+
+
+def test_verify_beauville_refutes_a_wrong_qbinomial_count(monkeypatch, capsys):
+    # the scan counts its subspaces against the q-binomial prediction; one
+    # predicted subspace too many at n = 6 is a counterexample
+    real = codes.gaussian_binomial
+    monkeypatch.setattr(codes, "gaussian_binomial", lambda n, k: real(n, k) + (n == 6))
+    rep = verify_beauville(3, 6)
+    assert "n=6: enumerated 1395 subspaces, q-binomial predicts 1396" in rep.counterexamples
+    assert not rep.ok
+    capsys.readouterr()
+    assert run(["verify", "beauville", "--m", "3", "--nmax", "6"]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == "REFUTED"
 
 
 def test_half_weight_scan_matches_gray_order_oracle():

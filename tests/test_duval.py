@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3nodal import duval
+from k3nodal import cli, duval
 from k3nodal.codes import ExtensionCertificate, code_d, verify_no_extension
 from k3nodal.duval import (
     AdmissibilityReport,
@@ -446,6 +446,17 @@ def test_admissible_json_schema():
     assert payload["per_type"] == [
         {"type": "A1", "count": 16, "delta_each": 1, "delta_total": 16, "milnor_total": 16}
     ]
+
+
+def test_empty_config_json_has_no_ratio():
+    # no singularity: delta and mu are 0, so there is no ratio to write
+    doc = AdmissibilityReport(DuValConfig()).to_json_dict()
+    assert doc["ratio"] is None
+    assert doc["config"] == "(empty)"
+    assert doc["per_type"] == []
+    assert doc["admissible"] is True
+    assert (doc["delta"], doc["mu"], doc["reasons"]) == (0, 0, [])
+    assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_four_a16_is_inadmissible():

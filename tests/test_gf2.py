@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -9,7 +10,6 @@ from k3nodal.gf2 import (
     _rref_ints,
     _transpose_ints,
     _xor_sums,
-    format_matrix_text,
     is_rref,
     kernel,
     parse_matrix_text,
@@ -168,8 +168,8 @@ def test_matrix_text_roundtrip():
     text = "0101\n\n1100\n"
     m = parse_matrix_text(text)
     assert m.nrows == 2 and m.cols == 4
-    assert format_matrix_text(m) == "0101\n1100"
-    assert parse_matrix_text(format_matrix_text(m)) == m
+    assert str(m) == "0101\n1100"
+    assert parse_matrix_text(str(m)) == m
 
 
 def test_bitvector_text_roundtrip():
@@ -178,12 +178,12 @@ def test_bitvector_text_roundtrip():
     for n in (1, 2, 7, 64, 65, 1000, 1 << 14):
         rows = [rng.getrandbits(n) for _ in range(3)] + [0, 1 << (n - 1)]
         m = Gf2Matrix.from_ints(rows, n)
-        text = format_matrix_text(m)
+        text = str(m)
         assert text.splitlines() == [
             "".join(str(c) for c in row) for row in matrix_coords(m)
         ]
         assert parse_matrix_text(text) == m
-    assert format_matrix_text(Gf2Matrix.from_ints([0, 1 << 4], 5)) == "00000\n00001"
+    assert str(Gf2Matrix.from_ints([0, 1 << 4], 5)) == "00000\n00001"
     assert parse_matrix_text("00001").rows == (1 << 4,)
 
 
@@ -220,8 +220,8 @@ def test_matrix_text_fuzzed_texts_return_or_raise_value_error():
         # the text format drops blank lines and surrounding whitespace only,
         # and a line ends at a universal newline alone
         rows = [line.strip() for line in re.split(r"\r\n|\r|\n", text) if line.strip()]
-        assert format_matrix_text(m) == "\n".join(rows), repr(text)
-        assert parse_matrix_text(format_matrix_text(m)) == m
+        assert str(m) == "\n".join(rows), repr(text)
+        assert parse_matrix_text(str(m)) == m
     assert 500 < parsed < 1500
 
 
@@ -245,9 +245,26 @@ def test_matrix_text_errors():
         parse_matrix_text("\n \n")
     with pytest.raises(ValueError, match="ragged rows"):
         parse_matrix_text("01\n011")
-    # a non-0/1 row is refused before the lengths are compared
-    with pytest.raises(ValueError, match="not a 0/1 row: '0a1'"):
-        parse_matrix_text("01\n0a1\n1")
+    # a non-0/1 row is refused before the lengths are compared, also when
+    # ragged rows come before it
+    for text in ("01\n0a1\n1", "01\n011\n0a1"):
+        with pytest.raises(ValueError, match="not a 0/1 row: '0a1'"):
+            parse_matrix_text(text)
+
+
+def test_matrix_text_holds_each_row_once():
+    # one-character lines are cached strings, so the peak counts the lists
+    # of rows held at once, 8 bytes a row each: the split lines and the ints
+    rows = 2**16
+    text = "0\n1\n" * (rows // 2)
+    tracemalloc.start()
+    try:
+        m = parse_matrix_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.nrows == rows and m.rows[:2] == (0, 1)
+    assert peak <= 20 * rows, peak / rows
 
 
 def test_ragged_matrix_rejected():
