@@ -104,8 +104,7 @@ class LinearCode:
 
 def from_generators(matrix: Gf2Matrix) -> LinearCode:
     """The code spanned by the rows of the matrix, canonicalized to a reduced basis."""
-    reduced, pivots = _rref_ints(matrix.row_bits(), matrix.cols)
-    return LinearCode(Gf2Matrix.from_ints(reduced[: len(pivots)], matrix.cols))
+    return LinearCode(Gf2Matrix.from_ints(_rref_ints(matrix.row_bits(), matrix.cols)[0], matrix.cols))
 
 
 def dual(c: LinearCode) -> LinearCode:

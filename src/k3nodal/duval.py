@@ -27,7 +27,7 @@ from .codes import (
     verify_no_extension,
     weight_distribution,
 )
-from .gf2 import _integer
+from .gf2 import _integer, _quote
 from .lattice import (
     determinant,
     discriminant_group,
@@ -336,10 +336,10 @@ class DuValConfig:
         for raw in text.split(","):
             term = raw.strip().upper()
             if not term:
-                raise ValueError(f"empty term in configuration {text!r}")
+                raise ValueError(f"empty term in configuration {_quote(text)}")
             match = _TERM_RE.match(term)
             if not match:
-                raise ValueError(f"cannot parse term {raw.strip()!r}")
+                raise ValueError(f"cannot parse term {_quote(raw.strip())}")
             letter, index, times = match.groups()
             if len(index) > MAX_TERM_DIGITS or times is not None and len(times) > MAX_TERM_DIGITS:
                 raise ValueError(
@@ -347,7 +347,7 @@ class DuValConfig:
                 )
             n, count = int(index), int(times) if times else 1
             if count == 0:
-                raise ValueError(f"zero count in term {raw.strip()!r}")
+                raise ValueError(f"zero count in term {_quote(raw.strip())}")
             target = maps[letter]
             target[n] = target.get(n, 0) + count
         return cls(*maps.values())

@@ -25,6 +25,12 @@ def _integer(value: object, what: str) -> int:
     return operator.index(value)
 
 
+def _quote(text: str) -> str:
+    """The repr of the first 40 characters of a refused input, and ``...``
+    when it is longer, so a message stays short whatever the input."""
+    return repr(text[:40]) + "..." * (len(text) > 40)
+
+
 @dataclass(frozen=True)
 class Gf2Matrix:
     """Matrix over GF(2) stored as a tuple of int rows, bit j = column j.
@@ -79,20 +85,21 @@ def _xor_sums(values: Sequence[int]) -> list[int]:
     return table
 
 
-def _rref_ints(rows: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of bit-packed rows: (rows, pivot columns).
+def _rref_ints(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of bit-packed rows: (basis rows, pivot
+    columns), one reduced row per pivot in pivot order and no zero row.
 
-    The row count is preserved and zero rows end up at the bottom, and
-    the scan stops as soon as every row holds a pivot.  Under 32 rows each
-    pivot row is XORed into every other row holding its pivot bit, one
-    column at a time; with more rows a table of row sums costs less than
-    the column steps it saves (``_rref_strips``).  The reduced echelon
-    form is unique, so both ways give the same rows and pivots.
+    The input is left unchanged, and the scan stops as soon as every row
+    holds a pivot.  Under 32 rows each pivot row is XORed into every other
+    row holding its pivot bit, one column at a time; with more rows a
+    table of row sums costs less than the column steps it saves
+    (``_rref_strips``).  The reduced echelon form is unique, so both ways
+    give the same rows and pivots.
     """
-    rows = list(rows)
     nrows = len(rows)
     if nrows >= 32:
         return _rref_strips(rows, cols)
+    rows = list(rows)
     pivots: list[int] = []
     for c in range(cols):
         r = len(pivots)
@@ -109,7 +116,7 @@ def _rref_ints(rows: Iterable[int], cols: int) -> tuple[list[int], list[int]]:
         rows = [x ^ prow if x & bit else x for x in rows]
         rows[r] = prow
         pivots.append(c)
-    return rows, pivots
+    return rows[: len(pivots)], pivots
 
 
 def _independent(rows: Sequence[int]) -> bool:
@@ -133,36 +140,35 @@ def _independent(rows: Sequence[int]) -> bool:
     return True
 
 
-def _rref_strips(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
+def _rref_strips(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
     """``_rref_ints`` a strip of s columns at a time (the Method of Four
     Russians), s = floor(log2 rows) up to 8.
 
-    The rows without a pivot yet are zero left of the strip; their pivots
-    in it come from a small XOR basis keyed by the lowest bit in the
-    strip, and are reduced against each other there.  A table of all 2^s
-    sums of these pivot rows, indexed by the strip's bits (a bit without a
-    pivot doubles it), clears the strip's pivot columns of every row with
-    one XOR.
+    It keeps the pivot rows found so far and the rows that are still
+    nonzero and have no pivot yet; these are zero left of the strip.
+    Their pivots in the strip come from a small XOR basis keyed by the
+    lowest bit in the strip, and are reduced against each other there.  A
+    table of all 2^s sums of these pivot rows, indexed by the strip's bits
+    (a bit without a pivot doubles it), clears the strip's pivot columns
+    of every row with one XOR.  That turns each row in the span of the
+    strip's basis, the rows it was built from included, into zero, and
+    the zero rows are dropped; the loop ends once no row is left.
     """
-    nrows = len(rows)
+    reduced: list[int] = []
     pivots: list[int] = []
-    strip = min(nrows.bit_length() - 1, 8)
-    r = c = 0
-    while r < nrows and c < cols:
+    strip = min(len(rows).bit_length() - 1, 8)
+    c = 0
+    while rows and c < cols:
         width = min(strip, cols - c)
         # AND before shift: the window costs its own size, not the row's
         mask = ((1 << width) - 1) << c
         basis: dict[int, int] = {}
-        for i in range(r, nrows):
-            x = rows[i]
+        for x in rows:
             window = (x & mask) >> c
             while window:
                 low = window & -window
                 if low not in basis:
                     basis[low] = x
-                    # park the source row in the next pivot slot
-                    rows[i] = rows[r + len(basis) - 1]
-                    rows[r + len(basis) - 1] = x
                     break
                 x ^= basis[low]
                 window = (x & mask) >> c
@@ -173,28 +179,30 @@ def _rref_strips(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
             continue
         lows = sorted(basis)
         for j in reversed(range(1, len(lows))):
-            high = lows[j] << c
             prow = basis[lows[j]]
             for low in lows[:j]:
-                if basis[low] & high:
+                if basis[low] & (lows[j] << c):
                     basis[low] ^= prow
         table = _xor_sums([basis.get(1 << b, 0) for b in range(width)])
-        # the parked source rows clear to zero and take the pivot rows
-        rows = [x ^ table[(x & mask) >> c] for x in rows]
-        rows[r : r + len(lows)] = [basis[low] for low in lows]
+        reduced = [x ^ table[(x & mask) >> c] for x in reduced] + [basis[low] for low in lows]
+        # a row in the span of the basis, a source row of it included,
+        # clears to zero and is dropped
+        rows = [y for x in rows if (y := x ^ table[(x & mask) >> c])]
         pivots += [c + low.bit_length() - 1 for low in lows]
-        r += len(lows)
         c += width
-    return rows, pivots
+    return reduced, pivots
 
 
 def rref(m: Gf2Matrix) -> RrefResult:
     """Reduced row echelon form, preserving the row space and row count.
 
     Pivot columns come leftmost-first and each contains a single one-bit,
-    so equality of reduced matrices is a bitwise comparison.
+    so equality of reduced matrices is a bitwise comparison.  The basis
+    rows of ``_rref_ints`` come first, padded with zero rows to the row
+    count; this is the one place that pads them.
     """
     rows, pivots = _rref_ints(m.row_bits(), m.cols)
+    rows += [0] * (m.nrows - len(rows))
     return RrefResult(Gf2Matrix.from_ints(rows, m.cols), len(pivots), tuple(pivots))
 
 
@@ -222,31 +230,30 @@ def kernel(m: Gf2Matrix) -> Gf2Matrix:
     """Basis of the right null space, canonicalized to reduced echelon form.
 
     The returned matrix has cols - rank(m) independent rows v with
-    m . v^T = 0.  The rows of m are reduced with their columns reversed,
-    so every reduced row has its pivot as its highest bit, its pivot
-    place; the null-space vector of a free column f then has f as its
-    lowest bit, and the vectors taken in order of f are already the
-    reduced echelon basis.  Its other bits are the pivot places of the
-    reduced rows holding bit f.  One transpose of the reduced rows, in
-    ascending place order, gives per column f those rows as the bits of
-    an int, ``holders``.  Each maximal run of consecutive pivot places,
-    a single place included, sits at consecutive bits of ``holders``, so
-    it is deposited with one shift and mask.
+    m . v^T = 0.  The rows of m are reduced with their columns reversed
+    into one row per pivot, so every reduced row has its pivot as its
+    highest bit, its pivot place; the null-space vector of a free column
+    f then has f as its lowest bit, and the vectors taken in order of f
+    are already the reduced echelon basis.  Its other bits are the pivot
+    places of the reduced rows holding bit f.  One transpose of the
+    reduced rows, in ascending place order, gives per column f those rows
+    as the bits of an int, ``holders``.  Each maximal run of consecutive
+    pivot places, a single place included, sits at consecutive bits of
+    ``holders``, so it is deposited with one shift and mask.
     """
     cols = m.cols
     width = f"0{cols}b"
     flipped, pivots = _rref_ints([int(format(b, width)[::-1], 2) for b in m.row_bits()], cols)
     rank = len(pivots)
-    # the reduced rows in ascending order of their pivot places
-    reduced = flipped[:rank][::-1]
     places = [cols - 1 - p for p in reversed(pivots)]
     place_set = set(places)
     free = [f for f in range(cols) if f not in place_set]
     # each run of consecutive places runs from its start to the next one
     starts = [i for i in range(rank) if not i or places[i] - places[i - 1] > 1]
     runs = [(a, (1 << (b - a)) - 1, places[a]) for a, b in zip(starts, starts[1:] + [rank])]
-    # bit i of columns[f] is bit f of reduced[i], unflipped
-    columns = _transpose_ints(reduced, cols)[::-1]
+    # the reduced rows in ascending order of their pivot places: bit i of
+    # columns[f] is bit f of the row at places[i], unflipped
+    columns = _transpose_ints(flipped[::-1], cols)[::-1]
     basis = []
     for f in free:
         holders, v = columns[f], 1 << f
@@ -281,7 +288,7 @@ def parse_matrix_text(text: str) -> Gf2Matrix:
     rows, widths = [], set()
     for line in filter(None, map(str.strip, text.replace("\r", "\n").split("\n"))):
         if line.strip("01"):
-            raise ValueError(f"not a 0/1 row: {line!r}")
+            raise ValueError(f"not a 0/1 row: {_quote(line)}")
         rows.append(int(line[::-1], 2))
         widths.add(len(line))
     if not rows:

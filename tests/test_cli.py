@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 import k3nodal
-from k3nodal import cli, codes, duval, lattice
+from k3nodal import cli, codes, duval, gf2, lattice
 from k3nodal.cli import run
 from test_duval import random_config_text
 from test_gf2 import NOT_NEWLINES, random_matrix_text
@@ -326,6 +326,35 @@ def test_errors_exit_one(argv, capsys, tmp_path):
         assert err == (
             f"error: a code file of over {2 * codes.MAX_GENERATOR_BITS} characters exceeds the budget\n"
         )
+
+
+# refusals of long inputs, each by its message: a one-row code file and
+# three configurations
+_LONG_REFUSALS = {
+    "not a 0/1 row:": "01" * 2**21 + "x",
+    "cannot parse term": "Q" * 100_000,
+    "zero count in term": "A" + "1" * 1999 + "x0",
+    "empty term in configuration": "A1x2," * 20_000 + ",",
+}
+
+
+@pytest.mark.parametrize("message", list(_LONG_REFUSALS))
+def test_refusal_quotes_the_first_40_characters_of_a_long_input(message, capsys, tmp_path):
+    text = _LONG_REFUSALS[message]
+    if message == "not a 0/1 row:":
+        parse = gf2.parse_matrix_text
+        path = tmp_path / "long-row.txt"
+        path.write_text(text)
+        argv = ["code", "weights", "--in", str(path)]
+    else:
+        parse = duval.DuValConfig.parse
+        argv = ["duval", "check", text]
+    expected = f"{message} {text[:40]!r}..."
+    assert len(expected) < 100
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value) == expected
+    assert _capture(capsys, argv) == (1, "", f"error: {expected}\n")
 
 
 @pytest.mark.parametrize(

@@ -267,6 +267,21 @@ def test_matrix_text_holds_each_row_once():
     assert peak <= 20 * rows, peak / rows
 
 
+def test_from_generators_holds_only_the_basis_of_a_tall_matrix():
+    # row reduction keeps the pivot rows and the rows still without one,
+    # never a copy of the input: 2^16 one-bit rows reduce to one row
+    rows = 2**16
+    m = Gf2Matrix((0, 1) * (rows // 2), 1)
+    tracemalloc.start()
+    try:
+        code = from_generators(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.gen.rows == (1,)
+    assert peak < rows, peak / rows
+
+
 def test_ragged_matrix_rejected():
     # an int row fits the column count when it lies in [0, 2^cols)
     for row in (-1, 0b100, 0b111):
@@ -305,6 +320,27 @@ def test_rref_duplicate_and_zero_rows_match_naive():
         rows += [rng.choice(rows) for _ in range(rng.randint(1, 4))] + [0] * rng.randint(1, 3)
         rng.shuffle(rows)
         _assert_rref_matches_naive(Gf2Matrix.from_ints(rows, ncols))
+    # 32 to 48 rows take the strip path, which returns no zero row: ``rref``
+    # pads them back to the row count
+    for nrows in range(32, 49):
+        ncols = rng.randint(1, 40)
+        rows = [rng.getrandbits(ncols) for _ in range(rng.randint(1, 10))]
+        rows += [rng.choice(rows) for _ in range(nrows - len(rows) - 3)] + [0] * 3
+        rng.shuffle(rows)
+        _assert_rref_matches_naive(Gf2Matrix.from_ints(rows, ncols))
+
+
+@pytest.mark.parametrize("nrows", [5, 31, 32, 300])
+def test_rref_ints_leaves_its_input_unchanged(nrows):
+    rng = random.Random(nrows)
+    # duplicate and zero rows, so some source rows reduce to zero
+    rows = [rng.getrandbits(40) for _ in range(nrows // 2)] + [0]
+    rows += rows[: nrows - len(rows)]
+    rng.shuffle(rows)
+    before = rows[:]
+    reduced, pivots = _rref_ints(rows, 40)
+    assert rows == before
+    assert len(reduced) == len(pivots) and all(reduced)
 
 
 def test_is_rref_matches_naive_on_bit_flips():
@@ -375,7 +411,10 @@ def test_strip_rref_matches_column_oracle():
     rng = random.Random(31)
     count = 0
     for rows, cols in _shaped_matrices(rng):
-        assert _rref_ints(rows, cols) == column_rref_ints(rows, cols)
+        # the basis rows only: ``rref`` pads the zero rows, which
+        # test_rref_duplicate_and_zero_rows_match_naive checks on both paths
+        reduced, pivots = column_rref_ints(rows, cols)
+        assert _rref_ints(rows, cols) == (reduced[: len(pivots)], pivots)
         count += 1
     assert count == len(_ROW_COUNTS) * len(_COL_COUNTS) * 5 + 3 + 8
 
