@@ -23,6 +23,7 @@ import itertools
 import math
 import operator
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -234,11 +235,12 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
     column of a low row) are summed once, and each block's sum starts
     from a copy of those planes.  Those with no low mask are all zeros or
     all ones over a block, so they shift every weight in it by the number
-    of them the high part meets oddly.  All-zero columns are dropped
-    before the planes are sized.  The cost grows as n 2^k: more
-    than 2^MAX_ENUM_DIM codewords or more than MAX_ENUM_BITS codeword
-    bits are refused before any block is built, and a length over
-    MAX_GENERATOR_BITS before the columns are transposed.
+    of them the high part meets oddly.  All-zero columns are never
+    transposed: only the columns in the OR of the generator rows are.
+    The cost grows as n 2^k: more than 2^MAX_ENUM_DIM codewords or more
+    than MAX_ENUM_BITS codeword bits are refused before any block is
+    built, and a length over MAX_GENERATOR_BITS before the columns are
+    transposed.
     """
     if c.k > MAX_ENUM_DIM:
         raise ResourceLimitError(
@@ -255,9 +257,18 @@ def weight_distribution(c: LinearCode) -> WeightDistribution:
         )
     low = min(c.k, _BLOCK_BITS)
     full, below, above = _block_characters(low)
-    # one message mask per column (bit i = entry of generator row i); a
-    # zero column adds nothing to any weight, so it is dropped here
-    masks = filter(None, _transpose_ints(c.gen.row_bits(), c.n))
+    # a zero column adds nothing to any weight, so when some column is
+    # zero each row is first cut down to the columns of the rows' support,
+    # found in its text: a long sparse code costs its support
+    rows = c.gen.row_bits()
+    support = functools.reduce(operator.or_, rows, 0)
+    nonzero = support.bit_count()
+    if nonzero < c.n:
+        width = f"0{c.n}b"
+        places = [hit.start() for hit in re.finditer("1", format(support, width))]
+        rows = [int("".join(map(format(r, width).__getitem__, places)), 2) for r in rows]
+    # one message mask per column (bit i = entry of generator row i)
+    masks = _transpose_ints(rows, nonzero)
     half, low_mask = low // 2, (1 << low) - 1
     half_mask = (1 << half) - 1
     fixed, varying, shifts = [], [], []
@@ -357,14 +368,16 @@ def _is_d_code(rows: Sequence[int], n: int) -> bool:
     the columns of D_m do in a suitable basis.  In a reduced basis the
     pivot bit of row i is set in a codeword exactly when row i is in its
     sum; the all-ones word sets every pivot bit, so it is in the span
-    exactly when it is the XOR of every row.  O(n m) work.
+    exactly when it is the XOR of every row.  The columns are counted as
+    the distinct tuples of one ``zip`` over the rows' binary text.  O(n m)
+    work.
     """
     m = len(rows)
     if m < 2 or n != 1 << (m - 1):
         return False
     if functools.reduce(operator.xor, rows) != (1 << n) - 1:
         return False
-    return len(set(_transpose_ints(rows, n))) == n
+    return len(set(zip(*[format(r, f"0{n}b") for r in rows]))) == n
 
 
 def permutation_equivalent(a: LinearCode, b: LinearCode) -> bool:
@@ -620,10 +633,18 @@ class BeauvilleReport:
         }
 
 
+# One table per length: under SUBSPACE_BUDGET verify_beauville stays at
+# n <= 11 (2 KiB), and a direct m = 5 scan up to n = 15 holds 32 KiB.
+@functools.cache
+def _heavy_table(n: int) -> bytes:
+    """Byte w is 1 when the word w of F_2^n weighs at least n/2."""
+    return bytes(map(((n + 1) // 2).__le__, map(int.bit_count, range(1 << n))))
+
+
 def _half_weight_bases(n: int, m: int, visit: Callable[[list[int]], None]) -> tuple[int, int]:
-    """Scan every dimension-m subspace of F_2^n through its reduced basis,
-    pass each basis whose span has every nonzero weight >= n/2 to
-    ``visit``, and return (subspaces, qualifying bases).
+    """Scan every dimension-m subspace of F_2^n, m >= 2, through its
+    reduced basis, pass each basis whose span has every nonzero weight
+    >= n/2 to ``visit``, and return (subspaces, qualifying bases).
 
     A reduced basis is fixed by its pivot set (the lowest bit of each row)
     and its free entries, the bits above a row's pivot that are no pivot:
@@ -632,35 +653,71 @@ def _half_weight_bases(n: int, m: int, visit: Callable[[list[int]], None]) -> tu
     them.  A row weighs at most 1 + its free entries, and the last row has
     the fewest, n - 1 - p_(m-1); a pivot set whose last pivot exceeds n/2
     has no heavy last row, so it is counted but not searched.  In the
-    others, rows are chosen one at a time from candidate lists (pivot bit
-    plus free entries, weight >= n/2), and a partial basis is kept only
-    while every nonzero word of its span reaches n/2: a light word stays
-    in the span of every extension, so no qualifying basis is lost, and
-    each one found has all 2^m - 1 nonzero words checked.  Weights are
-    read from a table of 2^n flags, built per call.
+    others, row i is chosen from level i's candidates (pivot bit plus free
+    entries, weight >= n/2), and the search checks ahead: each level keeps
+    a mask of the candidates still allowed, and a cache, per pivot set,
+    from a word w to the mask of the level's candidates r with r ^ w
+    heavy.  Choosing a row ANDs the masks of its new span words (the row,
+    and the row XOR each earlier word) into every deeper level's mask,
+    deepest level first, and drops the row as soon as one of them is
+    empty.  A light word stays in the span of every extension, so no
+    qualifying basis is lost, and a level walks its allowed candidates
+    from low bit to high, so the bases reach ``visit`` in candidate order.
+    A candidate still allowed on the last level completes a basis whose
+    2^m - 1 nonzero words have all been checked, so it is visited at once.
+    Weights are read from ``_heavy_table(n)``, built once per length.
     """
     full = (1 << n) - 1
-    heavy = bytes(2 * w.bit_count() >= n for w in range(1 << n))
-    # a pivot set holds 2^(sum of n - m + i - p_i) = 2^(top - sum of pivots)
+    heavy = _heavy_table(n)
+    # a pivot set holds 2^(sum of n - m + i - p_i) = 2^top >> (sum of pivots)
     top = m * (2 * n - m - 1) // 2
-    examined = sum(1 << (top - sum(pivots)) for pivots in itertools.combinations(range(n), m))
+    examined = sum(map((1 << top).__rshift__, map(sum, itertools.combinations(range(n), m))))
     qualifying = 0
 
-    def extend(candidates: list[list[int]], rows: list[int], span: list[int]) -> None:
+    def narrow(words: list[int], depth: int, allowed: list[int]) -> list[int] | None:
+        """The allowed masks of the levels below ``depth``, deepest first,
+        ANDed with the masks of the words; None when one is empty."""
+        narrowed = []
+        for (level, bits, cache), mask in zip(below[depth], allowed):
+            for w in words:
+                word_mask = cache.get(w)
+                if word_mask is None:
+                    word_mask = cache[w] = sum([bit for bit, row in zip(bits, level) if heavy[row ^ w]])
+                mask &= word_mask
+                if not mask:
+                    return None
+            narrowed.append(mask)
+        return narrowed
+
+    def extend(rows: list[int], span: list[int], allowed: list[int]) -> None:
+        # allowed holds a mask for each level from the last down to this
+        # one; a row of the last level but one leads straight to the last
+        # level's allowed candidates, each completing a qualifying basis
         nonlocal qualifying
-        if len(rows) == m:
-            qualifying += 1
-            visit(rows)
-            return
-        for row in candidates[len(rows)]:
-            words = [row ^ w for w in span]
-            if all(map(heavy.__getitem__, words)):
-                extend(candidates, rows + [row], span + [row] + words)
+        depth = len(rows)
+        candidates, mask = levels[depth][0], allowed[-1]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            row = candidates[low.bit_length() - 1]
+            words = [row] + [row ^ w for w in span]
+            narrowed = narrow(words, depth, allowed)
+            if narrowed is None:
+                continue
+            if depth < m - 2:
+                extend(rows + [row], span + words, narrowed)
+                continue
+            leaves, (mask_last,) = levels[-1][0], narrowed
+            while mask_last:
+                low = mask_last & -mask_last
+                mask_last ^= low
+                qualifying += 1
+                visit(rows + [row, leaves[low.bit_length() - 1]])
 
     # the pivot sets whose last pivot is at most n/2, in the order above
     for pivots in itertools.combinations(range(n // 2 + 1), m):
         pivot_mask = sum(1 << p for p in pivots)
-        candidates = []
+        levels = []
         for p in pivots:
             free = full & ~((2 << p) - 1) & ~pivot_mask
             level = []
@@ -672,8 +729,9 @@ def _half_weight_bases(n: int, m: int, visit: Callable[[list[int]], None]) -> tu
                 if not sub:
                     break
                 sub = (sub - 1) & free
-            candidates.append(level)
-        extend(candidates, [], [])
+            levels.append((level, [1 << r for r in range(len(level))], {}))
+        below = [levels[:depth:-1] for depth in range(m)]
+        extend([], [], [(1 << len(level)) - 1 for level, _, _ in reversed(levels)])
     return examined, qualifying
 
 
@@ -697,8 +755,12 @@ def verify_beauville(m: int, n_max: int | None = None, *, seed: int = 0) -> Beau
     For m <= 4 the scan is exhaustive over reduced bases
     (``_half_weight_bases``: each pivot set counts its 2^(free entries)
     subspaces, a pivot set with a row that cannot reach n/2 is counted but
-    not searched, and only bases whose span reaches n/2 are enumerated;
-    the per-n count is cross-checked against the q-binomial).  That count is
+    not searched, and the search checks ahead: per level, a cached mask of
+    the candidates that each span word leaves heavy is ANDed into the
+    deeper levels' masks, so a row that leaves some deeper level no
+    candidate is dropped at once; weights come from a 2^n-byte table
+    built once per length; the per-n count is cross-checked against the
+    q-binomial).  That count is
     arithmetic, a sum of 2^(free entries), so ``subspaces`` in the report
     is not a count of visits; ``tests/oracles.py`` holds an enumerator
     that visits every reduced basis once, and the test suite checks the

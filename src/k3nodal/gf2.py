@@ -10,6 +10,7 @@ function, so unrestricted concurrent use is safe.
 
 from __future__ import annotations
 
+import io
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -48,7 +49,10 @@ class Gf2Matrix:
         object.__setattr__(self, "cols", _integer(self.cols, "the column count"))
         if self.cols < 1:
             raise ValueError("column count must be positive")
-        rows = tuple(r if type(r) is int else _integer(r, "a row") for r in self.rows)
+        # a sized input is copied at its size, not grown from a generator
+        rows = tuple(self.rows)
+        if not all(type(r) is int for r in rows):
+            rows = tuple(r if type(r) is int else _integer(r, "a row") for r in rows)
         object.__setattr__(self, "rows", rows)
         if rows and (min(rows) < 0 or max(rows) >> self.cols):
             raise ValueError(f"rows must be ints in [0, 2^{self.cols})")
@@ -281,12 +285,13 @@ def parse_matrix_text(text: str) -> Gf2Matrix:
     at the other breaks of ``str.splitlines``, so a row that holds a form
     feed or a line separator is refused.
 
-    One pass strips each line once and refuses a row that holds any other
-    character as soon as it reaches it, so that row is reported ahead of
-    ragged rows wherever it sits.
+    One pass over the lines of an ``io.StringIO``, read one at a time
+    rather than split into a list, strips each line once and refuses a
+    row that holds any other character as soon as it reaches it, so that
+    row is reported ahead of ragged rows wherever it sits.
     """
     rows, widths = [], set()
-    for line in filter(None, map(str.strip, text.replace("\r", "\n").split("\n"))):
+    for line in filter(None, map(str.strip, io.StringIO(text, newline=None))):
         if line.strip("01"):
             raise ValueError(f"not a 0/1 row: {_quote(line)}")
         rows.append(int(line[::-1], 2))

@@ -290,6 +290,20 @@ def test_weight_distribution_column_kinds_match_gray(k):
     assert dist.total() == 2**k
 
 
+def test_weight_distribution_transposes_only_the_support():
+    # one row of length 2^22 has a single nonzero column; the columns
+    # outside the rows' support are never sliced, so the cost follows the
+    # support, not the length.  The second code has zero columns between
+    # three blocks of support
+    c = from_generators(Gf2Matrix((1,), 1 << 22))
+    assert weight_distribution(c).counts == {0: 1, 1: 1}
+    rng = random.Random(43)
+    n = 3000
+    rows = [rng.getrandbits(8) << 2990 | rng.getrandbits(4) << 1500 | rng.getrandbits(6) for _ in range(5)]
+    c = from_generators(Gf2Matrix.from_ints(rows, n))
+    assert weight_distribution(c).counts == gray_weight_distribution(list(c.gen.row_bits()), n)
+
+
 def test_weight_distribution_special_codes_match_gray():
     for c in (LinearCode.zero(5), _full_code(12), LinearCode.repetition(8),
               LinearCode.repetition(300)):
@@ -887,13 +901,29 @@ def test_half_weight_scan_matches_gray_order_oracle():
 
 def test_half_weight_skip_changes_no_visit():
     # every length up to the budget edge, (4, 4) and (4, 5) among them,
-    # where no pivot set is searched: same counts, same bases, same order
-    for m, n_max in ((2, 11), (3, 9), (4, 8)):
+    # where no pivot set is searched, and m = 5 up to n = 11, where the
+    # checks ahead drop every branch: same counts, same bases, same order
+    for m, n_max in ((2, 11), (3, 9), (4, 8), (5, 11)):
         for n in range(m, n_max + 1):
             expected, bases = [], []
             counts = unpruned_half_weight_bases(n, m, lambda rows: expected.append(list(rows)))
             assert codes._half_weight_bases(n, m, lambda rows: bases.append(list(rows))) == counts
             assert bases == expected, (m, n)
+
+
+@pytest.mark.parametrize("lengths", [(8, 6), (6, 8)])
+def test_half_weight_tables_are_kept_per_length(lengths):
+    # the weight table is cached per length, so a scan right after one at
+    # another length must read its own: each is compared with the oracle
+    codes._heavy_table.cache_clear()
+    for n in lengths:
+        for m in (2, 3):
+            expected, bases = [], []
+            counts = unpruned_half_weight_bases(n, m, lambda rows: expected.append(list(rows)))
+            assert codes._half_weight_bases(n, m, lambda rows: bases.append(list(rows))) == counts
+            assert bases == expected, (m, n)
+    n = lengths[-1]
+    assert codes._heavy_table(n) == bytes(2 * w.bit_count() >= n for w in range(1 << n))
 
 
 def test_verify_beauville_sampled():
