@@ -633,12 +633,13 @@ class BeauvilleReport:
         }
 
 
-# One table per length: under SUBSPACE_BUDGET verify_beauville stays at
-# n <= 11 (2 KiB), and a direct m = 5 scan up to n = 15 holds 32 KiB.
+# One mask per length: under SUBSPACE_BUDGET verify_beauville stays at
+# n <= 11 (256 bytes), and a direct m = 5 scan up to n = 15 holds 4 KiB.
 @functools.cache
-def _heavy_table(n: int) -> bytes:
-    """Byte w is 1 when the word w of F_2^n weighs at least n/2."""
-    return bytes(map(((n + 1) // 2).__le__, map(int.bit_count, range(1 << n))))
+def _light_words(n: int) -> int:
+    """The 2^n-bit int whose bit w is set when the word w of F_2^n weighs
+    less than n/2."""
+    return int("".join(["01"[2 * w.bit_count() < n] for w in reversed(range(1 << n))]), 2)
 
 
 def _half_weight_bases(n: int, m: int, visit: Callable[[list[int]], None]) -> tuple[int, int]:
@@ -652,86 +653,72 @@ def _half_weight_bases(n: int, m: int, visit: Callable[[list[int]], None]) -> tu
     pivot set holds 2^(free entries) subspaces, counted without visiting
     them.  A row weighs at most 1 + its free entries, and the last row has
     the fewest, n - 1 - p_(m-1); a pivot set whose last pivot exceeds n/2
-    has no heavy last row, so it is counted but not searched.  In the
-    others, row i is chosen from level i's candidates (pivot bit plus free
-    entries, weight >= n/2), and the search checks ahead: each level keeps
-    a mask of the candidates still allowed, and a cache, per pivot set,
-    from a word w to the mask of the level's candidates r with r ^ w
-    heavy.  Choosing a row ANDs the masks of its new span words (the row,
-    and the row XOR each earlier word) into every deeper level's mask,
-    deepest level first, and drops the row as soon as one of them is
-    empty.  A light word stays in the span of every extension, so no
-    qualifying basis is lost, and a level walks its allowed candidates
-    from low bit to high, so the bases reach ``visit`` in candidate order.
-    A candidate still allowed on the last level completes a basis whose
-    2^m - 1 nonzero words have all been checked, so it is visited at once.
-    Weights are read from ``_heavy_table(n)``, built once per length.
+    has no heavy last row, so it is counted but not searched.
+
+    The others are searched over word masks, 2^n-bit ints whose bit w
+    stands for the word w of F_2^n.  Level i's mask holds its candidate
+    rows: pivot bit p_i set, the bits below it and the other pivots clear,
+    weight >= n/2 (the complement of ``_light_words(n)``, cached per
+    length); it is ANDed from coordinate patterns, with no subset walk.
+    A word w can join the span S when every w ^ s, s in S, is heavy: the
+    complement of F(S), the union of s ^ Light over s in S.  The joinable
+    set of {0} is the heavy words, and choosing a row r turns the joinable
+    set J into J & (r ^ J), the complement of F | (r ^ F).  The translate
+    r ^ J takes one shift pair per set bit i of r,
+    ``(J & P_i) >> 2^i | (J << 2^i) & P_i`` with P_i the pattern of
+    coordinate i, and each row's translate is taken from the previous
+    candidate's, by the bits of ``prev ^ row``.  So a level allows
+    ``level & J``, a row is dropped when a deeper level allows nothing
+    under the new J (deepest level first), and each word the last level
+    allows completes a basis whose 2^m - 1 nonzero words are all heavy.
+    A light word stays in the span of every extension, so no qualifying
+    basis is lost.  Mask bits are walked from high to low, so the bases
+    reach ``visit`` in order of decreasing rows, level by level.
     """
-    full = (1 << n) - 1
-    heavy = _heavy_table(n)
+    heavy = _light_words(n) ^ ((1 << (1 << n)) - 1)
+    patterns = [_coordinate_pattern(n, i) for i in range(n)]
+    # lowest[p]: the heavy words whose lowest set bit is p
+    lowest, higher = [], heavy
+    for pattern in patterns:
+        lowest.append(higher & pattern)
+        higher &= ~pattern
     # a pivot set holds 2^(sum of n - m + i - p_i) = 2^top >> (sum of pivots)
     top = m * (2 * n - m - 1) // 2
     examined = sum(map((1 << top).__rshift__, map(sum, itertools.combinations(range(n), m))))
     qualifying = 0
 
-    def narrow(words: list[int], depth: int, allowed: list[int]) -> list[int] | None:
-        """The allowed masks of the levels below ``depth``, deepest first,
-        ANDed with the masks of the words; None when one is empty."""
-        narrowed = []
-        for (level, bits, cache), mask in zip(below[depth], allowed):
-            for w in words:
-                word_mask = cache.get(w)
-                if word_mask is None:
-                    word_mask = cache[w] = sum([bit for bit, row in zip(bits, level) if heavy[row ^ w]])
-                mask &= word_mask
-                if not mask:
-                    return None
-            narrowed.append(mask)
-        return narrowed
-
-    def extend(rows: list[int], span: list[int], allowed: list[int]) -> None:
-        # allowed holds a mask for each level from the last down to this
-        # one; a row of the last level but one leads straight to the last
-        # level's allowed candidates, each completing a qualifying basis
+    def extend(rows: list[int], joinable: int) -> None:
         nonlocal qualifying
         depth = len(rows)
-        candidates, mask = levels[depth][0], allowed[-1]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            row = candidates[low.bit_length() - 1]
-            words = [row] + [row ^ w for w in span]
-            narrowed = narrow(words, depth, allowed)
-            if narrowed is None:
-                continue
+        allowed = levels[depth] & joinable
+        shifted, prev = joinable, 0
+        while allowed:
+            row = allowed.bit_length() - 1
+            allowed ^= 1 << row
+            step, prev = prev ^ row, row
+            while step:
+                i = step.bit_length() - 1
+                step ^= 1 << i
+                shifted = (shifted & patterns[i]) >> (1 << i) | (shifted << (1 << i)) & patterns[i]
+            joined = joinable & shifted
             if depth < m - 2:
-                extend(rows + [row], span + words, narrowed)
+                if all(level & joined for level in levels[:depth:-1]):
+                    extend(rows + [row], joined)
                 continue
-            leaves, (mask_last,) = levels[-1][0], narrowed
-            while mask_last:
-                low = mask_last & -mask_last
-                mask_last ^= low
+            leaves = levels[-1] & joined
+            while leaves:
+                leaf = leaves.bit_length() - 1
+                leaves ^= 1 << leaf
                 qualifying += 1
-                visit(rows + [row, leaves[low.bit_length() - 1]])
+                visit(rows + [row, leaf])
 
     # the pivot sets whose last pivot is at most n/2, in the order above
     for pivots in itertools.combinations(range(n // 2 + 1), m):
-        pivot_mask = sum(1 << p for p in pivots)
-        levels = []
-        for p in pivots:
-            free = full & ~((2 << p) - 1) & ~pivot_mask
-            level = []
-            sub = free
-            while True:
-                row = (1 << p) | sub
-                if heavy[row]:
-                    level.append(row)
-                if not sub:
-                    break
-                sub = (sub - 1) & free
-            levels.append((level, [1 << r for r in range(len(level))], {}))
-        below = [levels[:depth:-1] for depth in range(m)]
-        extend([], [], [(1 << len(level)) - 1 for level, _, _ in reversed(levels)])
+        levels, others = [], 0
+        for p in reversed(pivots):
+            levels.insert(0, lowest[p] & ~others)
+            others |= patterns[p]
+        extend([], heavy)
     return examined, qualifying
 
 
@@ -755,11 +742,11 @@ def verify_beauville(m: int, n_max: int | None = None, *, seed: int = 0) -> Beau
     For m <= 4 the scan is exhaustive over reduced bases
     (``_half_weight_bases``: each pivot set counts its 2^(free entries)
     subspaces, a pivot set with a row that cannot reach n/2 is counted but
-    not searched, and the search checks ahead: per level, a cached mask of
-    the candidates that each span word leaves heavy is ANDed into the
-    deeper levels' masks, so a row that leaves some deeper level no
-    candidate is dropped at once; weights come from a 2^n-byte table
-    built once per length; the per-n count is cross-checked against the
+    not searched, and the search runs over 2^n-bit word masks: each level
+    is one mask of its candidate rows, a span keeps the mask of the words
+    that can still join it, and a row that leaves some deeper level no
+    candidate is dropped at once; the light words come from one mask
+    cached per length; the per-n count is cross-checked against the
     q-binomial).  That count is
     arithmetic, a sum of 2^(free entries), so ``subspaces`` in the report
     is not a count of visits; ``tests/oracles.py`` holds an enumerator

@@ -93,34 +93,34 @@ def _rref_ints(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form of bit-packed rows: (basis rows, pivot
     columns), one reduced row per pivot in pivot order and no zero row.
 
-    The input is left unchanged, and the scan stops as soon as every row
-    holds a pivot.  Under 32 rows each pivot row is XORed into every other
-    row holding its pivot bit, one column at a time; with more rows a
-    table of row sums costs less than the column steps it saves
+    The input is left unchanged.  Under 32 rows each row is reduced
+    against a small XOR basis keyed by lowest set bit until its lowest bit
+    is new, and joins the basis; a row that reduces to zero is dropped.
+    The lowest bits are the pivots, and clearing each pivot, highest
+    first, from the rows with lower pivots reduces the basis: the step
+    each strip of ``_rref_strips`` runs, here over all columns at once, so
+    the cost follows the rank and not the column count.  With more rows a
+    table of row sums costs less than the row steps it saves
     (``_rref_strips``).  The reduced echelon form is unique, so both ways
     give the same rows and pivots.
     """
-    nrows = len(rows)
-    if nrows >= 32:
+    if len(rows) >= 32:
         return _rref_strips(rows, cols)
-    rows = list(rows)
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        bit = 1 << c
-        for i in range(r, nrows):
-            if rows[i] & bit:
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            if low not in basis:
+                basis[low] = row
                 break
-        else:
-            continue
-        prow = rows[i]
-        rows[i] = rows[r]
-        rows = [x ^ prow if x & bit else x for x in rows]
-        rows[r] = prow
-        pivots.append(c)
-    return rows[: len(pivots)], pivots
+            row ^= basis[low]
+    lows = sorted(basis)
+    for j in reversed(range(1, len(lows))):
+        prow = basis[lows[j]]
+        for low in lows[:j]:
+            if basis[low] & lows[j]:
+                basis[low] ^= prow
+    return [basis[low] for low in lows], [low.bit_length() - 1 for low in lows]
 
 
 def _independent(rows: Sequence[int]) -> bool:

@@ -23,7 +23,7 @@ keeps each row as bits and a scale and counts overlaps).
 popcount per entry on and above the diagonal over (bits, scale) rows,
 mirrored (the package takes popcounts only between generators).
 ``unpruned_half_weight_bases`` is the package's half-weight scan without
-its pivot-set skip or weight table: it searches every pivot set and
+its pivot-set skip or word masks: it searches every pivot set and
 counts every weight, so it fixes the order in which qualifying bases
 must be visited.
 ``naive_permutation_equivalent`` takes two codes and reads only their
@@ -237,8 +237,8 @@ def gray_half_weight_scan(n: int, m: int) -> tuple[int, set[tuple[int, ...]]]:
 
 
 def unpruned_half_weight_bases(n: int, m: int, visit) -> tuple[int, int]:
-    """The package's half-weight scan without its pivot-set skip or weight
-    table: every pivot set builds its candidate rows and runs the search,
+    """The package's half-weight scan without its pivot-set skip or word
+    masks: every pivot set lists its candidate rows and runs the search,
     and every weight is a popcount.  Returns (subspaces, qualifying bases)
     and calls ``visit`` with each qualifying basis, in the order the
     package's scan must keep."""

@@ -900,10 +900,11 @@ def test_half_weight_scan_matches_gray_order_oracle():
 
 
 def test_half_weight_skip_changes_no_visit():
-    # every length up to the budget edge, (4, 4) and (4, 5) among them,
-    # where no pivot set is searched, and m = 5 up to n = 11, where the
-    # checks ahead drop every branch: same counts, same bases, same order
-    for m, n_max in ((2, 11), (3, 9), (4, 8), (5, 11)):
+    # every length up to the budget edge and past it, (4, 4) and (4, 5)
+    # among them, where no pivot set is searched, n = 9 and 10, where the
+    # word masks span many machine words, and m = 5 up to n = 11, where
+    # the checks ahead drop every branch: same counts, bases and order
+    for m, n_max in ((2, 11), (3, 10), (4, 10), (5, 11)):
         for n in range(m, n_max + 1):
             expected, bases = [], []
             counts = unpruned_half_weight_bases(n, m, lambda rows: expected.append(list(rows)))
@@ -913,9 +914,9 @@ def test_half_weight_skip_changes_no_visit():
 
 @pytest.mark.parametrize("lengths", [(8, 6), (6, 8)])
 def test_half_weight_tables_are_kept_per_length(lengths):
-    # the weight table is cached per length, so a scan right after one at
-    # another length must read its own: each is compared with the oracle
-    codes._heavy_table.cache_clear()
+    # the light-word mask is cached per length, so a scan right after one
+    # at another length must read its own: each is compared with the oracle
+    codes._light_words.cache_clear()
     for n in lengths:
         for m in (2, 3):
             expected, bases = [], []
@@ -923,7 +924,7 @@ def test_half_weight_tables_are_kept_per_length(lengths):
             assert codes._half_weight_bases(n, m, lambda rows: bases.append(list(rows))) == counts
             assert bases == expected, (m, n)
     n = lengths[-1]
-    assert codes._heavy_table(n) == bytes(2 * w.bit_count() >= n for w in range(1 << n))
+    assert codes._light_words(n) == sum(1 << w for w in range(1 << n) if 2 * w.bit_count() < n)
 
 
 def test_verify_beauville_sampled():

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -341,6 +342,16 @@ def test_rref_ints_leaves_its_input_unchanged(nrows):
     reduced, pivots = _rref_ints(rows, 40)
     assert rows == before
     assert len(reduced) == len(pivots) and all(reduced)
+
+
+def test_rref_of_a_few_long_rows_costs_its_rank_not_its_length():
+    # under 32 rows each row jumps to its lowest set bit: two rows of
+    # length 2^20, with bits 0 and 2^19, reduce without a step per column
+    cols = 1 << 20
+    rows = [1, 1 << (cols // 2)]
+    start = time.process_time()
+    assert _rref_ints(rows, cols) == (rows, [0, cols // 2])
+    assert time.process_time() - start < 0.5
 
 
 def test_is_rref_matches_naive_on_bit_flips():
